@@ -9,9 +9,9 @@ all-pass, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -28,28 +28,13 @@ from .inverse import (PdeSpec, build_lagrangian, membrane_spec,
                       render_lagrangian, roundtrip_check)
 from .jet import MomentumPoint, PhasePoint, evaluate_jet, random_phase_point
 from .models import MODEL_NAMES, build_model
-from .sim import (Grid, SimState, run, save_trace, load_trace,
-                  trace_el_residual)
+from .sim import (SCHEMA_VERSION, Grid, SimState, load_trace, run,
+                  save_trace, trace_el_residual, trace_point_arrays)
 from .symmetry import (builtin_symmetry_field, check_contact_symmetry,
                        dissipated_quantity, dissipation_law_check)
 
-SCHEMA_VERSION = 1
-
 MODEL_PARAM_FLAGS = ("mu", "gamma", "rho", "tau", "lam", "B", "eps",
                      "omega", "n", "k")
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("KCONTACT_THREADS")
-    if not cap:
-        return
-    try:
-        from threadpoolctl import threadpool_limits
-        threadpool_limits(int(cap))
-    except ImportError:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
 
 
 def _number(tok: str) -> float:
@@ -274,17 +259,17 @@ def _sample_points(model, seed, count):
     return [random_phase_point(model, rng) for _ in range(count)]
 
 
-def _suite_reeb(args) -> dict:
+def _suite_reeb(args, tol) -> dict:
     model = _model_from_args(args)
     worst = 0.0
     for z in _sample_points(model, args.seed, args.num_points):
         res = verify_reeb(model, z)
         worst = max(worst, res["eta"], res["deta"])
     return {"suite": "reeb", "model": model.name, "residual": worst,
-            "tolerance": args.tol, "pass": worst <= args.tol}
+            "tolerance": tol, "pass": worst <= tol}
 
 
-def _suite_legendre(args) -> dict:
+def _suite_legendre(args, tol) -> dict:
     model = _model_from_args(args)
     worst = 0.0
     for z in _sample_points(model, args.seed, args.num_points):
@@ -294,24 +279,24 @@ def _suite_legendre(args) -> dict:
         worst = max(worst, float(np.max(np.abs(back.v - z.v))),
                     abs(hamiltonian_value(model, mp) - energy(jet, z)))
     return {"suite": "legendre", "model": model.name, "residual": worst,
-            "tolerance": args.tol, "pass": worst <= args.tol}
+            "tolerance": tol, "pass": worst <= tol}
 
 
-def _suite_sopde(args) -> dict:
+def _suite_sopde(args, tol) -> dict:
     model = _model_from_args(args)
     worst = 0.0
     for z in _sample_points(model, args.seed, args.num_points):
         worst = max(worst, verify_sopde(model, z, assemble_sopde(model, z)))
     return {"suite": "sopde", "model": model.name, "residual": worst,
-            "tolerance": args.tol, "pass": worst <= args.tol}
+            "tolerance": tol, "pass": worst <= tol}
 
 
-def _suite_symmetry(args) -> dict:
+def _suite_symmetry(args, tol) -> dict:
     model = _model_from_args(args)
     field_name = args.field or args.symmetry or "du"
     Y = builtin_symmetry_field(model, field_name)
     points = _sample_points(model, args.seed, args.num_points)
-    res = check_contact_symmetry(model, Y, points)
+    res = check_contact_symmetry(model, Y, points, tol=tol)
     out = {"suite": "symmetry", "model": model.name, "field": field_name}
     out.update(res)
     if field_name == "paperY":
@@ -334,51 +319,46 @@ def _load_trace_and_model(path):
     return trace, model
 
 
-def _suite_dissipation(args) -> dict:
-    if not args.trace:
-        raise ConfigError("dissipation suite requires --trace DIR")
+# a trace suite over two or more traces passes when the residual ratio of
+# the first (coarsest) to the last (finest) trace lies in this band;
+# second-order discretisations under grid halving give ~4
+REFINEMENT_BAND = (2.5, 6.5)
+
+
+def _trace_verdict(residuals, tol) -> dict:
+    """One trace is judged against `tol`, several by their refinement
+    ratio."""
+    if len(residuals) >= 2:
+        ratio = residuals[0] / max(residuals[-1], 1e-300)
+        return {"residuals": residuals, "refinement_ratio": ratio,
+                "pass": bool(REFINEMENT_BAND[0] <= ratio
+                             <= REFINEMENT_BAND[1])}
+    return {"residuals": residuals, "tolerance": tol,
+            "pass": bool(residuals[0] <= tol)}
+
+
+def _suite_dissipation(args, tol, traces) -> dict:
     field_name = args.symmetry or args.field or "du"
     residuals = []
-    for path in args.trace:
-        trace, model = _load_trace_and_model(path)
+    for trace, model in traces():
         Y = builtin_symmetry_field(model, field_name)
         res = dissipation_law_check(model, dissipated_quantity(model, Y),
                                     trace)
         residuals.append(float(np.max(np.abs(res))))
-    out = {"suite": "dissipation", "field": field_name,
-           "residuals": residuals}
-    if len(residuals) >= 2:
-        ratio = residuals[0] / max(residuals[-1], 1e-300)
-        out["refinement_ratio"] = ratio
-        out["pass"] = bool(2.5 <= ratio <= 6.5)
-    else:
-        out["tolerance"] = args.tol
-        out["pass"] = bool(residuals[0] <= args.tol)
-    return out
+    return {"suite": "dissipation", "field": field_name,
+            **_trace_verdict(residuals, tol)}
 
 
-def _suite_hdw(args) -> dict:
-    if not args.trace:
-        raise ConfigError("hdw suite requires --trace DIR")
+def _suite_hdw(args, tol, traces) -> dict:
     residuals = []
-    for path in args.trace:
-        trace, model = _load_trace_and_model(path)
-        from .sim import trace_point_arrays
+    for trace, model in traces():
         q, v, s, spacings = trace_point_arrays(model, trace)
-        path_ = momentum_path_from_arrays(model, q, v, s, spacings)
-        residuals.append(hdw_residual(model, path_, v0=v).max())
-    out = {"suite": "hdw", "residuals": residuals}
-    if len(residuals) >= 2:
-        ratio = residuals[0] / max(residuals[-1], 1e-300)
-        out["refinement_ratio"] = ratio
-        out["pass"] = bool(2.5 <= ratio <= 6.5)
-    else:
-        out["tolerance"] = args.tol
-        out["pass"] = bool(residuals[0] <= args.tol)
-    return out
+        path = momentum_path_from_arrays(model, q, v, s, spacings)
+        residuals.append(hdw_residual(model, path, v0=v).max())
+    return {"suite": "hdw", **_trace_verdict(residuals, tol)}
 
 
-def _suite_inverse_roundtrip(args) -> dict:
+def _suite_inverse_roundtrip(args, tol) -> dict:
     if args.spec:
         spec = PdeSpec.from_dict(_load_config(args.spec))
     else:
@@ -386,16 +366,19 @@ def _suite_inverse_roundtrip(args) -> dict:
     worst = roundtrip_check(spec, n_samples=args.num_points,
                             rng=np.random.default_rng(args.seed))
     return {"suite": "inverse-roundtrip", "residual": worst,
-            "tolerance": args.tol, "pass": worst <= args.tol}
+            "tolerance": tol, "pass": worst <= tol}
 
 
-SUITES = {
+POINT_SUITES = {
     "reeb": _suite_reeb,
     "legendre": _suite_legendre,
     "sopde": _suite_sopde,
-    "dissipation": _suite_dissipation,
     "symmetry": _suite_symmetry,
     "inverse-roundtrip": _suite_inverse_roundtrip,
+}
+
+TRACE_SUITES = {
+    "dissipation": _suite_dissipation,
     "hdw": _suite_hdw,
 }
 
@@ -409,15 +392,23 @@ SUITE_DEFAULT_TOL = {
 def cmd_verify(args) -> int:
     if not args.suite:
         raise ConfigError("verify requires at least one --suite")
-    user_tol = args.tol
+    # each trace is read on first use and shared by every trace suite
+    load = functools.cache(_load_trace_and_model)
+
+    def traces():
+        return (load(path) for path in args.trace)
+
     results = []
     for name in args.suite:
-        if name not in SUITES:
+        if name not in SUITE_DEFAULT_TOL:
             raise ConfigError(f"unknown suite '{name}'")
-        args.tol = user_tol if user_tol is not None \
-            else SUITE_DEFAULT_TOL[name]
-        results.append(SUITES[name](args))
-    args.tol = user_tol
+        tol = SUITE_DEFAULT_TOL[name] if args.tol is None else args.tol
+        if name in POINT_SUITES:
+            results.append(POINT_SUITES[name](args, tol))
+        elif not args.trace:
+            raise ConfigError(f"{name} suite requires --trace DIR")
+        else:
+            results.append(TRACE_SUITES[name](args, tol, traces))
     report = _report_header("verify", args)
     report["suites"] = results
     report["pass"] = all(r["pass"] for r in results)
@@ -489,7 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verification suites")
     _add_model_flags(p)
     _add_common_flags(p)
-    p.add_argument("--suite", action="append", choices=sorted(SUITES))
+    p.add_argument("--suite", action="append",
+                   choices=sorted(POINT_SUITES.keys() | TRACE_SUITES.keys()))
     p.add_argument("--trace", action="append",
                    help="trace directory (repeat for refinement ratios)")
     p.add_argument("--symmetry", help="symmetry field name")
@@ -506,7 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -50,27 +50,9 @@ class SopdeData:
     g: np.ndarray      # (k, k)
 
 
-def el_residual(model: LagrangianModel, sj: SecondJet):
-    """Residuals of the Euler-Lagrange equations at a second jet.
-
-    Returns (rEL, rS): rEL[i] is the field equation residual, rS the
-    divergence condition residual trace(dsdt) - L.  Both vanish exactly
-    on solutions.
-    """
-    model.check_point(sj.z)
-    jet = evaluate_jet(model, sj.z)
-    rEL = (np.einsum("iajb,jba->i", jet.d2Ldvdv, sj.a)
-           + np.einsum("iaj,ja->i", jet.d2Ldvdq, sj.z.v)
-           + np.einsum("iab,ab->i", jet.d2Ldvds, sj.dsdt)
-           - jet.dLdq
-           - np.einsum("a,ia->i", jet.dLds, jet.dLdv))
-    rS = float(np.trace(sj.dsdt) - jet.L)
-    return rEL, rS
-
-
-def el_residual_batch(model: LagrangianModel, q, v, s, a, dsdt):
-    """Batched `el_residual`; batch axes trail every array."""
-    jet = evaluate_jet_batch(model, q, v, s)
+def _el_operator(jet, v, a, dsdt):
+    """Euler-Lagrange operator at second-jet data (a, dsdt) over `jet`;
+    batch axes, if any, trail every array."""
     rEL = (np.einsum("iajb...,jba...->i...", jet.d2Ldvdv, a)
            + np.einsum("iaj...,ja...->i...", jet.d2Ldvdq, v)
            + np.einsum("iab...,ab...->i...", jet.d2Ldvds, dsdt)
@@ -78,6 +60,22 @@ def el_residual_batch(model: LagrangianModel, q, v, s, a, dsdt):
            - np.einsum("a...,ia...->i...", jet.dLds, jet.dLdv))
     rS = np.einsum("aa...->...", dsdt) - jet.L
     return rEL, rS
+
+
+def el_residual(model: LagrangianModel, sj: SecondJet):
+    """Residuals of the Euler-Lagrange equations at a second jet.
+
+    Returns (rEL, rS): rEL[i] is the field equation residual, rS the
+    divergence condition residual trace(dsdt) - L.  Both vanish exactly
+    on solutions.
+    """
+    rEL, rS = _el_operator(evaluate_jet(model, sj.z), sj.z.v, sj.a, sj.dsdt)
+    return rEL, float(rS)
+
+
+def el_residual_batch(model: LagrangianModel, q, v, s, a, dsdt):
+    """Batched `el_residual`; batch axes trail every array."""
+    return _el_operator(evaluate_jet_batch(model, q, v, s), v, a, dsdt)
 
 
 def _evolution_pieces(model, jet, v, spatial, mixed):
@@ -110,7 +108,6 @@ def evolution_rhs(model: LagrangianModel, z: PhasePoint,
     an invertible time-time Hessian block and no velocity-dissipation
     coupling.
     """
-    model.check_point(z)
     spatial = np.asarray(spatial, dtype=float).reshape(
         model.n, model.k - 1, model.k - 1)
     mixed = np.asarray(mixed, dtype=float).reshape(model.n, model.k - 1)
@@ -172,7 +169,6 @@ def assemble_sopde(model: LagrangianModel, z: PhasePoint) -> SopdeData:
     symmetric Gamma solves the contracted field equations with minimal
     Frobenius norm (the system is underdetermined for k > 1).
     """
-    model.check_point(z)
     jet = evaluate_jet(model, z)
     hw = hessian(jet)
     if not hw.regular:
@@ -206,14 +202,9 @@ def verify_sopde(model: LagrangianModel, z: PhasePoint,
 
     Under the SOPDE condition the velocity-difference equations hold
     identically; what remains are the contracted second-order equations
-    and the trace condition on the dissipation velocities.
+    and the trace condition on the dissipation velocities, i.e. the
+    Euler-Lagrange operator at a = Gamma, dsdt = g^T.
     """
-    model.check_point(z)
-    jet = evaluate_jet(model, z)
-    res_field = (np.einsum("iajb,jab->i", jet.d2Ldvdv, sopde.Gamma)
-                 + np.einsum("iaj,ja->i", jet.d2Ldvdq, z.v)
-                 + np.einsum("iab,ba->i", jet.d2Ldvds, sopde.g)
-                 - jet.dLdq
-                 - np.einsum("a,ia->i", jet.dLds, jet.dLdv))
-    res_trace = np.trace(sopde.g) - jet.L
-    return float(max(np.max(np.abs(res_field)), abs(res_trace)))
+    rEL, rS = _el_operator(evaluate_jet(model, z), z.v, sopde.Gamma,
+                           sopde.g.T)
+    return float(max(np.max(np.abs(rEL)), abs(rS)))

@@ -2,12 +2,14 @@
 
 A `SymmetryField` is a vector field on the phase bundle given by its
 components along dq, dv, ds.  The Lie derivative of the contact forms is
-assembled analytically from the Jet2 blocks and the field's Jacobian;
-only solution traces are ever differenced.
+assembled analytically from the Jet2 blocks and the field's Jacobian,
+which a first-order pass of the Taylor kernel gives exactly; only
+solution traces are ever differenced.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -16,10 +18,25 @@ import numpy as np
 from .contact import (_energy_gradients, hessian, reeb,
                       reeb_energy_derivative_batch)
 from .jet import LagrangianModel, PhasePoint, evaluate_jet, evaluate_jet_batch
+from .taylor import T2, TaylorContext, variables
 
 
-def _as_batch(x, shape):
-    return np.broadcast_to(np.asarray(x, dtype=float), shape)
+def _block(entries, lead, tail, leaf=None):
+    """One component as an array of shape lead + tail.  `entries` is the
+    nested list a component callable returned; `leaf` maps each entry
+    first.  When every entry is a constant the result is a broadcast
+    view, so constant fields never allocate batch-sized arrays."""
+    flat = ([x for row in entries for x in row] if len(lead) == 2
+            else list(entries))
+    if len(flat) != math.prod(lead):
+        raise ValueError(f"symmetry field component must have shape {lead}")
+    if leaf is not None:
+        flat = [leaf(x) for x in flat]
+    if all(np.ndim(x) == 0 for x in flat):
+        const = np.array(flat, dtype=float).reshape(lead + (1,) * len(tail))
+        return np.broadcast_to(const, lead + tail)
+    return np.stack([np.broadcast_to(x, tail) for x in flat]).reshape(
+        lead + tail)
 
 
 @dataclass(frozen=True)
@@ -36,10 +53,12 @@ class SymmetryJacobian:
 class SymmetryField:
     """Vector field Yq d/dq + Yv d/dv + Ys d/ds.
 
-    Component callables receive batched coordinate arrays q (n, *B),
-    v (n, k, *B), s (k, *B) and may return anything broadcastable to the
-    required shape.  `jacobian` defaults to central finite differences
-    of the components.
+    Like `LagrangianModel.lagrangian`, each component callable receives
+    the coordinates as nested lists (q[i], v[i][a], s[a]) of either numpy
+    arrays or T2 values and combines them with overloaded arithmetic
+    only.  Yq returns n entries, Yv an n x k nested list and Ys k entries;
+    an entry may be a plain number.  The Jacobian comes from evaluating
+    the components on Taylor values, so it is exact.
     """
 
     n: int
@@ -47,48 +66,26 @@ class SymmetryField:
     Yq: Callable
     Yv: Callable
     Ys: Callable
-    jacobian: Callable | None = None
     name: str = ""
 
-    def components(self, q, v, s):
-        batch = np.shape(q)[1:]
-        return (_as_batch(self.Yq(q, v, s), (self.n,) + batch),
-                _as_batch(self.Yv(q, v, s), (self.n, self.k) + batch),
-                _as_batch(self.Ys(q, v, s), (self.k,) + batch))
-
-    def jacobian_blocks(self, q, v, s, h: float = 1e-6) -> SymmetryJacobian:
-        if self.jacobian is not None:
-            return self.jacobian(q, v, s)
+    def _blocks(self, coords, tail, leaf=None):
         n, k = self.n, self.k
-        m = n + n * k + k
-        batch = np.shape(q)[1:]
-        dYq = np.zeros((n, m) + batch)
-        dYv = np.zeros((n, k, m) + batch)
-        dYs = np.zeros((k, m) + batch)
-        for j in range(m):
-            qp, vp, sp = _displace(q, v, s, j, h)
-            qm, vm, sm = _displace(q, v, s, j, -h)
-            cp = self.components(qp, vp, sp)
-            cm = self.components(qm, vm, sm)
-            dYq[:, j] = (cp[0] - cm[0]) / (2 * h)
-            dYv[:, :, j] = (cp[1] - cm[1]) / (2 * h)
-            dYs[:, j] = (cp[2] - cm[2]) / (2 * h)
+        return tuple(_block(Y(*coords), lead, tail, leaf)
+                     for Y, lead in ((self.Yq, (n,)), (self.Yv, (n, k)),
+                                     (self.Ys, (k,))))
+
+    def components(self, q, v, s):
+        q, v, s = (np.asarray(x, dtype=float) for x in (q, v, s))
+        coords = (list(q), [list(row) for row in v], list(s))
+        return self._blocks(coords, q.shape[1:])
+
+    def jacobian_blocks(self, q, v, s) -> SymmetryJacobian:
+        q, v, s = (np.asarray(x, dtype=float) for x in (q, v, s))
+        ctx = TaylorContext(self.n, self.k)
+        dYq, dYv, dYs = self._blocks(
+            variables(ctx, q, v, s), (ctx.m,) + q.shape[1:],
+            lambda x: x.grad if isinstance(x, T2) else 0.0)
         return SymmetryJacobian(dYq=dYq, dYv=dYv, dYs=dYs)
-
-
-def _displace(q, v, s, j, h):
-    """Shift flat coordinate j by h (batched)."""
-    n, k = np.shape(q)[0], np.shape(s)[0]
-    q, v, s = np.array(q, dtype=float), np.array(v, dtype=float), \
-        np.array(s, dtype=float)
-    if j < n:
-        q[j] += h
-    elif j < n + n * k:
-        r = j - n
-        v[r // k, r % k] += h
-    else:
-        s[j - n - n * k] += h
-    return q, v, s
 
 
 def constant_field(model: LagrangianModel, Yq=None, Yv=None, Ys=None,
@@ -98,20 +95,9 @@ def constant_field(model: LagrangianModel, Yq=None, Yv=None, Ys=None,
     cq = np.zeros(n) if Yq is None else np.asarray(Yq, dtype=float)
     cv = np.zeros((n, k)) if Yv is None else np.asarray(Yv, dtype=float)
     cs = np.zeros(k) if Ys is None else np.asarray(Ys, dtype=float)
-    m = n + n * k + k
-
-    def jac(q, v, s):
-        batch = np.shape(q)[1:]
-        return SymmetryJacobian(dYq=np.zeros((n, m) + batch),
-                                dYv=np.zeros((n, k, m) + batch),
-                                dYs=np.zeros((k, m) + batch))
-
-    return SymmetryField(
-        n=n, k=k,
-        Yq=lambda q, v, s: cq.reshape((n,) + (1,) * (np.ndim(q) - 1)),
-        Yv=lambda q, v, s: cv.reshape((n, k) + (1,) * (np.ndim(q) - 1)),
-        Ys=lambda q, v, s: cs.reshape((k,) + (1,) * (np.ndim(q) - 1)),
-        jacobian=jac, name=name)
+    return SymmetryField(n=n, k=k, Yq=lambda q, v, s: cq.tolist(),
+                         Yv=lambda q, v, s: cv.tolist(),
+                         Ys=lambda q, v, s: cs.tolist(), name=name)
 
 
 def builtin_symmetry_field(model: LagrangianModel,
@@ -124,48 +110,19 @@ def builtin_symmetry_field(model: LagrangianModel,
               (-q1, q0) d/dq + (-v1, v0) d/dv.
     """
     n, k = model.n, model.k
-    m = n + n * k + k
     if name == "du":
-        e0 = np.zeros(n)
-        e0[0] = 1.0
-        return constant_field(model, Yq=e0, name="du")
+        return constant_field(model, Yq=np.eye(n)[0], name="du")
     if name == "scaling":
-        def jac(q, v, s):
-            batch = np.shape(q)[1:]
-            dYq = np.zeros((n, m) + batch)
-            for i in range(n):
-                dYq[i, i] = 1.0
-            return SymmetryJacobian(dYq=dYq,
-                                    dYv=np.zeros((n, k, m) + batch),
-                                    dYs=np.zeros((k, m) + batch))
-
-        return SymmetryField(
-            n=n, k=k, Yq=lambda q, v, s: np.asarray(q, dtype=float),
-            Yv=lambda q, v, s: np.zeros(np.shape(v)),
-            Ys=lambda q, v, s: np.zeros(np.shape(s)),
-            jacobian=jac, name="scaling")
+        return SymmetryField(n=n, k=k, Yq=lambda q, v, s: q,
+                             Yv=lambda q, v, s: [[0.0] * k] * n,
+                             Ys=lambda q, v, s: [0.0] * k, name="scaling")
     if name == "paperY":
         if n != 2:
             raise ValueError("the rotation field needs exactly two fields")
-
-        def jac(q, v, s):
-            batch = np.shape(q)[1:]
-            dYq = np.zeros((n, m) + batch)
-            dYv = np.zeros((n, k, m) + batch)
-            dYq[0, 1] = -1.0
-            dYq[1, 0] = 1.0
-            for a in range(k):
-                dYv[0, a, n + k + a] = -1.0
-                dYv[1, a, n + a] = 1.0
-            return SymmetryJacobian(dYq=dYq, dYv=dYv,
-                                    dYs=np.zeros((k, m) + batch))
-
         return SymmetryField(
-            n=n, k=k,
-            Yq=lambda q, v, s: np.stack([-q[1], q[0]]),
-            Yv=lambda q, v, s: np.stack([-v[1], v[0]]),
-            Ys=lambda q, v, s: np.zeros(np.shape(s)),
-            jacobian=jac, name="paperY")
+            n=n, k=k, Yq=lambda q, v, s: [-q[1], q[0]],
+            Yv=lambda q, v, s: [[-x for x in v[1]], v[0]],
+            Ys=lambda q, v, s: [0.0] * k, name="paperY")
     raise ValueError(f"unknown symmetry field '{name}'")
 
 

@@ -14,7 +14,6 @@ the gradient then has shape (m, *batch) and the Hessian rows
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,6 +150,20 @@ def variable(ctx, index, value):
     grad = np.zeros((ctx.m,) + value.shape)
     grad[index] = 1.0
     return T2(ctx, value, grad, None)
+
+
+def variables(ctx, q, v, s):
+    """Seed every coordinate of the batched arrays q (n, *B), v (n, k, *B)
+    and s (k, *B).  Returns the nested lists (q[i], v[i][a], s[a]) of T2
+    values that densities and symmetry fields receive."""
+    batch = np.shape(q)[1:]
+    index = iter(range(ctx.m))  # consumed in the flat order q | v | s
+
+    def seed(x):
+        return variable(ctx, next(index), np.broadcast_to(x, batch))
+
+    return ([seed(x) for x in q], [[seed(x) for x in row] for row in v],
+            [seed(x) for x in s])
 
 
 # elementwise functions usable on T2 values and plain arrays alike

@@ -7,6 +7,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from kcontact import cli
 from kcontact.cli import main, parse_grid, parse_point
 from kcontact.errors import ConfigError
 
@@ -116,6 +117,20 @@ class TestSimulate:
         assert code == 2
 
 
+@pytest.fixture(scope="module")
+def membrane_trace_pair(tmp_path_factory):
+    """Coarse and refined membrane traces written by `simulate`."""
+    root = tmp_path_factory.mktemp("traces")
+    paths = []
+    for N, dt in ((17, 0.05), (33, 0.025)):
+        paths.append(str(root / f"run{N}"))
+        assert main(["simulate", "--model", "membrane", "--mu", "1",
+                     "--gamma", "0.2", "--grid", f"0,pi,{N};0,pi,{N}",
+                     "--dt", str(dt), "--t-end", "2.0",
+                     "--output-every", "4", "--output", paths[-1]]) == 0
+    return paths
+
+
 class TestVerify:
     def test_reeb_suite_passes(self, capsys):
         code, rep = report_of(capsys, "verify", "--suite", "reeb",
@@ -137,6 +152,14 @@ class TestVerify:
         assert code == 3
         assert rep["pass"] is False
 
+    def test_symmetry_suite_uses_given_tolerance(self, capsys):
+        # u d/du misses the default 1e-9 by a residual of order one
+        code, rep = report_of(capsys, "verify", "--suite", "symmetry",
+                              "--model", "membrane", "--field", "scaling",
+                              "--tol", "10")
+        assert code == 0
+        assert rep["suites"][0]["max_residual"] > 1e-3
+
     def test_paperY_reported_not_asserted(self, capsys):
         code, rep = report_of(capsys, "verify", "--suite", "symmetry",
                               "--model", "string", "--B", "1",
@@ -151,19 +174,31 @@ class TestVerify:
                           "--trace", str(tmp_path / "nope"))
         assert code == 2
 
-    def test_dissipation_ratio_from_trace_pair(self, capsys, tmp_path):
-        for N, dt in ((17, 0.05), (33, 0.025)):
-            run_cli(capsys, "simulate", "--model", "membrane",
-                    "--mu", "1", "--gamma", "0.2",
-                    "--grid", f"0,pi,{N};0,pi,{N}", "--dt", str(dt),
-                    "--t-end", "2.0", "--output-every", "4",
-                    "--output", str(tmp_path / f"run{N}"))
+    def test_dissipation_ratio_from_trace_pair(self, capsys,
+                                               membrane_trace_pair):
+        coarse, fine = membrane_trace_pair
         code, rep = report_of(capsys, "verify", "--suite", "dissipation",
-                              "--trace", str(tmp_path / "run17"),
-                              "--trace", str(tmp_path / "run33"),
+                              "--trace", coarse, "--trace", fine,
                               "--symmetry", "du")
         assert code == 0
         assert 2.5 <= rep["suites"][0]["refinement_ratio"] <= 6.5
+
+    def test_trace_suites_read_each_trace_once(self, capsys, monkeypatch,
+                                               membrane_trace_pair):
+        coarse, fine = membrane_trace_pair
+        load_trace, calls = cli.load_trace, []
+
+        def counting_load_trace(path):
+            calls.append(path)
+            return load_trace(path)
+
+        monkeypatch.setattr(cli, "load_trace", counting_load_trace)
+        code, rep = report_of(capsys, "verify", "--suite", "dissipation",
+                              "--suite", "hdw", "--trace", coarse,
+                              "--trace", fine)
+        assert code == 0
+        assert [s["suite"] for s in rep["suites"]] == ["dissipation", "hdw"]
+        assert calls == [coarse, fine]
 
     def test_inverse_roundtrip_suite(self, capsys):
         code, rep = report_of(capsys, "verify", "--suite",

@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kcontact import (LagrangianModel, NotRegularError, PhasePoint,
-                      SecondJet, assemble_sopde, builtin_models,
+                      SecondJet, SopdeData, assemble_sopde, builtin_models,
                       damped_oscillator, el_residual, evolution_rhs,
                       membrane, random_phase_point, string, sv_coupling,
                       verify_sopde)
-from kcontact.dynamics import gauge_s_velocities
+from kcontact.dynamics import el_residual_batch, gauge_s_velocities
+
+MODELS = builtin_models()
 from kcontact.errors import SimulationError
 
 
@@ -139,3 +143,26 @@ class TestSopde:
         z = PhasePoint(q=[0.0], v=[[1.0]], s=[0.0])
         with pytest.raises(NotRegularError):
             assemble_sopde(model, z)
+
+
+@settings(max_examples=60, deadline=None)
+@given(index=st.integers(0, len(MODELS) - 1),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_single_point_paths_agree_bitwise(index, seed):
+    """el_residual, el_residual_batch and verify_sopde evaluate the same
+    Euler-Lagrange operator: equal bit for bit at single points."""
+    model = MODELS[index]
+    n, k = model.n, model.k
+    rng = np.random.default_rng(seed)
+    z = random_phase_point(model, rng)
+    a = rng.uniform(-1, 1, (n, k, k))
+    a = a + np.swapaxes(a, 1, 2)
+    dsdt = rng.uniform(-1, 1, (k, k))
+    rEL, rS = el_residual(model, SecondJet(z=z, a=a, dsdt=dsdt))
+    bEL, bS = el_residual_batch(model, z.q, z.v, z.s, a, dsdt)
+    assert np.array_equal(rEL, bEL) and rS == bS
+    for sopde in (SopdeData(Gamma=a, g=dsdt.T), assemble_sopde(model, z)):
+        rEL, rS = el_residual(model, SecondJet(z=z, a=sopde.Gamma,
+                                               dsdt=sopde.g.T))
+        assert verify_sopde(model, z, sopde) == max(np.max(np.abs(rEL)),
+                                                    abs(rS))

@@ -1,0 +1,37 @@
+"""Source hygiene: every module-level import of the package is used."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import kcontact
+
+SOURCES = sorted(Path(kcontact.__file__).parent.glob("*.py"))
+
+
+def unused_imports(path):
+    tree = ast.parse(path.read_text())
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+    used = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name)}
+    # names re-exported through __all__ count as used
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            used |= {elt.value for elt in node.value.elts}
+    return sorted(f"{name} (line {line})" for name, line in bound.items()
+                  if name not in used)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_module_imports(path):
+    assert unused_imports(path) == []

@@ -9,7 +9,49 @@ from kcontact import (Grid, SimState, builtin_symmetry_field,
                       lie_derivative_eta, membrane,
                       momentum_dissipation_check, random_phase_point,
                       reeb_bracket_check, run, string)
-from kcontact.symmetry import SymmetryField
+from kcontact.symmetry import SymmetryField, SymmetryJacobian
+from kcontact.taylor import cos, exp, sin
+
+
+def nonlinear_field():
+    """A user field with products and transcendental entries in every
+    component, on the n = k = 2 phase space of the string."""
+    return SymmetryField(
+        n=2, k=2,
+        Yq=lambda q, v, s: [q[0] * v[0][1], sin(s[0])],
+        Yv=lambda q, v, s: [[v[1][0] * v[1][0], q[1]],
+                            [exp(0.5 * s[1]), 0.0]],
+        Ys=lambda q, v, s: [cos(q[0]) * v[1][1], s[1] * q[1]],
+        name="nonlinear")
+
+
+class CentralDifferenceField:
+    """The components of `Y` with a central-difference Jacobian."""
+
+    def __init__(self, Y, h=1e-6):
+        self.Y, self.h = Y, h
+
+    def components(self, q, v, s):
+        return self.Y.components(q, v, s)
+
+    def jacobian_blocks(self, q, v, s):
+        n, k = self.Y.n, self.Y.k
+        x = np.concatenate([q, v.reshape((n * k,) + q.shape[1:]), s])
+        cols = []
+        for j in range(x.shape[0]):
+            comps = []
+            for sign in (1.0, -1.0):
+                xs = x.copy()
+                xs[j] += sign * self.h
+                comps.append(self.Y.components(
+                    xs[:n], xs[n:n + n * k].reshape(v.shape),
+                    xs[n + n * k:]))
+            cols.append([(p - m) / (2 * self.h) for p, m in zip(*comps)])
+        # the coordinate axis goes between the component and batch axes
+        batch_ndim = q.ndim - 1
+        return SymmetryJacobian(*(
+            np.stack([c[b] for c in cols], axis=cols[0][b].ndim - batch_ndim)
+            for b in range(3)))
 
 
 @pytest.fixture(scope="module")
@@ -56,21 +98,35 @@ class TestSymmetryCheck:
         res = check_contact_symmetry(model, Y, pts)
         assert res["max_residual"] <= 1e-9
 
-    def test_finite_difference_jacobian_agrees(self, membrane_model,
-                                               membrane_points):
-        # same rotation-style field once with the exact Jacobian, once
-        # finite-differenced
-        model = string(rho=1.0, tau=2.0, lam=0.0, gamma=0.1, B=0.0)
-        exact = builtin_symmetry_field(model, "paperY")
-        fd = SymmetryField(n=2, k=2, Yq=exact.Yq, Yv=exact.Yv, Ys=exact.Ys)
+    def test_nonlinear_field_matches_central_differences(self):
+        model = string(rho=1.0, tau=2.0, lam=0.3, gamma=0.1, B=0.5)
+        Y = nonlinear_field()
+        fd = CentralDifferenceField(Y)
         rng = np.random.default_rng(8)
         pts = [random_phase_point(model, rng) for _ in range(20)]
         q = np.stack([z.q for z in pts], axis=-1)
         v = np.stack([z.v for z in pts], axis=-1)
         s = np.stack([z.s for z in pts], axis=-1)
-        for a, b in zip(lie_derivative_eta(model, exact, q, v, s),
+        exact = Y.jacobian_blocks(q, v, s)
+        approx = fd.jacobian_blocks(q, v, s)
+        for name in ("dYq", "dYv", "dYs"):
+            a, b = getattr(exact, name), getattr(approx, name)
+            assert a.shape == b.shape
+            assert np.max(np.abs(a - b)) < 1e-8
+        for a, b in zip(lie_derivative_eta(model, Y, q, v, s),
                         lie_derivative_eta(model, fd, q, v, s)):
             assert np.max(np.abs(a - b)) < 1e-8
+
+    def test_constant_components_stay_broadcast_views(self, membrane_model):
+        Y = builtin_symmetry_field(membrane_model, "du")
+        batch = (7, 5)
+        q, v, s = np.zeros((1,) + batch), np.zeros((1, 3) + batch), \
+            np.zeros((3,) + batch)
+        for comp, lead in zip(Y.components(q, v, s), ((1,), (1, 3), (3,))):
+            assert comp.shape == lead + batch
+            assert comp.strides[-2:] == (0, 0)
+        Yq, _, _ = Y.components(q, v, s)
+        assert np.all(Yq == 1.0)
 
     def test_unknown_field_name(self, membrane_model):
         with pytest.raises(ValueError, match="unknown symmetry"):
