@@ -134,6 +134,8 @@ def _merge_config(args):
                 setattr(args, key, cfg[key])
             elif key in HARD_DEFAULTS:
                 setattr(args, key, HARD_DEFAULTS[key])
+    if args.num_points < 1:
+        raise ConfigError("--num-points must be at least 1")
     return args
 
 
@@ -291,10 +293,17 @@ def _suite_sopde(args, tol) -> dict:
             "tolerance": tol, "pass": worst <= tol}
 
 
+def _symmetry_field(model, name):
+    try:
+        return builtin_symmetry_field(model, name)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
+
+
 def _suite_symmetry(args, tol) -> dict:
     model = _model_from_args(args)
     field_name = args.field or args.symmetry or "du"
-    Y = builtin_symmetry_field(model, field_name)
+    Y = _symmetry_field(model, field_name)
     points = _sample_points(model, args.seed, args.num_points)
     res = check_contact_symmetry(model, Y, points, tol=tol)
     out = {"suite": "symmetry", "model": model.name, "field": field_name}
@@ -341,7 +350,7 @@ def _suite_dissipation(args, tol, traces) -> dict:
     field_name = args.symmetry or args.field or "du"
     residuals = []
     for trace, model in traces():
-        Y = builtin_symmetry_field(model, field_name)
+        Y = _symmetry_field(model, field_name)
         res = dissipation_law_check(model, dissipated_quantity(model, Y),
                                     trace)
         residuals.append(float(np.max(np.abs(res))))

@@ -33,8 +33,7 @@ class ContactCoeffs:
 class HessianW:
     """Velocity Hessian in flat (i*k + a) indexing with regularity data."""
 
-    W: np.ndarray            # (nk, nk)
-    Winv: np.ndarray | None  # present iff regular
+    W: np.ndarray  # (nk, nk)
     regular: bool
     cond: float
 
@@ -72,19 +71,43 @@ def hessian(jet: Jet2, rank_tol: float = RANK_TOL) -> HessianW:
     smax = sv[0] if nk else 0.0
     smin = sv[-1] if nk else 0.0
     regular = bool(smin > rank_tol * max(smax, 1e-300))
-    Winv = np.linalg.inv(W) if regular else None
     cond = float(smax / smin) if smin > 0 else np.inf
-    return HessianW(W=W, Winv=Winv, regular=regular, cond=cond)
+    return HessianW(W=W, regular=regular, cond=cond)
+
+
+def solve_batch(W, b, what: str) -> np.ndarray:
+    """Solve W x = b at every batch point: W (r, r, *B), b (r, c, *B)
+    -> x (r, c, *B).  The one place that hands velocity-Hessian systems
+    to LAPACK; a singular system raises NotRegularError(what)."""
+    r, c = b.shape[:2]
+    batch = b.shape[2:]
+    # ndarray.transpose, not np.moveaxis: at a single point each
+    # moveaxis call costs about as much as the solve itself
+    Wb = W.reshape(r, r, -1).transpose(2, 0, 1)
+    bb = b.reshape(r, c, -1).transpose(2, 0, 1)
+    try:
+        x = np.linalg.solve(Wb, bb)  # (B, r, c)
+    except np.linalg.LinAlgError:
+        raise NotRegularError(what)
+    return x.transpose(1, 2, 0).reshape((r, c) + batch)
+
+
+def _reeb_vcomp(jet: Jet2) -> np.ndarray:
+    """vcomp[a, i, b, *B] of the Reeb fields from W vcomp_a = -d2L/dvds^a;
+    batch axes, if any, trail."""
+    n, k = jet.dLdv.shape[:2]
+    batch = jet.dLdv.shape[2:]
+    X = solve_batch(jet.d2Ldvdv.reshape((n * k, n * k) + batch),
+                    jet.d2Ldvds.reshape((n * k, k) + batch),
+                    "Lagrangian not regular")
+    return -X.swapaxes(0, 1).reshape((k, n, k) + batch)
 
 
 def reeb(jet: Jet2, hess: HessianW) -> ReebFields:
     """Reeb fields of a regular Lagrangian from the explicit formula."""
     if not hess.regular:
         raise NotRegularError("Lagrangian not regular")
-    n, k = jet.dLdv.shape
-    C = jet.d2Ldvds.reshape(n * k, k)  # rows flat (j, g), cols a
-    vcomp = -(hess.Winv @ C)           # (flat (i, b), a)
-    return ReebFields(vcomp=np.moveaxis(vcomp.reshape(n, k, k), 2, 0))
+    return ReebFields(vcomp=_reeb_vcomp(jet))
 
 
 def verify_reeb(model: LagrangianModel, z: PhasePoint,
@@ -116,33 +139,23 @@ def _energy_gradients(jet: Jet2, v):
     return dEds, dEdv
 
 
+def _energy_along_reeb(jet: Jet2, v, vcomp) -> np.ndarray:
+    """R_a(E) = dE/ds^a + vcomp[a, i, b] dE/dv^i_b; batch axes trail."""
+    dEds, dEdv = _energy_gradients(jet, v)
+    return dEds + np.einsum("aib...,ib...->a...", vcomp, dEdv)
+
+
 def reeb_derivative_of_energy(jet: Jet2, z: PhasePoint,
                               rf: ReebFields) -> np.ndarray:
     """Directional derivative of the energy along each Reeb field."""
-    dEds, dEdv = _energy_gradients(jet, z.v)
-    return dEds + np.einsum("aib,ib->a", rf.vcomp, dEdv)
+    return _energy_along_reeb(jet, z.v, rf.vcomp)
 
 
 def reeb_energy_derivative_batch(model: LagrangianModel, q, v, s
                                  ) -> np.ndarray:
     """Batched Reeb derivative of the energy; shape (k, *batch).
 
-    Solves the per-point Hessian systems directly; raises if any point
-    is singular.
+    Raises NotRegularError if the Hessian is singular at any point.
     """
     jet = evaluate_jet_batch(model, q, v, s)
-    n, k = model.n, model.k
-    batch = jet.L.shape
-    nk = n * k
-    W = jet.d2Ldvdv.reshape((nk, nk) + batch)
-    C = jet.d2Ldvds.reshape((nk, k) + batch)
-    # move batch axes to the front for the stacked solve
-    Wb = np.moveaxis(W.reshape(nk, nk, -1), 2, 0)
-    Cb = np.moveaxis(C.reshape(nk, k, -1), 2, 0)
-    try:
-        X = np.linalg.solve(Wb, Cb)  # (B, nk, k)
-    except np.linalg.LinAlgError as exc:
-        raise NotRegularError(f"Lagrangian not regular on batch: {exc}")
-    vcomp = -np.moveaxis(X, 0, 2).reshape((n, k, k) + batch)  # (i,b,a,*B)
-    dEds, dEdv = _energy_gradients(jet, v)
-    return dEds + np.einsum("iba...,ib...->a...", vcomp, dEdv)
+    return _energy_along_reeb(jet, v, _reeb_vcomp(jet))

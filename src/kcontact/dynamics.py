@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contact import hessian
+from .contact import hessian, solve_batch
 from .errors import NotRegularError, SimulationError
 from .jet import LagrangianModel, PhasePoint, evaluate_jet, evaluate_jet_batch
 
@@ -78,8 +78,9 @@ def el_residual_batch(model: LagrangianModel, q, v, s, a, dsdt):
     return _el_operator(evaluate_jet_batch(model, q, v, s), v, a, dsdt)
 
 
-def _evolution_pieces(model, jet, v, spatial, mixed):
-    """Shared assembly for the explicit evolution form (batched)."""
+def _evolution_solve(model, jet, v, spatial, mixed):
+    """Explicit evolution form (batched): solve the field equations for
+    the time-time second derivatives, shape (n, *B)."""
     n, k = model.n, model.k
     if np.max(np.abs(jet.d2Ldvds)) > 1e-12:
         raise SimulationError(
@@ -96,7 +97,8 @@ def _evolution_pieces(model, jet, v, spatial, mixed):
         # purely spatial second derivatives a[j, b, g], b, g >= 1
         Cs = np.moveaxis(jet.d2Ldvdv[:, 1:, :, 1:], 1, 3)  # (n, n, b, g, *B)
         rhs = rhs - np.einsum("ijbg...,jbg...->i...", Cs, spatial)
-    return W11, rhs
+    return solve_batch(W11, rhs[:, None],
+                       "not hyperbolic-evolvable in direction t")[:, 0]
 
 
 def evolution_rhs(model: LagrangianModel, z: PhasePoint,
@@ -111,12 +113,8 @@ def evolution_rhs(model: LagrangianModel, z: PhasePoint,
     spatial = np.asarray(spatial, dtype=float).reshape(
         model.n, model.k - 1, model.k - 1)
     mixed = np.asarray(mixed, dtype=float).reshape(model.n, model.k - 1)
-    jet = evaluate_jet(model, z)
-    W11, rhs = _evolution_pieces(model, jet, z.v, spatial, mixed)
-    try:
-        return np.linalg.solve(W11, rhs)
-    except np.linalg.LinAlgError:
-        raise NotRegularError("not hyperbolic-evolvable in direction t")
+    return _evolution_solve(model, evaluate_jet(model, z), z.v, spatial,
+                            mixed)
 
 
 def evolution_rhs_batch(model: LagrangianModel, q, v, s, spatial, mixed):
@@ -126,16 +124,7 @@ def evolution_rhs_batch(model: LagrangianModel, q, v, s, spatial, mixed):
     the density for the s^1 equation and the jet is already in hand.
     """
     jet = evaluate_jet_batch(model, q, v, s)
-    W11, rhs = _evolution_pieces(model, jet, v, spatial, mixed)
-    n = model.n
-    batch = jet.L.shape
-    Wb = np.moveaxis(W11.reshape(n, n, -1), 2, 0)
-    rb = np.moveaxis(rhs.reshape(n, -1), 1, 0)[..., None]
-    try:
-        acc = np.linalg.solve(Wb, rb)[..., 0]
-    except np.linalg.LinAlgError:
-        raise NotRegularError("not hyperbolic-evolvable in direction t")
-    return np.moveaxis(acc, 0, 1).reshape((n,) + batch), jet.L
+    return _evolution_solve(model, jet, v, spatial, mixed), jet.L
 
 
 def gauge_s_velocities(L: float, k: int) -> np.ndarray:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contact import energy
-from .errors import NewtonError, NotRegularError
+from .contact import energy, solve_batch
+from .errors import NewtonError
 from .jet import (LagrangianModel, MomentumPoint, PhasePoint, evaluate_jet,
                   evaluate_jet_batch)
 
@@ -38,15 +38,11 @@ def _newton_batch(model, q, p, s, v0):
         if not np.isfinite(last):
             raise NewtonError("Legendre inversion diverged",
                               residual=last)
-        W = jet.d2Ldvdv.reshape((nk, nk) + batch)
-        Wb = np.moveaxis(W.reshape(nk, nk, -1), 2, 0)
-        rb = np.moveaxis(r.reshape(nk, -1), 1, 0)[..., None]
-        try:
-            step = np.linalg.solve(Wb, rb)[..., 0]
-        except np.linalg.LinAlgError:
-            raise NotRegularError(
-                "singular velocity Hessian during Legendre inversion")
-        v = v - np.moveaxis(step, 0, 1).reshape((n, k) + batch)
+        step = solve_batch(
+            jet.d2Ldvdv.reshape((nk, nk) + batch),
+            r.reshape((nk, 1) + batch),
+            "singular velocity Hessian during Legendre inversion")
+        v = v - step.reshape((n, k) + batch)
     raise NewtonError(
         f"Legendre inversion did not converge in {NEWTON_MAXITER} "
         f"iterations (last residual {last:.3e})", residual=last)

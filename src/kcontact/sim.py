@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .contact import solve_batch
 from .dynamics import el_residual_batch, evolution_rhs_batch
 from .errors import SimulationError
 from .jet import LagrangianModel, evaluate_jet_batch
@@ -216,11 +217,12 @@ def char_speeds(model: LagrangianModel, state: SimState, grid: Grid,
     sel = slice(0, None, stride)
     jet = evaluate_jet_batch(model, flat_q[:, sel], flat_v[:, :, sel],
                              flat_s[:, sel])
-    W11 = np.moveaxis(jet.d2Ldvdv[:, 0, :, 0], -1, 0)  # (P, n, n)
     speeds = np.zeros(d)
     for a in range(d):
-        Waa = np.moveaxis(jet.d2Ldvdv[:, 1 + a, :, 1 + a], -1, 0)
-        lam = np.linalg.eigvals(np.linalg.solve(W11, Waa))
+        X = solve_batch(jet.d2Ldvdv[:, 0, :, 0],
+                        jet.d2Ldvdv[:, 1 + a, :, 1 + a],
+                        "not hyperbolic-evolvable in direction t")
+        lam = np.linalg.eigvals(X.transpose(2, 0, 1))  # (P, n)
         speeds[a] = np.sqrt(np.max(np.abs(lam)))
     return speeds
 
@@ -234,8 +236,8 @@ def check_cfl(model: LagrangianModel, state: SimState, grid: Grid,
     for a, c in enumerate(speeds):
         if c > 0 and dt > CFL_FACTOR * grid.spacing[a] / c * (1 + 1e-9):
             raise SimulationError(
-                f"CFL violation in direction {a + 1}: dt={dt:.3g} > "
-                f"{CFL_FACTOR * grid.spacing[a] / c:.3g}")
+                f"CFL violation in direction {a + 1} at t={state.t:.6g}: "
+                f"dt={dt:.4g} > {CFL_FACTOR * grid.spacing[a] / c:.4g}")
 
 
 def step(model: LagrangianModel, state: SimState, grid: Grid,
@@ -262,12 +264,14 @@ def step(model: LagrangianModel, state: SimState, grid: Grid,
 
 def run(model: LagrangianModel, grid: Grid, dt: float, t_end: float,
         initial: SimState, output_every: int = 1) -> SimTrace:
-    """Integrate to t_end, recording every `output_every` steps."""
+    """Integrate to t_end, recording every `output_every` steps.
+
+    Every recorded frame is checked for finiteness, and every recorded
+    frame the run steps on from (t=0 included) for the CFL condition."""
     if dt <= 0:
         raise SimulationError("nonpositive step")
     if output_every < 1:
         raise SimulationError("output_every must be >= 1")
-    check_cfl(model, initial, grid, dt)
     steps = max(1, int(round(t_end / dt)))
     if steps % output_every:
         steps += output_every - steps % output_every
@@ -275,9 +279,11 @@ def run(model: LagrangianModel, grid: Grid, dt: float, t_end: float,
     state = initial.check_finite()
     times = [state.t]
     frames = [state]
-    for j in range(1, steps + 1):
-        state = step(model, state, grid, dt, _mask=mask, _skip_cfl=True)
+    for j in range(steps):
         if j % output_every == 0:
+            check_cfl(model, state, grid, dt)
+        state = step(model, state, grid, dt, _mask=mask, _skip_cfl=True)
+        if (j + 1) % output_every == 0:
             state.check_finite()
             frames.append(state)
             times.append(state.t)

@@ -110,6 +110,18 @@ class TestSimulate:
                           "--dt", "0.5", "--output", str(tmp_path / "x"))
         assert code == 3
 
+    def test_singular_time_block_exits_3(self, capsys, tmp_path):
+        # L built from u_tx alone is hyperbolic, but its time-time
+        # velocity Hessian block vanishes
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"A": [[0, 1], [1, 0]], "D": [0, 0]}))
+        code = main(["simulate", "--model", "inverse", "--spec", str(spec),
+                     "--grid", "0,1,16", "--dt", "0.01", "--t-end", "0.05",
+                     "--output", str(tmp_path / "x")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: not hyperbolic-evolvable in direction t\n")
+
     def test_grid_dimension_mismatch(self, capsys, tmp_path):
         code, _ = run_cli(capsys, "simulate", "--model", "membrane",
                           "--grid", "0,pi,17", "--dt", "0.01",
@@ -169,6 +181,29 @@ class TestVerify:
         assert rep["suites"][0]["asserted"] is False
         assert "max_residual" in rep["suites"][0]
 
+    @pytest.mark.parametrize("field", ["nope", "paperY"],
+                             ids=["unknown", "two-field-on-one-field"])
+    def test_bad_symmetry_field_exits_2(self, capsys, field):
+        code = main(["verify", "--suite", "symmetry", "--model",
+                     "membrane", "--field", field])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_bad_dissipation_field_exits_2(self, capsys,
+                                           membrane_trace_pair):
+        code = main(["verify", "--suite", "dissipation", "--symmetry",
+                     "nope", "--trace", membrane_trace_pair[0]])
+        assert code == 2
+        assert "unknown symmetry field 'nope'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suite", ["reeb", "legendre", "sopde",
+                                       "symmetry", "inverse-roundtrip"])
+    def test_no_sample_points_exits_2(self, capsys, suite):
+        # with no points a suite would pass on an empty maximum
+        code, out = run_cli(capsys, "verify", "--suite", suite, "--model",
+                            "membrane", "--num-points", "0")
+        assert code == 2 and out == ""
+
     def test_missing_trace_exits_2(self, capsys, tmp_path):
         code, _ = run_cli(capsys, "verify", "--suite", "dissipation",
                           "--trace", str(tmp_path / "nope"))
@@ -218,6 +253,14 @@ class TestInverse:
         assert code == 0
         assert rep["pass"] is True
         jsonschema.validate(rep, load_schema("inverse_report.schema.json"))
+
+    def test_no_sample_points_exits_2(self, capsys, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"A": [[1.0, 0.0], [0.0, -1.0]],
+                                    "D": [0.0, 0.4]}))
+        code, out = run_cli(capsys, "inverse", "--spec", str(spec),
+                            "--num-points", "0")
+        assert code == 2 and out == ""
 
     def test_parabolic_spec_exits_2(self, capsys, tmp_path):
         spec = tmp_path / "spec.json"

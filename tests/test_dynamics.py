@@ -6,14 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcontact import (LagrangianModel, NotRegularError, PhasePoint,
-                      SecondJet, SopdeData, assemble_sopde, builtin_models,
-                      damped_oscillator, el_residual, evolution_rhs,
-                      membrane, random_phase_point, string, sv_coupling,
-                      verify_sopde)
-from kcontact.dynamics import el_residual_batch, gauge_s_velocities
+                      SecondJet, SimulationError, SopdeData, assemble_sopde,
+                      builtin_models, damped_oscillator, el_residual,
+                      evaluate_jet, evolution_rhs, hessian, membrane,
+                      random_phase_point, reeb, reeb_derivative_of_energy,
+                      string, sv_coupling, verify_sopde)
+from kcontact.contact import reeb_energy_derivative_batch
+from kcontact.dynamics import (el_residual_batch, evolution_rhs_batch,
+                               gauge_s_velocities)
 
 MODELS = builtin_models()
-from kcontact.errors import SimulationError
 
 
 def membrane_second_jet(mu, gamma, u, ut, ux, uy, utt, uxx, uyy, s1):
@@ -150,7 +152,10 @@ class TestSopde:
        seed=st.integers(0, 2 ** 32 - 1))
 def test_single_point_paths_agree_bitwise(index, seed):
     """el_residual, el_residual_batch and verify_sopde evaluate the same
-    Euler-Lagrange operator: equal bit for bit at single points."""
+    Euler-Lagrange operator, and evolution_rhs and
+    reeb_derivative_of_energy run the batched velocity-Hessian solves of
+    evolution_rhs_batch and reeb_energy_derivative_batch: equal bit for
+    bit at single points."""
     model = MODELS[index]
     n, k = model.n, model.k
     rng = np.random.default_rng(seed)
@@ -166,3 +171,14 @@ def test_single_point_paths_agree_bitwise(index, seed):
                                                dsdt=sopde.g.T))
         assert verify_sopde(model, z, sopde) == max(np.max(np.abs(rEL)),
                                                     abs(rS))
+    jet = evaluate_jet(model, z)
+    dE = reeb_derivative_of_energy(jet, z, reeb(jet, hessian(jet)))
+    assert np.array_equal(
+        dE, reeb_energy_derivative_batch(model, z.q, z.v, z.s))
+    if np.any(jet.d2Ldvds):
+        return  # the evolution form refuses s-coupled models
+    spatial = rng.uniform(-1, 1, (n, k - 1, k - 1))
+    mixed = rng.uniform(-1, 1, (n, k - 1))
+    acc, L = evolution_rhs_batch(model, z.q, z.v, z.s, spatial, mixed)
+    assert np.array_equal(evolution_rhs(model, z, spatial, mixed), acc)
+    assert L == jet.L

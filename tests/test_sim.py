@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from kcontact import (Grid, PdeSpec, SimState, SimulationError,
-                      build_lagrangian, damped_oscillator, el_convergence,
-                      energy_monitor, load_trace, membrane, run,
-                      s_accumulation_check, save_trace, step, string,
+from kcontact import (Grid, LagrangianModel, PdeSpec, SimState,
+                      SimulationError, build_lagrangian, damped_oscillator,
+                      el_convergence, energy_monitor, load_trace, membrane,
+                      run, s_accumulation_check, save_trace, step, string,
                       trace_el_residual, trace_point_arrays)
-from kcontact.sim import check_cfl, zero_state
+from kcontact.sim import CFL_FACTOR, char_speeds, check_cfl, zero_state
 
 
 def membrane_exact(mu, gamma):
@@ -46,6 +46,26 @@ class TestGuards:
         with pytest.raises(SimulationError, match="CFL"):
             check_cfl(model, state, grid, h)  # dt = h > 0.4 h / 2
         check_cfl(model, state, grid, 0.4 * h / 2.0)  # at the limit: ok
+
+    def test_cfl_rechecked_at_output_frames(self):
+        # L = u_t^2/2 - u_x^2/2 - u_x^4/4 + 0.1 s steepens its data, so
+        # the wave speed grows; a step 2% under the t=0 limit exceeds
+        # the limit later in the run (by up to 5% from t ~ 9.5)
+        model = LagrangianModel(
+            n=1, k=2, name="quartic",
+            lagrangian=lambda q, v, s: (0.5 * v[0][0] * v[0][0]
+                                        - 0.5 * v[0][1] * v[0][1]
+                                        - 0.25 * v[0][1] ** 4
+                                        + 0.1 * s[0]))
+        grid = Grid(bounds=((0.0, 2 * np.pi),), counts=(64,),
+                    bc="periodic")
+        (x,) = grid.mesh()
+        init = SimState(phi=0.1 * np.sin(x)[None], phidot=np.zeros((1, 64)),
+                        s1=np.zeros(64))
+        c0 = char_speeds(model, init, grid)[0]
+        dt = 0.98 * CFL_FACTOR * grid.spacing[0] / c0
+        with pytest.raises(SimulationError, match="CFL"):
+            run(model, grid, dt, 20.0, init, output_every=10)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.filterwarnings("ignore:invalid value")
