@@ -120,14 +120,42 @@ HARD_DEFAULTS = {"seed": 0, "num_points": 100, "bc": "dirichlet",
                  "init": "mode", "amplitude": 1.0}
 
 
-def _merge_config(args):
-    """Flags override config-file values override hard defaults."""
+# JSON value types each argparse option type accepts (bool is an int in
+# Python, so it is excluded separately)
+JSON_TYPES = {None: (str,), int: (int,), float: (int, float)}
+
+
+def _check_config_value(key, val, action):
+    """Raise ConfigError unless `val` fits the type and choices of the
+    option `action`; repeatable options take a JSON list."""
+    items = val if isinstance(action, argparse._AppendAction) else [val]
+    if not isinstance(items, list):
+        raise ConfigError(f"config key '{key}' must be a list")
+    for item in items:
+        if (isinstance(item, bool)
+                or not isinstance(item, JSON_TYPES[action.type])
+                or action.choices is not None
+                and item not in action.choices):
+            raise ConfigError(f"config key '{key}': bad value {item!r}")
+
+
+def _merge_config(args, parser):
+    """Flags override config-file values override hard defaults.  Each
+    config value is checked against the option of `args.cmd` that it
+    sets."""
     cfg = {}
     if getattr(args, "config", None):
         cfg = _load_config(args.config)
         unknown = set(cfg) - set(vars(args))
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        commands = next(action for action in parser._actions
+                        if action.dest == "cmd")
+        options = {action.dest: action
+                   for action in commands.choices[args.cmd]._actions}
+        for key, val in cfg.items():
+            if key in options:
+                _check_config_value(key, val, options[key])
     for key in vars(args):
         if getattr(args, key) is None:
             if key in cfg:
@@ -510,7 +538,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _merge_config(args)
+        _merge_config(args, parser)
         return args.func(args)
     except ConfigError as exc:
         sys.stderr.write(f"error: {exc}\n")

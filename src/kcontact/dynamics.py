@@ -1,10 +1,11 @@
 """Euler-Lagrange field equation assembly.
 
-Three views of the same equations: pointwise PDE residuals for candidate
-second jets, an explicit evolution form (solve for the time-time second
-derivatives) used by the simulator, and the coefficients of a
-second-order k-vector field with the dissipation velocities fixed by the
-evolution-concentrated gauge g = diag(L, 0, ..., 0).
+Three views of the same equations, all evaluated by one Euler-Lagrange
+operator: pointwise PDE residuals for candidate second jets, an explicit
+evolution form (solve for the time-time second derivatives) used by the
+simulator, and the coefficients of a second-order k-vector field.  The
+evolution form and the k-vector field fix the dissipation velocities by
+the evolution-concentrated gauge g = diag(L, 0, ..., 0).
 
 Direction 0 is always the evolution direction t.
 """
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contact import hessian, solve_batch
-from .errors import NotRegularError, SimulationError
+from .errors import NotRegularError
 from .jet import LagrangianModel, PhasePoint, evaluate_jet, evaluate_jet_batch
 
 
@@ -78,53 +79,39 @@ def el_residual_batch(model: LagrangianModel, q, v, s, a, dsdt):
     return _el_operator(evaluate_jet_batch(model, q, v, s), v, a, dsdt)
 
 
-def _evolution_solve(model, jet, v, spatial, mixed):
-    """Explicit evolution form (batched): solve the field equations for
-    the time-time second derivatives, shape (n, *B)."""
-    n, k = model.n, model.k
-    if np.max(np.abs(jet.d2Ldvds)) > 1e-12:
-        raise SimulationError(
-            "s-coupled model requires full SecondJet interface")
-    W11 = jet.d2Ldvdv[:, 0, :, 0]                      # (n, n, *B)
-    rhs = (jet.dLdq
-           + np.einsum("a...,ia...->i...", jet.dLds, jet.dLdv)
-           - np.einsum("iaj...,ja...->i...", jet.d2Ldvdq, v))
-    if k > 1:
-        # mixed time-space second derivatives a[j, 0, g], g >= 1
-        Cm = jet.d2Ldvdv[:, 0, :, 1:] + np.moveaxis(
-            jet.d2Ldvdv[:, 1:, :, 0], 1, 2)            # (n, n, k-1, *B)
-        rhs = rhs - np.einsum("ijg...,jg...->i...", Cm, mixed)
-        # purely spatial second derivatives a[j, b, g], b, g >= 1
-        Cs = np.moveaxis(jet.d2Ldvdv[:, 1:, :, 1:], 1, 3)  # (n, n, b, g, *B)
-        rhs = rhs - np.einsum("ijbg...,jbg...->i...", Cs, spatial)
-    return solve_batch(W11, rhs[:, None],
-                       "not hyperbolic-evolvable in direction t")[:, 0]
-
-
-def evolution_rhs(model: LagrangianModel, z: PhasePoint,
-                  spatial, mixed) -> np.ndarray:
+def evolution_rhs(model: LagrangianModel, sj: SecondJet) -> np.ndarray:
     """Solve the field equations for the time-time second derivatives.
 
-    `spatial[i, b, g]` are the known purely spatial second derivatives
-    (directions 1..k-1) and `mixed[i, g]` the time-space ones.  Requires
-    an invertible time-time Hessian block and no velocity-dissipation
-    coupling.
+    The spatial and mixed entries of `sj.a` and the spatial derivatives
+    dsdt[x, 0] of s^1 are inputs; a[:, 0, 0] and dsdt[0, 0] are ignored
+    (see `evolution_rhs_batch`).  Requires an invertible time-time
+    Hessian block.
     """
-    spatial = np.asarray(spatial, dtype=float).reshape(
-        model.n, model.k - 1, model.k - 1)
-    mixed = np.asarray(mixed, dtype=float).reshape(model.n, model.k - 1)
-    return _evolution_solve(model, evaluate_jet(model, z), z.v, spatial,
-                            mixed)
+    z = sj.z
+    model.check_point(z)
+    return evolution_rhs_batch(model, z.q, z.v, z.s, sj.a, sj.dsdt)[0]
 
 
-def evolution_rhs_batch(model: LagrangianModel, q, v, s, spatial, mixed):
+def evolution_rhs_batch(model: LagrangianModel, q, v, s, a, dsdt):
     """Batched evolution solve; returns (accel, L) with batch trailing.
 
-    accel has shape (n, *B); L is returned because the simulator needs
-    the density for the s^1 equation and the jet is already in hand.
+    The Euler-Lagrange operator is linear in the time-time entries
+    a[:, 0, 0], so they solve W11 accel = -rEL with rEL evaluated at
+    a[:, 0, 0] = 0.  The evolution gauge (s^a = 0 for a >= 2) turns the
+    divergence condition into dsdt[0, 0] = L.  Both entries of the
+    given arrays are ignored.  accel has shape (n, *B); L is returned
+    because the simulator needs the density for the s^1 equation and
+    the jet is already in hand.
     """
     jet = evaluate_jet_batch(model, q, v, s)
-    return _evolution_solve(model, jet, v, spatial, mixed), jet.L
+    a = np.array(a, dtype=float)
+    a[:, 0, 0] = 0.0
+    dsdt = np.array(dsdt, dtype=float)
+    dsdt[0, 0] = jet.L
+    rEL, _ = _el_operator(jet, v, a, dsdt)
+    accel = solve_batch(jet.d2Ldvdv[:, 0, :, 0], -rEL[:, None],
+                        "not hyperbolic-evolvable in direction t")
+    return accel[:, 0], jet.L
 
 
 def gauge_s_velocities(L: float, k: int) -> np.ndarray:
@@ -135,7 +122,8 @@ def gauge_s_velocities(L: float, k: int) -> np.ndarray:
 
 
 def _symmetric_basis(k: int):
-    """Orthonormal basis (Frobenius) of symmetric k x k matrices."""
+    """Orthonormal basis (Frobenius) of symmetric k x k matrices,
+    stacked to shape (M, k, k)."""
     basis = []
     for a in range(k):
         E = np.zeros((k, k))
@@ -147,7 +135,7 @@ def _symmetric_basis(k: int):
             E = np.zeros((k, k))
             E[a, b] = E[b, a] = r
             basis.append(E)
-    return basis
+    return np.array(basis)
 
 
 def assemble_sopde(model: LagrangianModel, z: PhasePoint) -> SopdeData:
@@ -164,24 +152,12 @@ def assemble_sopde(model: LagrangianModel, z: PhasePoint) -> SopdeData:
         raise NotRegularError("Lagrangian not regular")
     n, k = model.n, model.k
     g = gauge_s_velocities(jet.L, k)
-    b = (jet.dLdq
-         + np.einsum("a,ia->i", jet.dLds, jet.dLdv)
-         - np.einsum("iaj,ja->i", jet.d2Ldvdq, z.v)
-         - np.einsum("iab,ba->i", jet.d2Ldvds, g))
+    b = -_el_operator(jet, z.v, np.zeros((n, k, k)), g.T)[0]
     basis = _symmetric_basis(k)
     # columns: contraction of W with each (j, basis-matrix) pair
-    cols = []
-    for j in range(n):
-        for E in basis:
-            cols.append(np.einsum("iab,ab->i", jet.d2Ldvdv[:, :, j, :], E))
-    A = np.stack(cols, axis=1)  # (n, n * len(basis))
+    A = np.einsum("iajb,mab->ijm", jet.d2Ldvdv, basis).reshape(n, -1)
     coeffs, *_ = np.linalg.lstsq(A, b, rcond=None)
-    Gamma = np.zeros((n, k, k))
-    idx = 0
-    for j in range(n):
-        for E in basis:
-            Gamma[j] += coeffs[idx] * E
-            idx += 1
+    Gamma = np.einsum("jm,mab->jab", coeffs.reshape(n, -1), basis)
     return SopdeData(Gamma=Gamma, g=g)
 
 

@@ -4,7 +4,9 @@ Fields live on a uniform spatial grid (directions 2..k; direction 1 is
 time), spatial derivatives are second-order central differences, time
 stepping is classical RK4 on (phi, phidot, s1).  The dissipation fields
 follow the evolution-concentrated gauge: s^a = 0 for a >= 2 and
-ds1/dt = L pointwise.
+ds1/dt = L pointwise.  For s-coupled densities (d2L/dv ds != 0) the
+field equations contain the derivatives of s, so there the gauge
+selects which solution is computed.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .errors import SimulationError
 from .jet import LagrangianModel, evaluate_jet_batch
 
 CFL_FACTOR = 0.4
+CFL_SAMPLES = 64  # grid points sampled per CFL check
 SCHEMA_VERSION = 1
 GAUGE_NOTE = "s^alpha = 0 for alpha >= 2; ds^1/dt = L (evolution gauge)"
 
@@ -150,17 +153,41 @@ def _d2(f, h, axis, bc):
     return out
 
 
-def _assemble_vs(model, grid, phi, phidot, s1):
-    """Velocity and dissipation coordinate arrays for batched evaluation."""
+def _point_arrays(model, grid, phi, phidot, s1):
+    """Velocity and dissipation coordinate arrays (v, s) for batched
+    evaluation.  The spatial axes are the last grid.ndim axes of every
+    field, so phi (n, *S) and phi (n, T, *S) are both accepted."""
     n, k = model.n, model.k
-    S = grid.shape
-    v = np.zeros((n, k) + S)
+    v = np.zeros((n, k) + phi.shape[1:])
     v[:, 0] = phidot
-    for a in range(grid.ndim):
-        v[:, 1 + a] = _d1(phi, grid.spacing[a], 1 + a, grid.bc)
-    s = np.zeros((k,) + S)
+    for x in range(grid.ndim):
+        v[:, 1 + x] = _d1(phi, grid.spacing[x], x - grid.ndim, grid.bc)
+    s = np.zeros((k,) + phi.shape[1:])
     s[0] = s1
     return v, s
+
+
+def _second_jet(grid, phi, v, s1):
+    """Stencil entries of the second jet (a, dsdt) for the arrays of
+    `_point_arrays`: the spatial and mixed entries of a and
+    dsdt[x, 0] = d_x s^1.  The time-time entries a[:, 0, 0] and
+    dsdt[0, 0] are left zero for the caller to fill in or solve for."""
+    n, k = v.shape[:2]
+    d = grid.ndim
+    a = np.zeros((n, k, k) + phi.shape[1:])
+    dsdt = np.zeros((k, k) + phi.shape[1:])
+    for x in range(d):
+        h, ax = grid.spacing[x], x - d
+        mixed = _d1(v[:, 0], h, ax, grid.bc)
+        a[:, 0, 1 + x] = mixed
+        a[:, 1 + x, 0] = mixed
+        a[:, 1 + x, 1 + x] = _d2(phi, h, ax, grid.bc)
+        for y in range(x + 1, d):
+            cross = _d1(v[:, 1 + x], grid.spacing[y], y - d, grid.bc)
+            a[:, 1 + x, 1 + y] = cross
+            a[:, 1 + y, 1 + x] = cross
+        dsdt[1 + x, 0] = _d1(s1, h, ax, grid.bc)
+    return a, dsdt
 
 
 def _boundary_mask(grid: Grid):
@@ -177,22 +204,9 @@ def _boundary_mask(grid: Grid):
 
 
 def _state_rhs(model, grid, phi, phidot, s1, mask):
-    n = model.n
-    d = grid.ndim
-    S = grid.shape
-    v, s = _assemble_vs(model, grid, phi, phidot, s1)
-    spatial = np.zeros((n, d, d) + S)
-    for a in range(d):
-        spatial[:, a, a] = _d2(phi, grid.spacing[a], 1 + a, grid.bc)
-        for b in range(a + 1, d):
-            cross = _d1(_d1(phi, grid.spacing[a], 1 + a, grid.bc),
-                        grid.spacing[b], 1 + b, grid.bc)
-            spatial[:, a, b] = cross
-            spatial[:, b, a] = cross
-    mixed = np.zeros((n, d) + S)
-    for a in range(d):
-        mixed[:, a] = _d1(phidot, grid.spacing[a], 1 + a, grid.bc)
-    accel, L = evolution_rhs_batch(model, phi, v, s, spatial, mixed)
+    v, s = _point_arrays(model, grid, phi, phidot, s1)
+    a, dsdt = _second_jet(grid, phi, v, s1)
+    accel, L = evolution_rhs_batch(model, phi, v, s, a, dsdt)
     dphi = phidot.copy()
     if mask is not None:
         accel[:, mask] = 0.0
@@ -200,20 +214,21 @@ def _state_rhs(model, grid, phi, phidot, s1, mask):
     return dphi, accel, L
 
 
-def char_speeds(model: LagrangianModel, state: SimState, grid: Grid,
-                max_samples: int = 64) -> np.ndarray:
+def char_speeds(model: LagrangianModel, state: SimState, grid: Grid
+                ) -> np.ndarray:
     """Characteristic speed estimate per spatial direction from the
-    Hessian blocks, sampled across the current state."""
+    Hessian blocks, sampled at CFL_SAMPLES points across the current
+    state."""
     d = grid.ndim
     if d == 0:
         return np.zeros(0)
-    v, s = _assemble_vs(model, grid, state.phi, state.phidot, state.s1)
+    v, s = _point_arrays(model, grid, state.phi, state.phidot, state.s1)
     n, k = model.n, model.k
     flat_q = state.phi.reshape(n, -1)
     flat_v = v.reshape(n, k, -1)
     flat_s = s.reshape(k, -1)
     npts = flat_q.shape[-1]
-    stride = max(1, npts // max_samples)
+    stride = max(1, npts // CFL_SAMPLES)
     sel = slice(0, None, stride)
     jet = evaluate_jet_batch(model, flat_q[:, sel], flat_v[:, :, sel],
                              flat_s[:, sel])
@@ -303,17 +318,10 @@ def trace_point_arrays(model: LagrangianModel, trace: SimTrace):
     Returns (q (n, T, *S), v (n, k, T, *S), s (k, T, *S), spacings (k,)).
     Spatial velocities are central differences of the stored fields.
     """
-    n, k = model.n, model.k
-    grid = trace.grid
     q = np.moveaxis(trace.phi, 0, 1)        # (n, T, *S)
-    phidot = np.moveaxis(trace.phidot, 0, 1)
-    v = np.zeros((n, k) + q.shape[1:])
-    v[:, 0] = phidot
-    for a in range(grid.ndim):
-        v[:, 1 + a] = _d1(q, grid.spacing[a], 2 + a, grid.bc)
-    s = np.zeros((k,) + q.shape[1:])
-    s[0] = trace.s1
-    spacings = np.array([trace.dt_out] + list(grid.spacing))
+    v, s = _point_arrays(model, trace.grid, q,
+                         np.moveaxis(trace.phidot, 0, 1), trace.s1)
+    spacings = np.array([trace.dt_out] + list(trace.grid.spacing))
     return q, v, s, spacings
 
 
@@ -323,29 +331,12 @@ def trace_el_residual(model: LagrangianModel, trace: SimTrace):
     Time derivatives come from the recorded frames, spatial ones from the
     grid; the result is reported on the interior (two layers stripped in
     every direction, including time)."""
-    n, k = model.n, model.k
-    grid = trace.grid
     q, v, s, spacings = trace_point_arrays(model, trace)
-    a = np.zeros((n, k, k) + q.shape[1:])
+    a, dsdt = _second_jet(trace.grid, q, v, trace.s1)
     a[:, 0, 0] = _d1(v[:, 0], spacings[0], 1, "trace")
-    for x in range(grid.ndim):
-        ax = 2 + x
-        mixed = _d1(v[:, 0], spacings[1 + x], ax, grid.bc)
-        a[:, 0, 1 + x] = mixed
-        a[:, 1 + x, 0] = mixed
-        for y in range(grid.ndim):
-            if x == y:
-                a[:, 1 + x, 1 + x] = _d2(q, spacings[1 + x], ax, grid.bc)
-            elif y > x:
-                cross = _d1(v[:, 1 + x], spacings[1 + y], 2 + y, grid.bc)
-                a[:, 1 + x, 1 + y] = cross
-                a[:, 1 + y, 1 + x] = cross
-    dsdt = np.zeros((k, k) + q.shape[1:])
     dsdt[0, 0] = _d1(trace.s1, spacings[0], 0, "trace")
-    for x in range(grid.ndim):
-        dsdt[1 + x, 0] = _d1(trace.s1, spacings[1 + x], 1 + x, grid.bc)
     rEL, rS = el_residual_batch(model, q, v, s, a, dsdt)
-    cut = (slice(2, -2),) * (1 + grid.ndim)
+    cut = (slice(2, -2),) * (1 + trace.grid.ndim)
     rEL_int = rEL[(slice(None),) + cut]
     rS_int = rS[cut]
     return float(np.max(np.abs(rEL_int))), float(np.max(np.abs(rS_int)))

@@ -290,6 +290,22 @@ class TestConfigAndDeterminism:
         code, _ = run_cli(capsys, "derive", "--config", str(cfg))
         assert code == 2
 
+    def test_mistyped_config_value_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"num_points": "5"}))
+        code, _ = run_cli(capsys, "verify", "--suite", "reeb", "--model",
+                          "membrane", "--config", str(cfg))
+        assert code == 2
+
+    def test_mistyped_simulate_config_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dt": "fast"}))
+        code, _ = run_cli(capsys, "simulate", "--model", "string",
+                          "--grid", "0,pi,17", "--output",
+                          str(tmp_path / "run"), "--config", str(cfg))
+        assert code == 2
+        assert not (tmp_path / "run").exists()
+
     def test_reports_are_deterministic(self, capsys):
         argv = ("verify", "--suite", "reeb", "--suite", "sopde",
                 "--model", "string", "--seed", "11")

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcontact import (LagrangianModel, NotRegularError, PhasePoint,
-                      SecondJet, SimulationError, SopdeData, assemble_sopde,
+                      SecondJet, SopdeData, assemble_sopde,
                       builtin_models, damped_oscillator, el_residual,
                       evaluate_jet, evolution_rhs, hessian, membrane,
                       random_phase_point, reeb, reeb_derivative_of_energy,
@@ -14,6 +14,7 @@ from kcontact import (LagrangianModel, NotRegularError, PhasePoint,
 from kcontact.contact import reeb_energy_derivative_batch
 from kcontact.dynamics import (el_residual_batch, evolution_rhs_batch,
                                gauge_s_velocities)
+from test_contact import coupled_quartic
 
 MODELS = builtin_models()
 
@@ -64,6 +65,16 @@ class TestElResidual:
             SecondJet(z=z, a=a, dsdt=np.zeros((2, 2)))
 
 
+def evolution_jet(z, spatial, mixed):
+    """SecondJet with the given spatial and mixed second derivatives;
+    the time-time entries and dsdt are zero."""
+    n, k = z.n, z.k
+    a = np.zeros((n, k, k))
+    a[:, 1:, 1:] = spatial
+    a[:, 0, 1:] = a[:, 1:, 0] = mixed
+    return SecondJet(z=z, a=a, dsdt=np.zeros((k, k)))
+
+
 class TestEvolutionRhs:
     def test_membrane_acceleration(self):
         mu, gamma = 1.5, 0.3
@@ -71,7 +82,7 @@ class TestEvolutionRhs:
         z = PhasePoint(q=[0.1], v=[[0.7, -0.2, 0.4]], s=[0.05, 0.0, 0.0])
         spatial = np.array([[[-0.6, 0.1], [0.1, 0.3]]])
         mixed = np.array([[0.2, -0.1]])
-        acc = evolution_rhs(model, z, spatial, mixed)
+        acc = evolution_rhs(model, evolution_jet(z, spatial, mixed))
         expect = mu ** 2 * (spatial[0, 0, 0] + spatial[0, 1, 1]) \
             - gamma * z.v[0, 0]
         assert acc[0] == pytest.approx(expect, abs=1e-13)
@@ -83,16 +94,26 @@ class TestEvolutionRhs:
                        s=[0.0, 0.0])
         spatial = np.array([[[0.5]], [[-0.7]]])
         mixed = np.zeros((2, 1))
-        acc = evolution_rhs(model, z, spatial, mixed)
+        acc = evolution_rhs(model, evolution_jet(z, spatial, mixed))
         # rho*x_tt = tau*x_zz + lam*B*y_t, rho*y_tt = tau*y_zz - lam*B*x_t
         assert acc[0] == pytest.approx((0.5 + 0.5 * (-0.3)) / 2.0, abs=1e-13)
         assert acc[1] == pytest.approx((-0.7 - 0.5 * 0.4) / 2.0, abs=1e-13)
 
-    def test_s_coupled_model_refused(self):
-        model = sv_coupling(eps=0.1)
-        z = PhasePoint(q=[0.0], v=[[1.0]], s=[0.2])
-        with pytest.raises(SimulationError, match="s-coupled"):
-            evolution_rhs(model, z, np.zeros((1, 0, 0)), np.zeros((1, 0)))
+    @pytest.mark.parametrize("model", [sv_coupling(eps=0.1),
+                                       coupled_quartic()],
+                             ids=lambda m: m.name)
+    def test_s_coupled_accelerations_solve_equations(self, model):
+        # the accelerations returned in the evolution gauge zero the
+        # Euler-Lagrange residual, including its d2L/dvds term
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            z = random_phase_point(model, rng)
+            a = np.zeros((1, 1, 1))
+            a[0, 0, 0] = evolution_rhs(model, SecondJet(
+                z=z, a=a, dsdt=np.zeros((1, 1))))[0]
+            dsdt = gauge_s_velocities(evaluate_jet(model, z).L, 1)
+            rEL, rS = el_residual(model, SecondJet(z=z, a=a, dsdt=dsdt))
+            assert np.max(np.abs(rEL)) <= 1e-12 and abs(rS) <= 1e-12
 
     def test_degenerate_time_block_refused(self):
         model = LagrangianModel(
@@ -100,7 +121,8 @@ class TestEvolutionRhs:
             lagrangian=lambda q, v, s: 0.5 * v[0][1] * v[0][1])
         z = PhasePoint(q=[0.0], v=[[1.0, 1.0]], s=[0.0, 0.0])
         with pytest.raises(NotRegularError, match="direction t"):
-            evolution_rhs(model, z, np.zeros((1, 1, 1)), np.zeros((1, 1)))
+            evolution_rhs(model, SecondJet(z=z, a=np.zeros((1, 2, 2)),
+                                           dsdt=np.zeros((2, 2))))
 
 
 class TestSopde:
@@ -175,10 +197,7 @@ def test_single_point_paths_agree_bitwise(index, seed):
     dE = reeb_derivative_of_energy(jet, z, reeb(jet, hessian(jet)))
     assert np.array_equal(
         dE, reeb_energy_derivative_batch(model, z.q, z.v, z.s))
-    if np.any(jet.d2Ldvds):
-        return  # the evolution form refuses s-coupled models
-    spatial = rng.uniform(-1, 1, (n, k - 1, k - 1))
-    mixed = rng.uniform(-1, 1, (n, k - 1))
-    acc, L = evolution_rhs_batch(model, z.q, z.v, z.s, spatial, mixed)
-    assert np.array_equal(evolution_rhs(model, z, spatial, mixed), acc)
+    acc, L = evolution_rhs_batch(model, z.q, z.v, z.s, a, dsdt)
+    assert np.array_equal(
+        evolution_rhs(model, SecondJet(z=z, a=a, dsdt=dsdt)), acc)
     assert L == jet.L

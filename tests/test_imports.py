@@ -1,4 +1,5 @@
-"""Source hygiene: every module-level import of the package is used."""
+"""Source hygiene: every module-level import of the package is used, and
+every module-level private function is referenced."""
 
 import ast
 from pathlib import Path
@@ -35,3 +36,23 @@ def unused_imports(path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path) == []
+
+
+def names_used(tree):
+    """Names and attribute names a module reads."""
+    return ({node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute)})
+
+
+def test_no_orphan_private_functions():
+    trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+    used = set().union(*map(names_used, trees.values()))
+    orphans = [f"{name}: {node.name}" for name, tree in trees.items()
+               for node in tree.body
+               if isinstance(node, ast.FunctionDef)
+               and node.name.startswith("_")
+               and not node.name.startswith("__")
+               and node.name not in used]
+    assert orphans == []

@@ -9,6 +9,7 @@ from kcontact import (Grid, LagrangianModel, PdeSpec, SimState,
                       run, s_accumulation_check, save_trace, step, string,
                       trace_el_residual, trace_point_arrays)
 from kcontact.sim import CFL_FACTOR, char_speeds, check_cfl, zero_state
+from kcontact.taylor import cos
 
 
 def membrane_exact(mu, gamma):
@@ -159,6 +160,30 @@ class TestAccuracy:
             rEL, rS = trace_el_residual(model, trace)
             res.append(max(rEL, rS))
         assert 3.0 < res[0] / res[1] < 5.5
+
+    def test_s_coupled_nonlinear_residual_refines_at_order_two(self):
+        # L = u_t^2/2 - u_x^2/2 + 0.2 s u_t cos u - u_t^4/40 couples
+        # velocity and dissipation (d2L/du_t ds = 0.2 cos u) and has a
+        # point-dependent time-time Hessian
+        model = LagrangianModel(
+            n=1, k=2, name="coupled_wave",
+            lagrangian=lambda q, v, s: (0.5 * v[0][0] * v[0][0]
+                                        - 0.5 * v[0][1] * v[0][1]
+                                        + 0.2 * s[0] * v[0][0] * cos(q[0])
+                                        - 0.025 * v[0][0] ** 4))
+        res = []
+        for N in (64, 128, 256):
+            grid = Grid(bounds=((0.0, 2 * np.pi),), counts=(N,),
+                        bc="periodic")
+            (x,) = grid.mesh()
+            init = SimState(phi=0.3 * np.sin(x)[None],
+                            phidot=0.2 * np.cos(2 * x)[None],
+                            s1=np.zeros(N))
+            trace = run(model, grid, 0.2 * grid.spacing[0], 2.0, init,
+                        output_every=4)
+            res.append(max(trace_el_residual(model, trace)))
+        assert 3.5 <= res[0] / res[1] <= 4.5
+        assert 3.5 <= res[1] / res[2] <= 4.5
 
     def test_s_accumulates_the_action(self):
         model = membrane(mu=1.0, gamma=0.2)
