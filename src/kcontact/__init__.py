@@ -18,7 +18,7 @@ from .inverse import (PdeSpec, build_lagrangian, direct_residual,
                       membrane_spec, roundtrip_check, telegraph_spec)
 from .jet import (Jet2, LagrangianModel, MomentumPoint, PhasePoint,
                   evaluate_jet, evaluate_jet_batch, fd_check,
-                  random_phase_point)
+                  random_phase_point, stack_points)
 from .models import (build_model, builtin_models, damped_oscillator, free,
                      membrane, string, sv_coupling)
 from .sim import (Grid, SimState, SimTrace, el_convergence, energy_monitor,
@@ -49,7 +49,7 @@ __all__ = [
     "membrane_spec", "momentum_dissipation_check",
     "momentum_path_from_arrays", "no_reeb_residual", "random_phase_point",
     "reeb", "reeb_bracket_check", "reeb_derivative_of_energy",
-    "roundtrip_check", "run", "s_accumulation_check", "save_trace", "step",
-    "string", "sv_coupling", "telegraph_spec", "trace_el_residual",
+    "roundtrip_check", "run", "s_accumulation_check", "save_trace",
+    "stack_points", "step", "string", "sv_coupling", "telegraph_spec", "trace_el_residual",
     "trace_lagrangian", "trace_point_arrays", "verify_reeb", "verify_sopde",
 ]

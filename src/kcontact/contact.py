@@ -2,7 +2,8 @@
 
 Energy, contact one-form coefficients, Legendre map, velocity Hessian
 with a regularity verdict, and Reeb vector fields, all assembled from
-the exact Jet2 blocks -- nothing here differentiates numerically.
+the exact Jet2 blocks -- nothing here differentiates numerically.  Batch
+axes of stacked points trail every array, as in `Jet2`.
 
 Index conventions: the velocity pair (i, a) flattens to i*k + a, and the
 contact coefficients satisfy eta^a = ds^a - p[i, a] dq^i with
@@ -31,23 +32,24 @@ class ContactCoeffs:
 
 @dataclass(frozen=True)
 class HessianW:
-    """Velocity Hessian in flat (i*k + a) indexing with regularity data."""
+    """Velocity Hessian in flat (i*k + a) indexing with regularity data,
+    one verdict and condition number per point."""
 
-    W: np.ndarray  # (nk, nk)
-    regular: bool
-    cond: float
+    W: np.ndarray        # (nk, nk, *B)
+    regular: np.ndarray  # (*B,) bool
+    cond: np.ndarray     # (*B,)
 
 
 @dataclass(frozen=True)
 class ReebFields:
     """(R_L)_a = d/ds^a + vcomp[a, i, b] d/dv^i_b."""
 
-    vcomp: np.ndarray  # (k, n, k)
+    vcomp: np.ndarray  # (k, n, k, *B)
 
 
-def energy(jet: Jet2, z: PhasePoint) -> float:
+def energy(jet: Jet2, z: PhasePoint):
     """Lagrangian energy: scaling of L along velocities minus L."""
-    return float(np.sum(z.v * jet.dLdv) - jet.L)
+    return np.sum(z.v * jet.dLdv, axis=(0, 1)) - jet.L
 
 
 def contact_coeffs(jet: Jet2) -> ContactCoeffs:
@@ -63,15 +65,14 @@ def hessian(jet: Jet2, rank_tol: float = RANK_TOL) -> HessianW:
     """Flatten the v-v block and decide regularity by singular values."""
     if rank_tol <= 0:
         raise ValueError("rank_tol must be positive")
-    n, k = jet.dLdv.shape
-    nk = n * k
-    W = jet.d2Ldvdv.reshape(nk, nk)
-    W = 0.5 * (W + W.T)
-    sv = np.linalg.svd(W, compute_uv=False)
-    smax = sv[0] if nk else 0.0
-    smin = sv[-1] if nk else 0.0
-    regular = bool(smin > rank_tol * max(smax, 1e-300))
-    cond = float(smax / smin) if smin > 0 else np.inf
+    n, k = jet.dLdv.shape[:2]
+    W = jet.d2Ldvdv.reshape((n * k, n * k) + jet.dLdv.shape[2:])
+    W = 0.5 * (W + W.swapaxes(0, 1))
+    sv = np.linalg.svd(np.moveaxis(W, (0, 1), (-2, -1)), compute_uv=False)
+    smax, smin = sv[..., 0], sv[..., -1]
+    regular = smin > rank_tol * np.maximum(smax, 1e-300)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = np.where(smin > 0, smax / smin, np.inf)
     return HessianW(W=W, regular=regular, cond=cond)
 
 
@@ -105,31 +106,28 @@ def _reeb_vcomp(jet: Jet2) -> np.ndarray:
 
 def reeb(jet: Jet2, hess: HessianW) -> ReebFields:
     """Reeb fields of a regular Lagrangian from the explicit formula."""
-    if not hess.regular:
+    if not np.all(hess.regular):
         raise NotRegularError("Lagrangian not regular")
     return ReebFields(vcomp=_reeb_vcomp(jet))
 
 
 def verify_reeb(model: LagrangianModel, z: PhasePoint,
                 rank_tol: float = RANK_TOL):
-    """Residuals of the defining Reeb relations at z.
+    """Residuals of the defining Reeb relations at z, one per point.
 
     i(R_b) eta^a - delta^a_b is algebraically zero (Reeb fields have no
     d/dq component); i(R_b) d(eta^a) is contracted from the Jet2 blocks
     of the momenta, with no numerical differentiation.
     """
     jet = evaluate_jet(model, z)
-    hess_ = hessian(jet, rank_tol)
-    rf = reeb(jet, hess_)
-    n, k = model.n, model.k
-    # i(R_b) eta^a = delta^a_b - p[i, a] * (R_b)^{q,i} and (R_b)^q = 0
-    res_eta = np.zeros((k, k))
+    rf = reeb(jet, hessian(jet, rank_tol))
     # i(R_b) d(eta^a) = -[dp^a_i(R_b)] dq^i with
     # dp^a_i(R_b) = d2Ldvds[i,a,b] + sum_{j,g} d2Ldvdv[i,a,j,g] vcomp[b,j,g]
     res_deta = (jet.d2Ldvds
-                + np.einsum("iajg,bjg->iab", jet.d2Ldvdv, rf.vcomp))
-    return {"eta": float(np.max(np.abs(res_eta))),
-            "deta": float(np.max(np.abs(res_deta)))}
+                + np.einsum("iajg...,bjg...->iab...", jet.d2Ldvdv, rf.vcomp))
+    deta = np.max(np.abs(res_deta), axis=(0, 1, 2))
+    # i(R_b) eta^a = delta^a_b - p[i, a] * (R_b)^{q,i} and (R_b)^q = 0
+    return {"eta": np.zeros_like(deta), "deta": deta}
 
 
 def _energy_gradients(jet: Jet2, v):

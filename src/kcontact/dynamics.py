@@ -47,8 +47,8 @@ class SopdeData:
     """Second-order coefficients Gamma[i, alpha, beta] (symmetric) and
     dissipation velocities g[beta, alpha] of an Euler-Lagrange field."""
 
-    Gamma: np.ndarray  # (n, k, k)
-    g: np.ndarray      # (k, k)
+    Gamma: np.ndarray  # (n, k, k, *B)
+    g: np.ndarray      # (k, k, *B)
 
 
 def _el_operator(jet, v, a, dsdt):
@@ -114,28 +114,21 @@ def evolution_rhs_batch(model: LagrangianModel, q, v, s, a, dsdt):
     return accel[:, 0], jet.L
 
 
-def gauge_s_velocities(L: float, k: int) -> np.ndarray:
-    """Evolution-concentrated gauge: g = diag(L, 0, ..., 0)."""
-    g = np.zeros((k, k))
+def gauge_s_velocities(L, k: int) -> np.ndarray:
+    """Evolution-concentrated gauge g = diag(L, 0, ..., 0) per point."""
+    g = np.zeros((k, k) + np.shape(L))
     g[0, 0] = L
     return g
 
 
 def _symmetric_basis(k: int):
     """Orthonormal basis (Frobenius) of symmetric k x k matrices,
-    stacked to shape (M, k, k)."""
-    basis = []
-    for a in range(k):
-        E = np.zeros((k, k))
-        E[a, a] = 1.0
-        basis.append(E)
-    r = 1.0 / np.sqrt(2.0)
-    for a in range(k):
-        for b in range(a + 1, k):
-            E = np.zeros((k, k))
-            E[a, b] = E[b, a] = r
-            basis.append(E)
-    return np.array(basis)
+    stacked to shape (M, k, k): diagonal units, then off-diagonal pairs."""
+    pairs = [(a, a) for a in range(k)] + list(zip(*np.triu_indices(k, 1)))
+    basis = np.zeros((len(pairs), k, k))
+    for m, (a, b) in enumerate(pairs):
+        basis[m, a, b] = basis[m, b, a] = 1.0 if a == b else 1 / np.sqrt(2.0)
+    return basis
 
 
 def assemble_sopde(model: LagrangianModel, z: PhasePoint) -> SopdeData:
@@ -144,26 +137,31 @@ def assemble_sopde(model: LagrangianModel, z: PhasePoint) -> SopdeData:
     The SOPDE condition fixes the q-components to the velocities; the
     dissipation velocities follow the evolution-concentrated gauge; the
     symmetric Gamma solves the contracted field equations with minimal
-    Frobenius norm (the system is underdetermined for k > 1).
+    Frobenius norm (the system is underdetermined for k > 1), through
+    the pseudo-inverse of the system at each point.
     """
     jet = evaluate_jet(model, z)
-    hw = hessian(jet)
-    if not hw.regular:
+    if not np.all(hessian(jet).regular):
         raise NotRegularError("Lagrangian not regular")
     n, k = model.n, model.k
+    batch = z.q.shape[1:]
     g = gauge_s_velocities(jet.L, k)
-    b = -_el_operator(jet, z.v, np.zeros((n, k, k)), g.T)[0]
+    b = -_el_operator(jet, z.v, np.zeros((n, k, k) + batch),
+                      g.swapaxes(0, 1))[0]
     basis = _symmetric_basis(k)
     # columns: contraction of W with each (j, basis-matrix) pair
-    A = np.einsum("iajb,mab->ijm", jet.d2Ldvdv, basis).reshape(n, -1)
-    coeffs, *_ = np.linalg.lstsq(A, b, rcond=None)
-    Gamma = np.einsum("jm,mab->jab", coeffs.reshape(n, -1), basis)
+    A = np.einsum("iajb...,mab->...ijm", jet.d2Ldvdv, basis)
+    A = A.reshape(batch + (n, -1))
+    coeffs = np.linalg.pinv(A) @ np.moveaxis(b, 0, -1)[..., None]
+    Gamma = np.einsum("...jm,mab->jab...",
+                      coeffs.reshape(batch + (n, -1)), basis)
     return SopdeData(Gamma=Gamma, g=g)
 
 
 def verify_sopde(model: LagrangianModel, z: PhasePoint,
                  sopde: SopdeData) -> float:
-    """Max residual of the k-vector-field equations for given coefficients.
+    """Max residual of the k-vector-field equations for given
+    coefficients, one per point.
 
     Under the SOPDE condition the velocity-difference equations hold
     identically; what remains are the contracted second-order equations
@@ -171,5 +169,5 @@ def verify_sopde(model: LagrangianModel, z: PhasePoint,
     Euler-Lagrange operator at a = Gamma, dsdt = g^T.
     """
     rEL, rS = _el_operator(evaluate_jet(model, z), z.v, sopde.Gamma,
-                           sopde.g.T)
-    return float(max(np.max(np.abs(rEL)), abs(rS)))
+                           sopde.g.swapaxes(0, 1))
+    return np.maximum(np.max(np.abs(rEL), axis=0), np.abs(rS))

@@ -50,20 +50,20 @@ def _newton_batch(model, q, p, s, v0):
 
 def legendre_inverse(model: LagrangianModel, mp: MomentumPoint,
                      v0=None) -> PhasePoint:
-    """Newton inversion of the Legendre map at a momentum point.
+    """Newton inversion of the Legendre map at a momentum point, or at a
+    stack of them (batch axes trail, as in `PhasePoint`).
 
     The default initial guess v0 = p is exact for the free model.
     """
-    if mp.p.shape != (model.n, model.k):
+    if mp.p.shape[:2] != (model.n, model.k):
         raise ValueError("momentum point dims do not match model")
-    guess = np.array(mp.p if v0 is None else v0, dtype=float)
-    v = _newton_batch(model, mp.q, mp.p, mp.s, guess)
+    v = _newton_batch(model, mp.q, mp.p, mp.s, mp.p if v0 is None else v0)
     return PhasePoint(q=mp.q.copy(), v=v, s=mp.s.copy())
 
 
 def hamiltonian_value(model: LagrangianModel, mp: MomentumPoint,
-                      v0=None) -> float:
-    """H = Lagrangian energy at the Legendre preimage."""
+                      v0=None):
+    """H = Lagrangian energy at the Legendre preimage, one per point."""
     z = legendre_inverse(model, mp, v0=v0)
     return energy(evaluate_jet(model, z), z)
 
@@ -123,8 +123,8 @@ def hdw_residual(model: LagrangianModel, path: MomentumPath,
     k = model.k
     if path.spacings.shape != (k,):
         raise ValueError("path spacings must have one entry per direction")
-    guess = np.array(path.p if v0 is None else v0, dtype=float)
-    v = _newton_batch(model, path.q, path.p, path.s, guess)
+    v = _newton_batch(model, path.q, path.p, path.s,
+                      path.p if v0 is None else v0)
     jet = evaluate_jet_batch(model, path.q, v, path.s)
 
     dq = np.stack(_grid_gradient(path.q, path.spacings), axis=1)

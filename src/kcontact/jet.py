@@ -17,26 +17,34 @@ import numpy as np
 from .taylor import T2, TaylorContext, variables
 
 
+def _as_point_arrays(point, names, what):
+    """Convert the fields of a phase or momentum point to float arrays
+    and check their shapes (n, *B), (n, k, *B), (k, *B) and finiteness."""
+    q, v, s = arrs = [np.asarray(getattr(point, x), dtype=float)
+                      for x in names]
+    for name, arr in zip(names, arrs):
+        object.__setattr__(point, name, arr)
+    batch = v.shape[2:]
+    if (v.ndim < 2 or q.shape != (v.shape[0],) + batch
+            or s.shape != (v.shape[1],) + batch):
+        raise ValueError(f"inconsistent {what} point shapes q={q.shape} "
+                         f"{names[1]}={v.shape} s={s.shape}")
+    if not all(np.isfinite(arr).all() for arr in arrs):
+        raise ValueError(f"non-finite {what} point entries")
+
+
 @dataclass(frozen=True)
 class PhasePoint:
-    """A point (q^i, v^i_a, s^a) of the dissipative velocity bundle."""
+    """A point (q^i, v^i_a, s^a) of the dissipative velocity bundle, or a
+    stack of them: batch axes trail as in `Jet2`, and a single point has
+    batch shape ()."""
 
-    q: np.ndarray  # (n,)
-    v: np.ndarray  # (n, k)
-    s: np.ndarray  # (k,)
+    q: np.ndarray  # (n, *B)
+    v: np.ndarray  # (n, k, *B)
+    s: np.ndarray  # (k, *B)
 
     def __post_init__(self):
-        object.__setattr__(self, "q", np.asarray(self.q, dtype=float))
-        object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
-        object.__setattr__(self, "s", np.asarray(self.s, dtype=float))
-        n, k = self.v.shape
-        if self.q.shape != (n,) or self.s.shape != (k,):
-            raise ValueError(
-                f"inconsistent phase point shapes q={self.q.shape} "
-                f"v={self.v.shape} s={self.s.shape}")
-        if not (np.isfinite(self.q).all() and np.isfinite(self.v).all()
-                and np.isfinite(self.s).all()):
-            raise ValueError("non-finite phase point entries")
+        _as_point_arrays(self, ("q", "v", "s"), "phase")
 
     @property
     def n(self) -> int:
@@ -49,22 +57,22 @@ class PhasePoint:
 
 @dataclass(frozen=True)
 class MomentumPoint:
-    """A point (q^i, p^a_i, s^a) of the momentum bundle; p[i, a] = p^a_i."""
+    """A point (q^i, p^a_i, s^a) of the momentum bundle, p[i, a] = p^a_i,
+    or a stack of them with trailing batch axes like `PhasePoint`."""
 
-    q: np.ndarray  # (n,)
-    p: np.ndarray  # (n, k)
-    s: np.ndarray  # (k,)
+    q: np.ndarray  # (n, *B)
+    p: np.ndarray  # (n, k, *B)
+    s: np.ndarray  # (k, *B)
 
     def __post_init__(self):
-        object.__setattr__(self, "q", np.asarray(self.q, dtype=float))
-        object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
-        object.__setattr__(self, "s", np.asarray(self.s, dtype=float))
-        n, k = self.p.shape
-        if self.q.shape != (n,) or self.s.shape != (k,):
-            raise ValueError("inconsistent momentum point shapes")
-        if not (np.isfinite(self.q).all() and np.isfinite(self.p).all()
-                and np.isfinite(self.s).all()):
-            raise ValueError("non-finite momentum point entries")
+        _as_point_arrays(self, ("q", "p", "s"), "momentum")
+
+
+def stack_points(points) -> PhasePoint:
+    """One PhasePoint whose last batch axis runs over `points`."""
+    points = list(points)
+    return PhasePoint(*(np.stack([getattr(z, x) for z in points], axis=-1)
+                        for x in "qvs"))
 
 
 @dataclass(frozen=True)
@@ -86,10 +94,8 @@ class Jet2:
 
     def check(self, rtol=1e-12):
         """Validate finiteness and v-v symmetry of the Hessian block."""
-        for name in ("L", "dLdq", "dLdv", "dLds",
-                     "d2Ldvdv", "d2Ldvdq", "d2Ldvds"):
-            arr = getattr(self, name)
-            if not np.isfinite(arr).all():
+        for name in self.__dataclass_fields__:
+            if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"non-finite entries in jet block {name}")
         W = self.d2Ldvdv
         Wt = np.moveaxis(W, (0, 1, 2, 3), (2, 3, 0, 1))
@@ -173,17 +179,9 @@ def evaluate_jet_batch(model: LagrangianModel, q, v, s) -> Jet2:
 
 
 def evaluate_jet(model: LagrangianModel, z: PhasePoint) -> Jet2:
-    """Exact Jet2 at a single phase point."""
+    """Exact, validated Jet2 at a phase point (or a stack of them)."""
     model.check_point(z)
-    jet = evaluate_jet_batch(model, z.q, z.v, z.s)
-    jet = Jet2(L=float(jet.L), dLdq=jet.dLdq, dLdv=jet.dLdv, dLds=jet.dLds,
-               d2Ldvdv=jet.d2Ldvdv, d2Ldvdq=jet.d2Ldvdq, d2Ldvds=jet.d2Ldvds)
-    return jet.check()
-
-
-def _lag_value(model, q, v, s):
-    """Scalar L at explicitly given coordinate arrays."""
-    return float(model.lagrangian_value(q, [list(row) for row in v], s))
+    return evaluate_jet_batch(model, z.q, z.v, z.s).check()
 
 
 def fd_check(model: LagrangianModel, z: PhasePoint, h: float = 1e-4) -> float:
@@ -196,12 +194,10 @@ def fd_check(model: LagrangianModel, z: PhasePoint, h: float = 1e-4) -> float:
     n, k = model.n, model.k
     m = n + n * k + k
 
-    def coords(delta):
-        x = np.concatenate([z.q, z.v.ravel(), z.s]) + delta
-        return x[:n], x[n:n + n * k].reshape(n, k), x[n + n * k:]
-
     def L_at(delta):
-        return _lag_value(model, *coords(delta))
+        x = np.concatenate([z.q, z.v.ravel(), z.s]) + delta
+        return float(model.lagrangian_value(
+            x[:n], x[n:n + n * k].reshape(n, k), x[n + n * k:]))
 
     e = np.eye(m)
     grad_fd = np.array([(L_at(h * e[j]) - L_at(-h * e[j])) / (2 * h)

@@ -188,17 +188,13 @@ def apply_to_energy(model: LagrangianModel, Y: SymmetryField, q, v, s):
 
 
 def check_contact_symmetry(model: LagrangianModel, Y: SymmetryField,
-                           points, tol: float = 1e-9) -> dict:
-    """Evaluate L_Y eta^a and Y(E_L) at sample points.
-
-    `points` is an iterable of PhasePoint.  Returns a report with the
-    overall max residual and the verdict max <= tol.
+                           z: PhasePoint, tol: float = 1e-9) -> dict:
+    """Evaluate L_Y eta^a and Y(E_L) at the sample points stacked in z
+    (see `stack_points`).  Returns a report with the overall max residual
+    and the verdict max <= tol.
     """
-    q = np.stack([z.q for z in points], axis=-1)
-    v = np.stack([z.v for z in points], axis=-1)
-    s = np.stack([z.s for z in points], axis=-1)
-    cdq, cdv, cds = lie_derivative_eta(model, Y, q, v, s)
-    YE = apply_to_energy(model, Y, q, v, s)
+    cdq, cdv, cds = lie_derivative_eta(model, Y, z.q, z.v, z.s)
+    YE = apply_to_energy(model, Y, z.q, z.v, z.s)
     res_eta = max(np.max(np.abs(cdq)), np.max(np.abs(cdv)),
                   np.max(np.abs(cds)))
     res_E = float(np.max(np.abs(YE)))
@@ -208,37 +204,34 @@ def check_contact_symmetry(model: LagrangianModel, Y: SymmetryField,
 
 
 def reeb_bracket_check(model: LagrangianModel, Y: SymmetryField,
-                       points, h: float = 1e-5) -> float:
-    """Max component of [Y, (R_L)_a] at the sample points.
+                       z: PhasePoint, h: float = 1e-5) -> float:
+    """Max component of [Y, (R_L)_a] at the sample points stacked in z.
 
     The derivative of the Reeb velocity components along Y is a central
     difference of the Reeb construction (it involves third derivatives
     of L, which the jet does not carry)."""
-    worst = 0.0
-    for z in points:
+    def vcomp_at(z):
         jet = evaluate_jet(model, z)
-        rf = reeb(jet, hessian(jet))
-        Yq, Yv, Ys = Y.components(z.q, z.v, z.s)
-        jac = Y.jacobian_blocks(z.q, z.v, z.s)
-        n, k = model.n, model.k
-        for a in range(k):
-            # flat direction vector of (R_L)_a
-            direction = np.concatenate(
-                [np.zeros(n), rf.vcomp[a].ravel(),
-                 np.eye(k)[a]])
-            dYq = jac.dYq @ direction
-            dYv = jac.dYv @ direction
-            dYs = jac.dYs @ direction
-            # Y(vcomp[a]) by central differences along Y
-            zp = PhasePoint(q=z.q + h * Yq, v=z.v + h * Yv, s=z.s + h * Ys)
-            zm = PhasePoint(q=z.q - h * Yq, v=z.v - h * Yv, s=z.s - h * Ys)
-            jp = evaluate_jet(model, zp)
-            jm = evaluate_jet(model, zm)
-            dv = (reeb(jp, hessian(jp)).vcomp[a]
-                  - reeb(jm, hessian(jm)).vcomp[a]) / (2 * h)
-            worst = max(worst, np.max(np.abs(dYq)), np.max(np.abs(dYs)),
-                        np.max(np.abs(dv - dYv)))
-    return float(worst)
+        return reeb(jet, hessian(jet)).vcomp
+
+    n, k = model.n, model.k
+    batch = z.q.shape[1:]
+    # flat direction vectors direction[:, a] of (R_L)_a
+    direction = np.zeros((n + n * k + k, k) + batch)
+    direction[n:n + n * k] = np.moveaxis(
+        vcomp_at(z).reshape((k, n * k) + batch), 0, 1)
+    direction[n + n * k:] = np.eye(k).reshape((k, k) + (1,) * len(batch))
+    jac = Y.jacobian_blocks(z.q, z.v, z.s)
+    dYq = np.einsum("im...,ma...->ai...", jac.dYq, direction)
+    dYv = np.einsum("ibm...,ma...->aib...", jac.dYv, direction)
+    dYs = np.einsum("cm...,ma...->ac...", jac.dYs, direction)
+    # Y(vcomp) by central differences along Y
+    Yq, Yv, Ys = Y.components(z.q, z.v, z.s)
+    zp = PhasePoint(q=z.q + h * Yq, v=z.v + h * Yv, s=z.s + h * Ys)
+    zm = PhasePoint(q=z.q - h * Yq, v=z.v - h * Yv, s=z.s - h * Ys)
+    dv = (vcomp_at(zp) - vcomp_at(zm)) / (2 * h)
+    return float(max(np.max(np.abs(dYq)), np.max(np.abs(dYs)),
+                     np.max(np.abs(dv - dYv))))
 
 
 def _trace_divergence(fields, spacings):

@@ -23,10 +23,14 @@ from kcontact import (Grid, PdeSpec, SimState, assemble_sopde,
                       legendre_inverse, membrane, membrane_spec,
                       momentum_path_from_arrays, random_phase_point,
                       roundtrip_check, run, s_accumulation_check,
-                      string, sv_coupling, telegraph_spec,
+                      stack_points, string, sv_coupling, telegraph_spec,
                       trace_el_residual, trace_lagrangian,
                       trace_point_arrays, verify_reeb, verify_sopde)
+from kcontact.cli import REFINEMENT_BAND
 from conftest import GAMMA, MU, membrane_exact
+
+LO, HI = REFINEMENT_BAND
+BAND = f"({LO}-{HI})"
 
 
 @pytest.fixture
@@ -55,10 +59,10 @@ def test_criterion_01_membrane_reproduction(report, membrane_run_101,
     err_f = final_frame_error(trace_f, grid_f.mesh())
     err_2 = final_frame_error(trace_2, grid_2.mesh())
     ratio = err_f / err_2
-    ok = err_f <= 1e-3 and elapsed <= 60.0 and 3.5 <= ratio <= 4.5
+    ok = err_f <= 1e-3 and elapsed <= 60.0 and LO <= ratio <= HI
     report(1, ok, "membrane damped mode, 101x101, t_end=5",
            f"err={err_f:.3e} (tol 1e-3), runtime={elapsed:.1f}s (max 60), "
-           f"refinement ratio={ratio:.2f} (3.5-4.5)")
+           f"refinement ratio={ratio:.2f} {BAND}")
 
 
 def test_criterion_02_dissipation_law(report, membrane_model, membrane_run_51,
@@ -69,15 +73,16 @@ def test_criterion_02_dissipation_law(report, membrane_model, membrane_run_51,
                                                      trace))))
            for _, trace, _ in (membrane_run_51, membrane_run_101)]
     ratio = res[0] / res[1]
-    ok = 3.5 <= ratio <= 4.5
+    ok = LO <= ratio <= HI
     report(2, ok, "div(F) = -gamma F^t along the membrane run",
            f"residuals {res[0]:.3e} -> {res[1]:.3e}, "
-           f"ratio={ratio:.2f} (3.5-4.5)")
+           f"ratio={ratio:.2f} {BAND}")
 
 
 def test_criterion_03_symmetry_checker(report, membrane_model):
     rng = np.random.default_rng(101)
-    pts = [random_phase_point(membrane_model, rng) for _ in range(100)]
+    pts = stack_points([random_phase_point(membrane_model, rng)
+                        for _ in range(100)])
     good = check_contact_symmetry(
         membrane_model, builtin_symmetry_field(membrane_model, "du"), pts)
     bad = check_contact_symmetry(
@@ -174,10 +179,10 @@ def test_criterion_08_hdw_consistency(report, membrane_model, membrane_run_51,
         path = momentum_path_from_arrays(membrane_model, q, v, s, spacings)
         res.append(hdw_residual(membrane_model, path).max())
     ratio = res[0] / res[1]
-    ok = 3.5 <= ratio <= 4.5
+    ok = LO <= ratio <= HI
     report(8, ok, "canonical momentum-form residual under refinement",
            f"residuals {res[0]:.3e} -> {res[1]:.3e}, "
-           f"ratio={ratio:.2f} (3.5-4.5)")
+           f"ratio={ratio:.2f} {BAND}")
 
 
 def test_criterion_09_s_accumulation(report):
@@ -238,7 +243,7 @@ def test_criterion_10_string_example(report):
                                 * np.sin(2 * Z))))))
     ratios = (errs[0][0] / errs[1][0], errs[0][1] / errs[1][1])
     decoupled_ok = (max(errs[1]) <= 1e-3
-                    and all(3.5 <= r <= 4.5 for r in ratios))
+                    and all(LO <= r <= HI for r in ratios))
 
     # B != 0 couples the polarizations: no closed form, check that the
     # field-equation residual of the trace refines at second order
@@ -258,7 +263,7 @@ def test_criterion_10_string_example(report):
     ok = decoupled_ok and coupled_ok
     report(10, ok, "charged string: decoupled modes and coupled residual",
            f"B=0 errs x={errs[1][0]:.2e} y={errs[1][1]:.2e} (tol 1e-3), "
-           f"ratios {ratios[0]:.2f}/{ratios[1]:.2f} (3.5-4.5); "
+           f"ratios {ratios[0]:.2f}/{ratios[1]:.2f} {BAND}; "
            f"B=1 residual order={order:.2f} (2 +/- 0.5)")
 
 

@@ -1,6 +1,7 @@
 """CLI contract: exit codes, report schemas, determinism."""
 
 import json
+import sys
 from importlib import resources
 
 import jsonschema
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 from kcontact import cli
-from kcontact.cli import main, parse_grid, parse_point
+from kcontact import jet
+from kcontact.cli import REFINEMENT_BAND, main, parse_grid, parse_point
 from kcontact.errors import ConfigError
 
 
@@ -189,6 +191,38 @@ class TestVerify:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("suite", ["symmetry", "dissipation"])
+    def test_field_and_symmetry_disagree_exits_2(self, capsys, suite,
+                                                 membrane_trace_pair):
+        code = main(["verify", "--suite", suite, "--model", "membrane",
+                     "--trace", membrane_trace_pair[0], "--field", "du",
+                     "--symmetry", "scaling"])
+        assert code == 2
+        assert "name different fields" in capsys.readouterr().err
+
+    def test_point_suite_jets_independent_of_point_count(self, capsys,
+                                                         monkeypatch):
+        original, calls = jet.evaluate_jet_batch, []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if (name.startswith("kcontact.")
+                    and getattr(mod, "evaluate_jet_batch", None) is original):
+                monkeypatch.setattr(mod, "evaluate_jet_batch", counting)
+        counts = []
+        for num in ("10", "100"):
+            calls.clear()
+            code, _ = run_cli(capsys, "verify", "--suite", "reeb", "--suite",
+                              "legendre", "--suite", "sopde", "--model",
+                              "string", "--lam", "0.5", "--gamma", "0.3",
+                              "--B", "1", "--num-points", num)
+            assert code == 0
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
     def test_bad_dissipation_field_exits_2(self, capsys,
                                            membrane_trace_pair):
         code = main(["verify", "--suite", "dissipation", "--symmetry",
@@ -216,7 +250,8 @@ class TestVerify:
                               "--trace", coarse, "--trace", fine,
                               "--symmetry", "du")
         assert code == 0
-        assert 2.5 <= rep["suites"][0]["refinement_ratio"] <= 6.5
+        lo, hi = REFINEMENT_BAND
+        assert lo <= rep["suites"][0]["refinement_ratio"] <= hi
 
     def test_trace_suites_read_each_trace_once(self, capsys, monkeypatch,
                                                membrane_trace_pair):
@@ -289,6 +324,14 @@ class TestConfigAndDeterminism:
         cfg.write_text(json.dumps({"model": "free", "banana": 1}))
         code, _ = run_cli(capsys, "derive", "--config", str(cfg))
         assert code == 2
+
+    def test_config_key_of_no_option_exits_2(self, capsys, tmp_path):
+        # the parser's own attributes are not options of the subcommand
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"cmd": "simulate", "func": 3,
+                                   "model": "free"}))
+        code, out = run_cli(capsys, "derive", "--config", str(cfg))
+        assert code == 2 and out == ""
 
     def test_mistyped_config_value_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

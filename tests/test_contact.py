@@ -6,8 +6,8 @@ import pytest
 from kcontact import (LagrangianModel, NotRegularError, PhasePoint,
                       builtin_models, contact_coeffs, energy, evaluate_jet,
                       free, hessian, legendre, membrane, random_phase_point,
-                      reeb, reeb_derivative_of_energy, string, sv_coupling,
-                      verify_reeb)
+                      reeb, reeb_derivative_of_energy, stack_points, string,
+                      sv_coupling, verify_reeb)
 from kcontact.contact import reeb_energy_derivative_batch
 from kcontact.taylor import cos
 
@@ -106,10 +106,8 @@ class TestReeb:
         for model in (sv_coupling(eps=0.2), coupled_quartic()):
             rng = np.random.default_rng(5)
             pts = [random_phase_point(model, rng) for _ in range(6)]
-            q = np.stack([z.q for z in pts], axis=-1)
-            v = np.stack([z.v for z in pts], axis=-1)
-            s = np.stack([z.s for z in pts], axis=-1)
-            batch = reeb_energy_derivative_batch(model, q, v, s)
+            zs = stack_points(pts)
+            batch = reeb_energy_derivative_batch(model, zs.q, zs.v, zs.s)
             for idx, z in enumerate(pts):
                 jet = evaluate_jet(model, z)
                 rf = reeb(jet, hessian(jet))

@@ -5,12 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kcontact import (LagrangianModel, NotRegularError, PhasePoint,
+from kcontact import (Jet2, LagrangianModel, NotRegularError, PhasePoint,
                       SecondJet, SopdeData, assemble_sopde,
-                      builtin_models, damped_oscillator, el_residual,
-                      evaluate_jet, evolution_rhs, hessian, membrane,
-                      random_phase_point, reeb, reeb_derivative_of_energy,
-                      string, sv_coupling, verify_sopde)
+                      builtin_models, builtin_symmetry_field,
+                      check_contact_symmetry, damped_oscillator,
+                      el_residual, energy, evaluate_jet, evolution_rhs,
+                      hamiltonian_value, hessian, legendre,
+                      legendre_inverse, membrane, random_phase_point, reeb,
+                      reeb_bracket_check, reeb_derivative_of_energy,
+                      stack_points, string, sv_coupling, verify_reeb,
+                      verify_sopde)
 from kcontact.contact import reeb_energy_derivative_batch
 from kcontact.dynamics import (el_residual_batch, evolution_rhs_batch,
                                gauge_s_velocities)
@@ -177,7 +181,9 @@ def test_single_point_paths_agree_bitwise(index, seed):
     Euler-Lagrange operator, and evolution_rhs and
     reeb_derivative_of_energy run the batched velocity-Hessian solves of
     evolution_rhs_batch and reeb_energy_derivative_batch: equal bit for
-    bit at single points."""
+    bit at single points.  Every pointwise quantity at a single point
+    equals its slice of a stacked batch bit for bit, except the SOPDE
+    Gamma."""
     model = MODELS[index]
     n, k = model.n, model.k
     rng = np.random.default_rng(seed)
@@ -201,3 +207,34 @@ def test_single_point_paths_agree_bitwise(index, seed):
     assert np.array_equal(
         evolution_rhs(model, SecondJet(z=z, a=a, dsdt=dsdt)), acc)
     assert L == jet.L
+
+    # the same bodies over a stack: the single point is slice 0
+    points = [z] + [random_phase_point(model, rng) for _ in range(3)]
+    zs = stack_points(points)
+    jets = evaluate_jet(model, zs)
+    for name in Jet2.__dataclass_fields__:
+        assert np.array_equal(getattr(jet, name), getattr(jets, name)[..., 0])
+    assert energy(jet, z) == energy(jets, zs)[0]
+    hw, hws = hessian(jet), hessian(jets)
+    assert np.array_equal(hw.W, hws.W[..., 0])
+    assert hw.regular == hws.regular[0] and hw.cond == hws.cond[0]
+    assert np.array_equal(reeb(jet, hw).vcomp, reeb(jets, hws).vcomp[..., 0])
+    one, many = verify_reeb(model, z), verify_reeb(model, zs)
+    assert all(one[key] == many[key][0] for key in one)
+    one, many = assemble_sopde(model, z), assemble_sopde(model, zs)
+    # pinv of one matrix and of a stack may round differently
+    assert np.max(np.abs(one.Gamma - many.Gamma[..., 0])) <= 1e-15
+    assert np.array_equal(one.g, many.g[..., 0])
+    sliced = SopdeData(Gamma=many.Gamma[..., 0], g=many.g[..., 0])
+    assert verify_sopde(model, z, sliced) == verify_sopde(model, zs, many)[0]
+    mp, mps = legendre(jet, z), legendre(jets, zs)
+    assert np.array_equal(legendre_inverse(model, mp).v,
+                          legendre_inverse(model, mps).v[..., 0])
+    assert hamiltonian_value(model, mp) == hamiltonian_value(model, mps)[0]
+    # checks that reduce over their points: the stack gives the largest
+    # single-point result
+    Y = builtin_symmetry_field(model, "du")
+    assert check_contact_symmetry(model, Y, zs)["max_residual"] == max(
+        check_contact_symmetry(model, Y, p)["max_residual"] for p in points)
+    assert reeb_bracket_check(model, Y, zs) == max(
+        reeb_bracket_check(model, Y, p) for p in points)

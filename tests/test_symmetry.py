@@ -8,7 +8,7 @@ from kcontact import (Grid, SimState, builtin_symmetry_field,
                       dissipated_quantity, dissipation_law_check, free,
                       lie_derivative_eta, membrane,
                       momentum_dissipation_check, random_phase_point,
-                      reeb_bracket_check, run, string)
+                      reeb_bracket_check, run, stack_points, string)
 from kcontact.symmetry import SymmetryField, SymmetryJacobian
 from kcontact.taylor import cos, exp, sin
 
@@ -80,13 +80,15 @@ class TestSymmetryCheck:
     def test_field_translation_is_symmetry(self, membrane_model,
                                            membrane_points):
         Y = builtin_symmetry_field(membrane_model, "du")
-        res = check_contact_symmetry(membrane_model, Y, membrane_points)
+        res = check_contact_symmetry(membrane_model, Y,
+                                     stack_points(membrane_points))
         assert res["is_symmetry"]
         assert res["max_residual"] <= 1e-9
 
     def test_scaling_is_not_symmetry(self, membrane_model, membrane_points):
         Y = builtin_symmetry_field(membrane_model, "scaling")
-        res = check_contact_symmetry(membrane_model, Y, membrane_points)
+        res = check_contact_symmetry(membrane_model, Y,
+                                     stack_points(membrane_points))
         assert not res["is_symmetry"]
         assert res["max_residual"] > 1e-3
 
@@ -95,7 +97,7 @@ class TestSymmetryCheck:
         rng = np.random.default_rng(7)
         pts = [random_phase_point(model, rng) for _ in range(100)]
         Y = builtin_symmetry_field(model, "paperY")
-        res = check_contact_symmetry(model, Y, pts)
+        res = check_contact_symmetry(model, Y, stack_points(pts))
         assert res["max_residual"] <= 1e-9
 
     def test_nonlinear_field_matches_central_differences(self):
@@ -103,10 +105,9 @@ class TestSymmetryCheck:
         Y = nonlinear_field()
         fd = CentralDifferenceField(Y)
         rng = np.random.default_rng(8)
-        pts = [random_phase_point(model, rng) for _ in range(20)]
-        q = np.stack([z.q for z in pts], axis=-1)
-        v = np.stack([z.v for z in pts], axis=-1)
-        s = np.stack([z.s for z in pts], axis=-1)
+        z = stack_points([random_phase_point(model, rng)
+                          for _ in range(20)])
+        q, v, s = z.q, z.v, z.s
         exact = Y.jacobian_blocks(q, v, s)
         approx = fd.jacobian_blocks(q, v, s)
         for name in ("dYq", "dYv", "dYs"):
@@ -138,13 +139,13 @@ class TestReebBracket:
                                             membrane_points):
         Y = builtin_symmetry_field(membrane_model, "du")
         assert reeb_bracket_check(membrane_model, Y,
-                                  membrane_points[:10]) <= 1e-9
+                                  stack_points(membrane_points[:10])) <= 1e-9
 
     def test_scaling_commutes_too(self, membrane_model, membrane_points):
         # [u d/du, d/ds] = 0 even though scaling is not a contact symmetry
         Y = builtin_symmetry_field(membrane_model, "scaling")
         assert reeb_bracket_check(membrane_model, Y,
-                                  membrane_points[:5]) <= 1e-9
+                                  stack_points(membrane_points[:5])) <= 1e-9
 
 
 class TestDissipatedQuantity:
