@@ -58,11 +58,11 @@ def parse_point(text: str, n: int, k: int) -> PhasePoint:
     extra = set(parts) - {"q", "v", "s"}
     if extra:
         raise ConfigError(f"unknown point coordinates: {sorted(extra)}")
-    q = np.array(parts.get("q", [0.0] * n))
-    v = np.array(parts.get("v", [0.0] * (n * k))).reshape(n, k)
-    s = np.array(parts.get("s", [0.0] * k))
     try:
-        return PhasePoint(q=q, v=v, s=s)
+        return PhasePoint(
+            q=np.array(parts.get("q", [0.0] * n)),
+            v=np.array(parts.get("v", [0.0] * (n * k))).reshape(n, k),
+            s=np.array(parts.get("s", [0.0] * k)))
     except ValueError as exc:
         raise ConfigError(f"bad point '{text}': {exc}")
 

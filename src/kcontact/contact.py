@@ -62,53 +62,67 @@ def legendre(jet: Jet2, z: PhasePoint) -> MomentumPoint:
 
 
 def hessian(jet: Jet2, rank_tol: float = RANK_TOL) -> HessianW:
-    """Flatten the v-v block and decide regularity by singular values."""
+    """Flatten the v-v block and decide regularity by singular values.
+    The SVDs run over the block's own batch shape (once for a
+    batch-constant block); the results broadcast to the point batch."""
     if rank_tol <= 0:
         raise ValueError("rank_tol must be positive")
     n, k = jet.dLdv.shape[:2]
-    W = jet.d2Ldvdv.reshape((n * k, n * k) + jet.dLdv.shape[2:])
+    batch = jet.dLdv.shape[2:]
+    W = jet.d2Ldvdv.reshape((n * k, n * k) + jet.d2Ldvdv.shape[4:])
     W = 0.5 * (W + W.swapaxes(0, 1))
     sv = np.linalg.svd(np.moveaxis(W, (0, 1), (-2, -1)), compute_uv=False)
     smax, smin = sv[..., 0], sv[..., -1]
     regular = smin > rank_tol * np.maximum(smax, 1e-300)
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = np.where(smin > 0, smax / smin, np.inf)
-    return HessianW(W=W, regular=regular, cond=cond)
+    return HessianW(W=np.broadcast_to(W, W.shape[:2] + batch),
+                    regular=np.broadcast_to(regular, batch),
+                    cond=np.broadcast_to(cond, batch))
 
 
 def solve_batch(W, b, what: str) -> np.ndarray:
-    """Solve W x = b at every batch point: W (r, r, *B), b (r, c, *B)
-    -> x (r, c, *B).  The one place that hands velocity-Hessian systems
-    to LAPACK; a singular system raises NotRegularError(what)."""
+    """Solve W x = b at every batch point: W (r, r, *BW), b (r, c, *B)
+    with BW broadcasting against B -> x (r, c, *batch).  A W with one
+    batch element is factored once, against all columns of b.  The one
+    place that hands velocity-Hessian systems to LAPACK; a singular
+    system raises NotRegularError(what)."""
     r, c = b.shape[:2]
-    batch = b.shape[2:]
-    # ndarray.transpose, not np.moveaxis: at a single point each
-    # moveaxis call costs about as much as the solve itself
-    Wb = W.reshape(r, r, -1).transpose(2, 0, 1)
-    bb = b.reshape(r, c, -1).transpose(2, 0, 1)
+    batch = np.broadcast_shapes(W.shape[2:], b.shape[2:])
     try:
-        x = np.linalg.solve(Wb, bb)  # (B, r, c)
+        if W[0, 0].size == 1:
+            x = np.linalg.solve(W.reshape(r, r),
+                                np.broadcast_to(b, (r, c) + batch)
+                                .reshape(r, -1))
+            return x.reshape((r, c) + batch)
+        # ndarray.transpose, not np.moveaxis: at a single point each
+        # moveaxis call costs about as much as the solve itself
+        Wb = np.broadcast_to(W, (r, r) + batch).reshape(r, r, -1)
+        bb = np.broadcast_to(b, (r, c) + batch).reshape(r, c, -1)
+        x = np.linalg.solve(Wb.transpose(2, 0, 1), bb.transpose(2, 0, 1))
     except np.linalg.LinAlgError:
         raise NotRegularError(what)
     return x.transpose(1, 2, 0).reshape((r, c) + batch)
 
 
 def _reeb_vcomp(jet: Jet2) -> np.ndarray:
-    """vcomp[a, i, b, *B] of the Reeb fields from W vcomp_a = -d2L/dvds^a;
-    batch axes, if any, trail."""
+    """vcomp[a, i, b, *BW] of the Reeb fields from W vcomp_a = -d2L/dvds^a;
+    the trailing axes are those of the Hessian blocks."""
     n, k = jet.dLdv.shape[:2]
-    batch = jet.dLdv.shape[2:]
-    X = solve_batch(jet.d2Ldvdv.reshape((n * k, n * k) + batch),
-                    jet.d2Ldvds.reshape((n * k, k) + batch),
+    hb = jet.d2Ldvdv.shape[4:]
+    X = solve_batch(jet.d2Ldvdv.reshape((n * k, n * k) + hb),
+                    jet.d2Ldvds.reshape((n * k, k) + hb),
                     "Lagrangian not regular")
-    return -X.swapaxes(0, 1).reshape((k, n, k) + batch)
+    return -X.swapaxes(0, 1).reshape((k, n, k) + hb)
 
 
 def reeb(jet: Jet2, hess: HessianW) -> ReebFields:
     """Reeb fields of a regular Lagrangian from the explicit formula."""
     if not np.all(hess.regular):
         raise NotRegularError("Lagrangian not regular")
-    return ReebFields(vcomp=_reeb_vcomp(jet))
+    vcomp = _reeb_vcomp(jet)
+    return ReebFields(vcomp=np.broadcast_to(
+        vcomp, vcomp.shape[:3] + jet.dLdv.shape[2:]))
 
 
 def verify_reeb(model: LagrangianModel, z: PhasePoint,

@@ -151,7 +151,7 @@ def assemble_sopde(model: LagrangianModel, z: PhasePoint) -> SopdeData:
     basis = _symmetric_basis(k)
     # columns: contraction of W with each (j, basis-matrix) pair
     A = np.einsum("iajb...,mab->...ijm", jet.d2Ldvdv, basis)
-    A = A.reshape(batch + (n, -1))
+    A = A.reshape(A.shape[:-3] + (n, -1))  # batch axes of the W block
     coeffs = np.linalg.pinv(A) @ np.moveaxis(b, 0, -1)[..., None]
     Gamma = np.einsum("...jm,mab->jab...",
                       coeffs.reshape(batch + (n, -1)), basis)

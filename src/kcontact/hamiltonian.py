@@ -39,7 +39,7 @@ def _newton_batch(model, q, p, s, v0):
             raise NewtonError("Legendre inversion diverged",
                               residual=last)
         step = solve_batch(
-            jet.d2Ldvdv.reshape((nk, nk) + batch),
+            jet.d2Ldvdv.reshape((nk, nk) + jet.d2Ldvdv.shape[4:]),
             r.reshape((nk, 1) + batch),
             "singular velocity Hessian during Legendre inversion")
         v = v - step.reshape((n, k) + batch)

@@ -81,7 +81,10 @@ class Jet2:
 
     For a single point the shapes are L: scalar, dLdq: (n,), dLdv: (n,k),
     dLds: (k,), d2Ldvdv: (n,k,n,k), d2Ldvdq: (n,k,n), d2Ldvds: (n,k,k).
-    Batched evaluations append the batch axes on the right.
+    Batched evaluations append the batch axes on the right.  L and the
+    first-derivative blocks carry the full batch; the three
+    second-derivative blocks carry trailing axes that broadcast against
+    it, of size 1 where they do not vary from point to point.
     """
 
     L: np.ndarray
@@ -152,30 +155,25 @@ def evaluate_jet_batch(model: LagrangianModel, q, v, s) -> Jet2:
     s = np.asarray(s, dtype=float)
     batch = q.shape[1:]
     ctx = TaylorContext(n, k)
-    # the seeds are held until return: freeing them before the blocks are
-    # copied out raised the peak RSS of the trace suites by ~50 MB
-    coords = variables(ctx, q, v, s)
-    out = model.lagrangian(*coords)
+    out = model.lagrangian(*variables(ctx, q, v, s))
     if not isinstance(out, T2):  # constant Lagrangian
-        L = np.broadcast_to(np.asarray(out, dtype=float), batch)
-        grad = np.zeros((ctx.m,) + batch)
-        hess = np.zeros((ctx.nv, ctx.m) + batch)
-    else:
-        L = np.broadcast_to(np.asarray(out.val, dtype=float), batch)
-        grad = np.broadcast_to(out.grad, (ctx.m,) + batch)
-        hess = np.broadcast_to(out._materialized_hess(),
-                               (ctx.nv, ctx.m) + batch)
+        out = T2(ctx, out, np.zeros((ctx.m,) + (1,) * len(batch)))
+    L = np.broadcast_to(np.asarray(out.val, dtype=float), batch)
+    grad = np.broadcast_to(out.grad, (ctx.m,) + batch)
+    # the second-derivative blocks keep the kernel's trailing shape, which
+    # broadcasts against the batch (size-1 axes where L is quadratic in v)
+    hess = out._materialized_hess()
+    hb = hess.shape[2:]
     nv = ctx.nv
-    jet = Jet2(
+    return Jet2(
         L=np.array(L),
         dLdq=np.array(grad[:n]),
         dLdv=np.array(grad[n:n + nv]).reshape((n, k) + batch),
         dLds=np.array(grad[n + nv:]),
-        d2Ldvdv=np.array(hess[:, n:n + nv]).reshape((n, k, n, k) + batch),
-        d2Ldvdq=np.array(hess[:, :n]).reshape((n, k, n) + batch),
-        d2Ldvds=np.array(hess[:, n + nv:]).reshape((n, k, k) + batch),
+        d2Ldvdv=hess[:, n:n + nv].reshape((n, k, n, k) + hb),
+        d2Ldvdq=hess[:, :n].reshape((n, k, n) + hb),
+        d2Ldvds=hess[:, n + nv:].reshape((n, k, k) + hb),
     )
-    return jet
 
 
 def evaluate_jet(model: LagrangianModel, z: PhasePoint) -> Jet2:

@@ -11,7 +11,6 @@ selects which solution is computed.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,7 +23,6 @@ from .errors import SimulationError
 from .jet import LagrangianModel, evaluate_jet_batch
 
 CFL_FACTOR = 0.4
-CFL_SAMPLES = 64  # grid points sampled per CFL check
 SCHEMA_VERSION = 1
 GAUGE_NOTE = "s^alpha = 0 for alpha >= 2; ds^1/dt = L (evolution gauge)"
 
@@ -217,27 +215,19 @@ def _state_rhs(model, grid, phi, phidot, s1, mask):
 def char_speeds(model: LagrangianModel, state: SimState, grid: Grid
                 ) -> np.ndarray:
     """Characteristic speed estimate per spatial direction from the
-    Hessian blocks, sampled at CFL_SAMPLES points across the current
+    Hessian blocks, the maximum over every grid point of the current
     state."""
     d = grid.ndim
     if d == 0:
         return np.zeros(0)
     v, s = _point_arrays(model, grid, state.phi, state.phidot, state.s1)
-    n, k = model.n, model.k
-    flat_q = state.phi.reshape(n, -1)
-    flat_v = v.reshape(n, k, -1)
-    flat_s = s.reshape(k, -1)
-    npts = flat_q.shape[-1]
-    stride = max(1, npts // CFL_SAMPLES)
-    sel = slice(0, None, stride)
-    jet = evaluate_jet_batch(model, flat_q[:, sel], flat_v[:, :, sel],
-                             flat_s[:, sel])
+    jet = evaluate_jet_batch(model, state.phi, v, s)
     speeds = np.zeros(d)
     for a in range(d):
         X = solve_batch(jet.d2Ldvdv[:, 0, :, 0],
                         jet.d2Ldvdv[:, 1 + a, :, 1 + a],
                         "not hyperbolic-evolvable in direction t")
-        lam = np.linalg.eigvals(X.transpose(2, 0, 1))  # (P, n)
+        lam = np.linalg.eigvals(np.moveaxis(X, (0, 1), (-2, -1)))
         speeds[a] = np.sqrt(np.max(np.abs(lam)))
     return speeds
 
@@ -443,26 +433,23 @@ def save_trace(trace: SimTrace, directory):
     directory.mkdir(parents=True, exist_ok=True)
     n = trace.phi.shape[1]
     d = trace.grid.ndim
-    axes = trace.grid.axes()
     mesh = trace.grid.mesh()
     cols = (["t"] + [f"x{a + 1}" for a in range(d)]
             + [f"phi{i}" for i in range(n)]
             + [f"phidot{i}" for i in range(n)] + ["s1"])
+    mesh_cols = [list(map(repr, m.ravel().tolist())) for m in mesh]
     with open(directory / "trace.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        flat_mesh = [m.ravel() for m in mesh]
+        # the rows csv.writer would write: repr of each float, "\r\n"
+        # line ends; one frame's strings at a time
+        fh.write(",".join(cols) + "\r\n")
         for fidx, t in enumerate(trace.t):
-            phi = trace.phi[fidx].reshape(n, -1)
-            dot = trace.phidot[fidx].reshape(n, -1)
-            s1 = trace.s1[fidx].ravel()
-            for p in range(s1.size):
-                row = ([repr(float(t))] + [repr(float(m[p]))
-                                           for m in flat_mesh]
-                       + [repr(float(phi[i, p])) for i in range(n)]
-                       + [repr(float(dot[i, p])) for i in range(n)]
-                       + [repr(float(s1[p]))])
-                writer.writerow(row)
+            size = trace.s1[fidx].size
+            frame = ([[repr(float(t))] * size] + mesh_cols
+                     + [list(map(repr, col.tolist())) for col in
+                        (*trace.phi[fidx].reshape(n, -1),
+                         *trace.phidot[fidx].reshape(n, -1),
+                         trace.s1[fidx].ravel())])
+            fh.write("\r\n".join(map(",".join, zip(*frame))) + "\r\n")
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "kind": "trace",
@@ -498,13 +485,13 @@ def load_trace(directory) -> SimTrace:
     n = (ncols - 2 - d) // 2
     F = manifest["frames"]
     S = grid.shape
-    t = data[:: int(np.prod(S)) if d else 1, 0][:F]
+    # copies, so that the parsed block is freed on return
+    t = data[:: int(np.prod(S)) if d else 1, 0][:F].copy()
     phi = data[:, 1 + d:1 + d + n].T.reshape((n, F) + S)
     dot = data[:, 1 + d + n:1 + d + 2 * n].T.reshape((n, F) + S)
-    s1 = data[:, -1].reshape((F,) + S)
+    s1 = data[:, -1].reshape((F,) + S).copy()
     return SimTrace(model_name=manifest["model"], params=manifest["params"],
                     grid=grid, dt=manifest["dt"],
-                    output_every=manifest["output_every"],
-                    t=np.asarray(t, dtype=float),
-                    phi=np.moveaxis(phi, 0, 1),
-                    phidot=np.moveaxis(dot, 0, 1), s1=s1)
+                    output_every=manifest["output_every"], t=t,
+                    phi=np.moveaxis(phi, 0, 1).copy(),
+                    phidot=np.moveaxis(dot, 0, 1).copy(), s1=s1)

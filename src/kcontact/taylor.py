@@ -8,8 +8,12 @@ derivatives are never materialized.
 
 Values may be plain floats or numpy arrays of an arbitrary batch shape;
 the gradient then has shape (m, *batch) and the Hessian rows
-(nv, m, *batch), with m = n + n*k + k and nv = n*k.  A velocity pair
-(i, a) maps to flat index i*k + a.
+(nv, m, *batch), with m = n + n*k + k and nv = n*k.  Gradients and
+Hessian rows need only broadcast against the batch: a seeded coordinate
+has the one-hot gradient (m, 1, ..., 1), so derivatives that do not vary
+from point to point (the Hessian of a density quadratic in the
+velocities) stay of shape (nv, m, 1, ..., 1).  A velocity pair (i, a)
+maps to flat index i*k + a.
 """
 
 from __future__ import annotations
@@ -145,9 +149,10 @@ class T2:
 
 
 def variable(ctx, index, value):
-    """Seed coordinate `index` (flat layout q | v | s) with `value`."""
+    """Seed coordinate `index` (flat layout q | v | s) with `value`; the
+    one-hot gradient has shape (m, 1, ..., 1) and broadcasts against it."""
     value = np.asarray(value, dtype=float)
-    grad = np.zeros((ctx.m,) + value.shape)
+    grad = np.zeros((ctx.m,) + (1,) * value.ndim)
     grad[index] = 1.0
     return T2(ctx, value, grad, None)
 

@@ -82,6 +82,10 @@ class TestDerive:
         code, _ = run_cli(capsys, "derive", "--model", "membrane",
                           "--point", "q=0.5;w=1")
         assert code == 2
+        # two velocity entries where the membrane has three
+        code, _ = run_cli(capsys, "derive", "--model", "membrane",
+                          "--point", "v=1,2")
+        assert code == 2
 
 
 class TestSimulate:

@@ -8,7 +8,7 @@ from kcontact import (LagrangianModel, NotRegularError, PhasePoint,
                       free, hessian, legendre, membrane, random_phase_point,
                       reeb, reeb_derivative_of_energy, stack_points, string,
                       sv_coupling, verify_reeb)
-from kcontact.contact import reeb_energy_derivative_batch
+from kcontact.contact import reeb_energy_derivative_batch, solve_batch
 from kcontact.taylor import cos
 
 
@@ -113,6 +113,31 @@ class TestReeb:
                 rf = reeb(jet, hessian(jet))
                 assert np.allclose(batch[:, idx],
                                    reeb_derivative_of_energy(jet, z, rf))
+
+
+class TestSolveBatch:
+    """A W with one batch element is factored once against every column
+    of b; the result must be bit for bit that of the per-point solves."""
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_batch_constant_matches_per_point(self, r):
+        rng = np.random.default_rng(r)
+        W = rng.normal(size=(r, r)) + 2 * np.eye(r)
+        W = W + W.T
+        b = rng.normal(size=(r, 3, 4, 5))
+        x = solve_batch(W[:, :, None, None], b, "singular")
+        assert x.shape == b.shape
+        for idx in np.ndindex(4, 5):
+            assert np.array_equal(x[(...,) + idx],
+                                  np.linalg.solve(W, b[(...,) + idx]))
+        full = np.array(np.broadcast_to(W[:, :, None, None], (r, r, 4, 5)))
+        assert np.array_equal(x, solve_batch(full, b, "singular"))
+
+    @pytest.mark.parametrize("W", [[[0.0]], [[1.0, 2.0], [2.0, 4.0]]])
+    def test_singular_batch_constant_raises(self, W):
+        W = np.array(W)[:, :, None]
+        with pytest.raises(NotRegularError, match="singular"):
+            solve_batch(W, np.ones((W.shape[0], 1, 6)), "singular")
 
 
 class TestDegenerate:

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from kcontact import (LagrangianModel, PhasePoint, builtin_models,
+from kcontact import (Jet2, LagrangianModel, PhasePoint, builtin_models,
                       evaluate_jet, evaluate_jet_batch, fd_check,
-                      random_phase_point)
+                      random_phase_point, stack_points)
+from kcontact.taylor import sqrt
+from test_contact import coupled_quartic
 
 
 @pytest.mark.parametrize("model", builtin_models(),
@@ -31,20 +33,43 @@ def test_jet_shapes():
     assert jet.d2Ldvds.shape == (n, k, k)
 
 
+def born_infeld():
+    """L = 1 - sqrt(1 - u_t^2 + u_x^2): every Hessian block varies from
+    point to point."""
+    return LagrangianModel(
+        n=1, k=2, name="born_infeld",
+        lagrangian=lambda q, v, s: 1.0 - sqrt(1.0 - v[0][0] * v[0][0]
+                                              + v[0][1] * v[0][1]))
+
+
 def test_batch_matches_single():
-    model = builtin_models()[2]  # membrane
+    # broadcast to the batch, every block equals the stacked single-point
+    # jets bit for bit, whether it is batch-constant or not
     rng = np.random.default_rng(5)
-    pts = [random_phase_point(model, rng) for _ in range(7)]
-    q = np.stack([z.q for z in pts], axis=-1)
-    v = np.stack([z.v for z in pts], axis=-1)
-    s = np.stack([z.s for z in pts], axis=-1)
-    jb = evaluate_jet_batch(model, q, v, s)
-    for idx, z in enumerate(pts):
-        js = evaluate_jet(model, z)
-        assert jb.L[idx] == pytest.approx(js.L, rel=1e-14)
-        assert np.allclose(jb.dLdv[..., idx], js.dLdv)
-        assert np.allclose(jb.d2Ldvdv[..., idx], js.d2Ldvdv)
-        assert np.allclose(jb.d2Ldvdq[..., idx], js.d2Ldvdq)
+    for model in builtin_models() + [born_infeld(), coupled_quartic()]:
+        pts = [random_phase_point(model, rng, scale=0.5) for _ in range(7)]
+        z = stack_points(pts)
+        jb = evaluate_jet_batch(model, z.q, z.v, z.s)
+        for name in Jet2.__dataclass_fields__:
+            block = getattr(jb, name)
+            single = np.stack([getattr(evaluate_jet(model, p), name)
+                               for p in pts], axis=-1)
+            assert np.array_equal(
+                np.broadcast_to(block, single.shape), single), (model, name)
+
+
+@pytest.mark.parametrize("model", builtin_models(),
+                         ids=lambda m: f"{m.name}-n{m.n}k{m.k}")
+def test_quadratic_hessian_blocks_batch_constant(model):
+    # the built-ins are quadratic in v: second-derivative blocks keep
+    # size-1 batch axes, first-derivative blocks carry the batch
+    q = np.zeros((model.n, 3, 4))
+    v = np.ones((model.n, model.k, 3, 4))
+    s = np.zeros((model.k, 3, 4))
+    jet = evaluate_jet_batch(model, q, v, s)
+    assert jet.dLdv.shape == (model.n, model.k, 3, 4)
+    for name in ("d2Ldvdv", "d2Ldvdq", "d2Ldvds"):
+        assert getattr(jet, name).shape[-2:] == (1, 1), name
 
 
 def test_multidim_batch_axes():

@@ -1,5 +1,8 @@
 """Method-of-lines integrator: stability guards, accuracy, export."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -67,6 +70,30 @@ class TestGuards:
         dt = 0.98 * CFL_FACTOR * grid.spacing[0] / c0
         with pytest.raises(SimulationError, match="CFL"):
             run(model, grid, dt, 20.0, init, output_every=10)
+
+    def test_cfl_checked_at_every_grid_point(self):
+        # a steep, narrow bump centred on grid point 5 of 640: every
+        # 10th point (a strided sample of 64) sees a flat state with
+        # speed ~1, while next to the bump u_x ~ 1 gives speed ~2
+        model = LagrangianModel(
+            n=1, k=2, name="quartic",
+            lagrangian=lambda q, v, s: (0.5 * v[0][0] * v[0][0]
+                                        - 0.5 * v[0][1] * v[0][1]
+                                        - 0.25 * v[0][1] ** 4))
+        grid = Grid(bounds=((0.0, 2 * np.pi),), counts=(640,),
+                    bc="periodic")
+        (x,) = grid.mesh()
+        h = grid.spacing[0]
+        phi = 0.021 * np.exp(-((x - x[5]) / (1.2 * h)) ** 2)
+        ux = (np.roll(phi, -1) - np.roll(phi, 1)) / (2 * h)
+        assert np.max(np.abs(ux[::10])) < 1e-3 < 0.9 < np.max(np.abs(ux))
+        init = SimState(phi=phi[None], phidot=np.zeros((1, 640)),
+                        s1=np.zeros(640))
+        c = char_speeds(model, init, grid)[0]
+        assert c == pytest.approx(np.sqrt(1 + 3 * np.max(ux ** 2)))
+        dt = 0.3 * h  # inside the limit at the samples, not at the bump
+        with pytest.raises(SimulationError, match="CFL"):
+            run(model, grid, dt, 4 * dt, init, output_every=4)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.filterwarnings("ignore:invalid value")
@@ -241,6 +268,48 @@ class TestExport:
         assert np.array_equal(loaded.s1, trace.s1)
         assert loaded.grid == trace.grid
         assert loaded.dt == trace.dt
+        # copies, not views that keep the whole parsed CSV block alive
+        for arr in (loaded.t, loaded.phi, loaded.phidot, loaded.s1):
+            assert arr.base is None
+
+    @staticmethod
+    def csv_writer_reference(trace):
+        """trace.csv as csv.writer writes it, one row per grid point."""
+        n, d = trace.phi.shape[1], trace.grid.ndim
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(["t"] + [f"x{a + 1}" for a in range(d)]
+                        + [f"phi{i}" for i in range(n)]
+                        + [f"phidot{i}" for i in range(n)] + ["s1"])
+        flat_mesh = [m.ravel() for m in trace.grid.mesh()]
+        for f, t in enumerate(trace.t):
+            phi = trace.phi[f].reshape(n, -1)
+            dot = trace.phidot[f].reshape(n, -1)
+            s1 = trace.s1[f].ravel()
+            for p in range(s1.size):
+                writer.writerow(
+                    [repr(float(t))] + [repr(float(m[p])) for m in flat_mesh]
+                    + [repr(float(phi[i, p])) for i in range(n)]
+                    + [repr(float(dot[i, p])) for i in range(n)]
+                    + [repr(float(s1[p]))])
+        return buf.getvalue().encode()
+
+    def test_csv_matches_csv_writer(self, tmp_path):
+        # a 2-D one-field grid and a 1-D two-field grid
+        cases = [(membrane(mu=1.0, gamma=0.2),
+                  Grid(bounds=((0, np.pi), (0, 2.0)), counts=(9, 11))),
+                 (string(rho=1.0, tau=1.0, gamma=0.3, B=1.0, lam=0.5),
+                  Grid(bounds=((0, np.pi),), counts=(16,)))]
+        for idx, (model, grid) in enumerate(cases):
+            mesh = grid.mesh()
+            phi = np.zeros((model.n,) + grid.shape)
+            phi[:] = np.sin(mesh[0]) * np.cos(mesh[-1] / 3)
+            init = SimState(phi=phi, phidot=np.zeros_like(phi),
+                            s1=np.zeros(grid.shape))
+            trace = run(model, grid, 0.05, 0.3, init, output_every=2)
+            save_trace(trace, tmp_path / str(idx))
+            assert ((tmp_path / str(idx) / "trace.csv").read_bytes()
+                    == self.csv_writer_reference(trace))
 
     def test_point_arrays_shapes(self):
         model = membrane(mu=1.0, gamma=0.2)
