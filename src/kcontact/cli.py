@@ -182,7 +182,7 @@ def _model_from_args(args) -> "LagrangianModel":
     return build_model(args.model, params)
 
 
-def _report_header(command: str, args) -> dict:
+def _report_header(command: str) -> dict:
     return {"schema_version": SCHEMA_VERSION, "command": command,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S",
                                        time.gmtime())}
@@ -228,7 +228,7 @@ def cmd_derive(args) -> int:
             "verify_reeb": verify_reeb(model, z)})
         for i, more in zip(np.flatnonzero(hw.regular), extra):
             entries[i].update(more)
-    report = _report_header("derive", args)
+    report = _report_header("derive")
     report.update({"model": model.name, "params": model.params,
                    "n": model.n, "k": model.k, "points": entries})
     if model.name == "inverse":
@@ -277,7 +277,6 @@ def cmd_simulate(args) -> int:
             model, dissipated_quantity(
                 model, builtin_symmetry_field(model, "du")), trace)))),
     }
-    manifest["schema_version"] = SCHEMA_VERSION
     with open(Path(args.output) / "manifest.json", "w") as fh:
         json.dump(_jsonable(manifest), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -454,7 +453,7 @@ def cmd_verify(args) -> int:
             raise ConfigError(f"{name} suite requires --trace DIR")
         else:
             results.append(TRACE_SUITES[name](args, tol, traces))
-    report = _report_header("verify", args)
+    report = _report_header("verify")
     report["suites"] = results
     report["pass"] = all(r["pass"] for r in results)
     _emit(report, args.output)
@@ -471,7 +470,7 @@ def cmd_inverse(args) -> int:
     worst = roundtrip_check(spec, n_samples=args.num_points,
                             rng=np.random.default_rng(args.seed))
     tol = args.tol if args.tol is not None else 1e-9
-    report = _report_header("inverse", args)
+    report = _report_header("inverse")
     report.update({"lagrangian": render_lagrangian(spec),
                    "n": model.n, "k": model.k,
                    "roundtrip_residual": worst,

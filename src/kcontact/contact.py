@@ -61,19 +61,18 @@ def legendre(jet: Jet2, z: PhasePoint) -> MomentumPoint:
     return MomentumPoint(q=z.q.copy(), p=np.array(jet.dLdv), s=z.s.copy())
 
 
-def hessian(jet: Jet2, rank_tol: float = RANK_TOL) -> HessianW:
-    """Flatten the v-v block and decide regularity by singular values.
+def hessian(jet: Jet2) -> HessianW:
+    """Flatten the v-v block and decide regularity by singular values
+    (regular when the smallest exceeds RANK_TOL times the largest).
     The SVDs run over the block's own batch shape (once for a
     batch-constant block); the results broadcast to the point batch."""
-    if rank_tol <= 0:
-        raise ValueError("rank_tol must be positive")
     n, k = jet.dLdv.shape[:2]
     batch = jet.dLdv.shape[2:]
     W = jet.d2Ldvdv.reshape((n * k, n * k) + jet.d2Ldvdv.shape[4:])
     W = 0.5 * (W + W.swapaxes(0, 1))
     sv = np.linalg.svd(np.moveaxis(W, (0, 1), (-2, -1)), compute_uv=False)
     smax, smin = sv[..., 0], sv[..., -1]
-    regular = smin > rank_tol * np.maximum(smax, 1e-300)
+    regular = smin > RANK_TOL * np.maximum(smax, 1e-300)
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = np.where(smin > 0, smax / smin, np.inf)
     return HessianW(W=np.broadcast_to(W, W.shape[:2] + batch),
@@ -125,8 +124,7 @@ def reeb(jet: Jet2, hess: HessianW) -> ReebFields:
         vcomp, vcomp.shape[:3] + jet.dLdv.shape[2:]))
 
 
-def verify_reeb(model: LagrangianModel, z: PhasePoint,
-                rank_tol: float = RANK_TOL):
+def verify_reeb(model: LagrangianModel, z: PhasePoint):
     """Residuals of the defining Reeb relations at z, one per point.
 
     i(R_b) eta^a - delta^a_b is algebraically zero (Reeb fields have no
@@ -134,7 +132,7 @@ def verify_reeb(model: LagrangianModel, z: PhasePoint,
     of the momenta, with no numerical differentiation.
     """
     jet = evaluate_jet(model, z)
-    rf = reeb(jet, hessian(jet, rank_tol))
+    rf = reeb(jet, hessian(jet))
     # i(R_b) d(eta^a) = -[dp^a_i(R_b)] dq^i with
     # dp^a_i(R_b) = d2Ldvds[i,a,b] + sum_{j,g} d2Ldvdv[i,a,j,g] vcomp[b,j,g]
     res_deta = (jet.d2Ldvds

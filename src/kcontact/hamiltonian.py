@@ -16,6 +16,7 @@ from .contact import energy, solve_batch
 from .errors import NewtonError
 from .jet import (LagrangianModel, MomentumPoint, PhasePoint, evaluate_jet,
                   evaluate_jet_batch)
+from .sim import _trace_d1, _trace_div, _trace_trim
 
 NEWTON_TOL = 1e-10
 NEWTON_MAXITER = 50
@@ -23,7 +24,8 @@ NEWTON_MAXITER = 50
 
 def _newton_batch(model, q, p, s, v0):
     """Batched Newton solve of dLdv(q, v, s) = p.  Shapes: q (n, *B),
-    p/v0 (n, k, *B), s (k, *B).  Returns v with the same shape as p."""
+    p/v0 (n, k, *B), s (k, *B).  Returns v, with the same shape as p,
+    and the jet at (q, v, s)."""
     n, k = model.n, model.k
     nk = n * k
     v = np.array(v0, dtype=float)
@@ -34,7 +36,7 @@ def _newton_batch(model, q, p, s, v0):
         r = jet.dLdv - p
         last = float(np.max(np.abs(r)))
         if last <= NEWTON_TOL:
-            return v
+            return v, jet
         if not np.isfinite(last):
             raise NewtonError("Legendre inversion diverged",
                               residual=last)
@@ -57,7 +59,8 @@ def legendre_inverse(model: LagrangianModel, mp: MomentumPoint,
     """
     if mp.p.shape[:2] != (model.n, model.k):
         raise ValueError("momentum point dims do not match model")
-    v = _newton_batch(model, mp.q, mp.p, mp.s, mp.p if v0 is None else v0)
+    v, _ = _newton_batch(model, mp.q, mp.p, mp.s,
+                         mp.p if v0 is None else v0)
     return PhasePoint(q=mp.q.copy(), v=v, s=mp.s.copy())
 
 
@@ -89,14 +92,6 @@ def momentum_path_from_arrays(model: LagrangianModel, q, v, s,
                         spacings=np.asarray(spacings, dtype=float))
 
 
-def _grid_gradient(f, spacings):
-    """Central differences of f (component axes first, grid axes last)."""
-    k = len(spacings)
-    grid_axes = range(f.ndim - k, f.ndim)
-    return [np.gradient(f, spacings[a], axis=ax, edge_order=2)
-            for a, ax in enumerate(grid_axes)]
-
-
 @dataclass(frozen=True)
 class HdwResiduals:
     """Pointwise Hamilton-De Donder-Weyl residuals on the path interior."""
@@ -115,34 +110,25 @@ def hdw_residual(model: LagrangianModel, path: MomentumPath,
                  v0=None) -> HdwResiduals:
     """Residuals of the canonical HDW equations along a discrete path.
 
-    Path derivatives are second-order central differences; Hamiltonian
-    derivatives come from the duality identities at the batched Legendre
-    preimage.  Residuals are reported on the grid interior (two layers
-    stripped) so one-sided edge stencils never enter.
+    Path derivatives and the interior the residuals are reported on are
+    those of the trace suites (`sim._trace_d1`, `sim._trace_trim`);
+    Hamiltonian derivatives come from the duality identities at the
+    batched Legendre preimage.
     """
     k = model.k
-    if path.spacings.shape != (k,):
+    h = path.spacings
+    if h.shape != (k,):
         raise ValueError("path spacings must have one entry per direction")
-    v = _newton_batch(model, path.q, path.p, path.s,
-                      path.p if v0 is None else v0)
-    jet = evaluate_jet_batch(model, path.q, v, path.s)
-
-    dq = np.stack(_grid_gradient(path.q, path.spacings), axis=1)
-    dp = _grid_gradient(path.p, path.spacings)
-    ds = _grid_gradient(path.s, path.spacings)
-
-    r_q = dq - v
-    r_p = (sum(dp[a][:, a] for a in range(k))
+    v, jet = _newton_batch(model, path.q, path.p, path.s,
+                           path.p if v0 is None else v0)
+    r_q = np.stack([_trace_d1(path.q, h, a) for a in range(k)], axis=1) - v
+    r_p = (_trace_div(path.p, h)
            - jet.dLdq
            - np.einsum("ia...,a...->i...", path.p, jet.dLds))
     H = np.einsum("ia...,ia...->...", v, jet.dLdv) - jet.L
     pv = np.einsum("ia...,ia...->...", path.p, v)
-    r_s = sum(ds[a][a] for a in range(k)) - (pv - H)
-
-    cut = tuple(slice(2, -2) for _ in range(k))
-    return HdwResiduals(r_q=r_q[(slice(None), slice(None)) + cut],
-                        r_p=r_p[(slice(None),) + cut],
-                        r_s=r_s[cut])
+    r_s = _trace_div(path.s, h) - (pv - H)
+    return HdwResiduals(*(_trace_trim(r, k) for r in (r_q, r_p, r_s)))
 
 
 def no_reeb_residual(model: LagrangianModel, mp: MomentumPoint,

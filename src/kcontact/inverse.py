@@ -156,22 +156,23 @@ def direct_residual(spec: PdeSpec, sj: SecondJet) -> float:
 
 
 def roundtrip_check(spec: PdeSpec, n_samples: int = 100,
-                    rng=None, scale: float = 1.0) -> float:
+                    rng=None) -> float:
     """Max discrepancy between the built model's Euler-Lagrange residual
-    and the prescribed PDE over random second jets.  The model side is
-    evaluated once over all samples; the oracle, one sample at a time."""
+    and the prescribed PDE over random second jets, every entry uniform
+    in [-1, 1].  The model side is evaluated once over all samples; the
+    oracle, one sample at a time."""
     rng = np.random.default_rng(0) if rng is None else rng
     model = build_lagrangian(spec)
     k = spec.k
     jets = []
     for _ in range(n_samples):
-        z = PhasePoint(q=rng.uniform(-scale, scale, 1),
-                       v=rng.uniform(-scale, scale, (1, k)),
-                       s=rng.uniform(-scale, scale, k))
-        a = rng.uniform(-scale, scale, (1, k, k))
+        z = PhasePoint(q=rng.uniform(-1.0, 1.0, 1),
+                       v=rng.uniform(-1.0, 1.0, (1, k)),
+                       s=rng.uniform(-1.0, 1.0, k))
+        a = rng.uniform(-1.0, 1.0, (1, k, k))
         a = 0.5 * (a + np.swapaxes(a, 1, 2))
         jets.append(SecondJet(z=z, a=a,
-                              dsdt=rng.uniform(-scale, scale, (k, k))))
+                              dsdt=rng.uniform(-1.0, 1.0, (k, k))))
     direct = [direct_residual(spec, sj) for sj in jets]
     z = stack_points([sj.z for sj in jets])
     rEL, _ = el_residual_batch(

@@ -84,7 +84,9 @@ class Jet2:
     Batched evaluations append the batch axes on the right.  L and the
     first-derivative blocks carry the full batch; the three
     second-derivative blocks carry trailing axes that broadcast against
-    it, of size 1 where they do not vary from point to point.
+    it, of size 1 where they do not vary from point to point.  Blocks
+    are views of the Taylor kernel's output, possibly read-only and
+    sharing memory with the coordinates; never write into them.
     """
 
     L: np.ndarray
@@ -95,15 +97,15 @@ class Jet2:
     d2Ldvdq: np.ndarray
     d2Ldvds: np.ndarray
 
-    def check(self, rtol=1e-12):
-        """Validate finiteness and v-v symmetry of the Hessian block."""
+    def check(self):
+        """Validate finiteness and v-v symmetry of d2Ldvdv (rtol 1e-12)."""
         for name in self.__dataclass_fields__:
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"non-finite entries in jet block {name}")
         W = self.d2Ldvdv
         Wt = np.moveaxis(W, (0, 1, 2, 3), (2, 3, 0, 1))
         scale = max(np.max(np.abs(W)), 1.0)
-        if np.max(np.abs(W - Wt)) > rtol * scale:
+        if np.max(np.abs(W - Wt)) > 1e-12 * scale:
             raise ValueError("velocity Hessian block is not symmetric")
         return self
 
@@ -166,10 +168,10 @@ def evaluate_jet_batch(model: LagrangianModel, q, v, s) -> Jet2:
     hb = hess.shape[2:]
     nv = ctx.nv
     return Jet2(
-        L=np.array(L),
-        dLdq=np.array(grad[:n]),
-        dLdv=np.array(grad[n:n + nv]).reshape((n, k) + batch),
-        dLds=np.array(grad[n + nv:]),
+        L=L,
+        dLdq=grad[:n],
+        dLdv=grad[n:n + nv].reshape((n, k) + batch),
+        dLds=grad[n + nv:],
         d2Ldvdv=hess[:, n:n + nv].reshape((n, k, n, k) + hb),
         d2Ldvdq=hess[:, :n].reshape((n, k, n) + hb),
         d2Ldvds=hess[:, n + nv:].reshape((n, k, k) + hb),

@@ -8,6 +8,7 @@ differentiation kernel and the grid simulator.
 from __future__ import annotations
 
 from .errors import ConfigError
+from .inverse import PdeSpec, build_lagrangian
 from .jet import LagrangianModel
 
 
@@ -129,7 +130,6 @@ def build_model(name: str, params: dict) -> LagrangianModel:
             model = damped_oscillator(gamma=float(params.pop("gamma", 0.1)),
                                       omega=float(params.pop("omega", 1.0)))
         elif name == "inverse":
-            from .inverse import PdeSpec, build_lagrangian
             spec = params.pop("spec", None)
             if spec is None:
                 raise ConfigError("inverse model requires a 'spec'")

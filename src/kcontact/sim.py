@@ -124,14 +124,16 @@ def zero_state(model: LagrangianModel, grid: Grid) -> SimState:
 
 # -- stencils -----------------------------------------------------------
 
-def _d1(f, h, axis, bc):
-    if bc == "periodic":
+def _d1(f, h, axis, periodic):
+    """Central first difference along `axis`, wrapped if `periodic`, else
+    one-sided second-order at both ends; also the trace stencil."""
+    if periodic:
         return (np.roll(f, -1, axis=axis) - np.roll(f, 1, axis=axis)) / (2 * h)
     return np.gradient(f, h, axis=axis, edge_order=2)
 
 
-def _d2(f, h, axis, bc):
-    if bc == "periodic":
+def _d2(f, h, axis, periodic):
+    if periodic:
         return (np.roll(f, -1, axis=axis) - 2 * f
                 + np.roll(f, 1, axis=axis)) / h ** 2
     out = np.empty_like(f)
@@ -159,7 +161,8 @@ def _point_arrays(model, grid, phi, phidot, s1):
     v = np.zeros((n, k) + phi.shape[1:])
     v[:, 0] = phidot
     for x in range(grid.ndim):
-        v[:, 1 + x] = _d1(phi, grid.spacing[x], x - grid.ndim, grid.bc)
+        v[:, 1 + x] = _d1(phi, grid.spacing[x], x - grid.ndim,
+                          grid.bc == "periodic")
     s = np.zeros((k,) + phi.shape[1:])
     s[0] = s1
     return v, s
@@ -172,19 +175,20 @@ def _second_jet(grid, phi, v, s1):
     dsdt[0, 0] are left zero for the caller to fill in or solve for."""
     n, k = v.shape[:2]
     d = grid.ndim
+    periodic = grid.bc == "periodic"
     a = np.zeros((n, k, k) + phi.shape[1:])
     dsdt = np.zeros((k, k) + phi.shape[1:])
     for x in range(d):
         h, ax = grid.spacing[x], x - d
-        mixed = _d1(v[:, 0], h, ax, grid.bc)
+        mixed = _d1(v[:, 0], h, ax, periodic)
         a[:, 0, 1 + x] = mixed
         a[:, 1 + x, 0] = mixed
-        a[:, 1 + x, 1 + x] = _d2(phi, h, ax, grid.bc)
+        a[:, 1 + x, 1 + x] = _d2(phi, h, ax, periodic)
         for y in range(x + 1, d):
-            cross = _d1(v[:, 1 + x], grid.spacing[y], y - d, grid.bc)
+            cross = _d1(v[:, 1 + x], grid.spacing[y], y - d, periodic)
             a[:, 1 + x, 1 + y] = cross
             a[:, 1 + y, 1 + x] = cross
-        dsdt[1 + x, 0] = _d1(s1, h, ax, grid.bc)
+        dsdt[1 + x, 0] = _d1(s1, h, ax, periodic)
     return a, dsdt
 
 
@@ -301,6 +305,26 @@ def run(model: LagrangianModel, grid: Grid, dt: float, t_end: float,
 
 
 # -- trace-derived quantities ------------------------------------------
+# Trace suites difference along every direction of the trailing (time,
+# space) grid axes with `_d1`, ends not wrapped, and report on the
+# interior, where the one-sided end stencils never enter.
+
+def _trace_d1(f, spacings, a):
+    """d_a f over the trailing len(spacings) grid axes of f."""
+    return _d1(f, spacings[a], a - len(spacings), False)
+
+
+def _trace_div(fields, spacings):
+    """sum_a d_a fields[..., a, *G] over the trailing grid axes G."""
+    k = len(spacings)
+    return sum(_trace_d1(np.moveaxis(fields, -k - 1, 0)[a], spacings, a)
+               for a in range(k))
+
+
+def _trace_trim(arr, k):
+    """arr with two layers stripped at both ends of its last k axes."""
+    return arr[(Ellipsis,) + (slice(2, -2),) * k]
+
 
 def trace_point_arrays(model: LagrangianModel, trace: SimTrace):
     """Phase-point coordinate arrays over the (time, space) trace grid.
@@ -323,13 +347,11 @@ def trace_el_residual(model: LagrangianModel, trace: SimTrace):
     every direction, including time)."""
     q, v, s, spacings = trace_point_arrays(model, trace)
     a, dsdt = _second_jet(trace.grid, q, v, trace.s1)
-    a[:, 0, 0] = _d1(v[:, 0], spacings[0], 1, "trace")
-    dsdt[0, 0] = _d1(trace.s1, spacings[0], 0, "trace")
+    a[:, 0, 0] = _trace_d1(v[:, 0], spacings, 0)
+    dsdt[0, 0] = _trace_d1(trace.s1, spacings, 0)
     rEL, rS = el_residual_batch(model, q, v, s, a, dsdt)
-    cut = (slice(2, -2),) * (1 + trace.grid.ndim)
-    rEL_int = rEL[(slice(None),) + cut]
-    rS_int = rS[cut]
-    return float(np.max(np.abs(rEL_int))), float(np.max(np.abs(rS_int)))
+    return tuple(float(np.max(np.abs(_trace_trim(r, model.k))))
+                 for r in (rEL, rS))
 
 
 def energy_monitor(model: LagrangianModel, state: SimState,

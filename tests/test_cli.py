@@ -30,6 +30,22 @@ def report_of(capsys, *argv):
     return code, json.loads(out)
 
 
+def count_jets(monkeypatch):
+    """Patch every module binding of `evaluate_jet_batch` with a wrapper
+    that records one entry per call; returns the record."""
+    original, calls = jet.evaluate_jet_batch, []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if (name.startswith("kcontact.")
+                and getattr(mod, "evaluate_jet_batch", None) is original):
+            monkeypatch.setattr(mod, "evaluate_jet_batch", counting)
+    return calls
+
+
 class TestDerive:
     def test_membrane_reference_point(self, capsys):
         code, rep = report_of(
@@ -206,16 +222,7 @@ class TestVerify:
 
     def test_point_suite_jets_independent_of_point_count(self, capsys,
                                                          monkeypatch):
-        original, calls = jet.evaluate_jet_batch, []
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        for name, mod in list(sys.modules.items()):
-            if (name.startswith("kcontact.")
-                    and getattr(mod, "evaluate_jet_batch", None) is original):
-                monkeypatch.setattr(mod, "evaluate_jet_batch", counting)
+        calls = count_jets(monkeypatch)
         counts = []
         for num in ("10", "100"):
             calls.clear()
@@ -273,6 +280,19 @@ class TestVerify:
         assert code == 0
         assert [s["suite"] for s in rep["suites"]] == ["dissipation", "hdw"]
         assert calls == [coarse, fine]
+
+    def test_trace_suites_evaluate_three_jets_per_trace(
+            self, capsys, monkeypatch, membrane_trace_pair):
+        # dissipation: one jet for F and R_a(E); hdw: one for the
+        # momenta, one Newton iteration (v0 is the preimage), whose jet
+        # the residuals reuse
+        calls = count_jets(monkeypatch)
+        code, _ = report_of(capsys, "verify", "--suite", "dissipation",
+                            "--suite", "hdw", "--trace",
+                            membrane_trace_pair[0], "--trace",
+                            membrane_trace_pair[1])
+        assert code == 0
+        assert len(calls) == 3 * 2
 
     def test_inverse_roundtrip_suite(self, capsys):
         code, rep = report_of(capsys, "verify", "--suite",

@@ -150,9 +150,3 @@ class TestDegenerate:
         assert not hw.regular
         with pytest.raises(NotRegularError):
             reeb(jet, hw)
-
-    def test_rank_tol_must_be_positive(self):
-        model = free()
-        z = random_phase_point(model, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            hessian(evaluate_jet(model, z), rank_tol=0.0)

@@ -1,5 +1,6 @@
-"""Source hygiene: every module-level import of the package is used, and
-every module-level private function is referenced."""
+"""Source hygiene: every module-level import of the package is used, no
+function imports locally, and every module-level private function is
+referenced."""
 
 import ast
 from pathlib import Path
@@ -56,3 +57,14 @@ def test_no_orphan_private_functions():
                and not node.name.startswith("__")
                and node.name not in used]
     assert orphans == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_function_local_imports(path):
+    tree = ast.parse(path.read_text())
+    local = [f"{fn.name} (line {node.lineno})"
+             for fn in ast.walk(tree)
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(fn)
+             if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert local == []
