@@ -26,7 +26,8 @@ from .hamiltonian import (hamiltonian_value, hdw_residual, legendre_inverse,
                           momentum_path_from_arrays)
 from .inverse import (PdeSpec, build_lagrangian, membrane_spec,
                       render_lagrangian, roundtrip_check)
-from .jet import PhasePoint, evaluate_jet, random_phase_point, stack_points
+from .jet import (PhasePoint, evaluate_jet, evaluate_jet_batch,
+                  random_phase_point, stack_points)
 from .models import MODEL_NAMES, build_model
 from .sim import (SCHEMA_VERSION, Grid, SimState, load_trace, run,
                   save_trace, trace_el_residual, trace_point_arrays)
@@ -397,8 +398,11 @@ def _suite_hdw(args, tol, traces) -> dict:
     residuals = []
     for trace, model in traces():
         q, v, s, spacings = trace_point_arrays(model, trace)
-        path = momentum_path_from_arrays(model, q, v, s, spacings)
-        residuals.append(hdw_residual(model, path, v0=v).max())
+        # v is the Legendre preimage of the path's momenta, so the jet
+        # that gives them also starts the Newton solve
+        jet = evaluate_jet_batch(model, q, v, s)
+        path = momentum_path_from_arrays(model, q, v, s, spacings, jet)
+        residuals.append(hdw_residual(model, path, v0=v, jet=jet).max())
     return {"suite": "hdw", **_trace_verdict(residuals, tol)}
 
 

@@ -22,17 +22,19 @@ NEWTON_TOL = 1e-10
 NEWTON_MAXITER = 50
 
 
-def _newton_batch(model, q, p, s, v0):
+def _newton_batch(model, q, p, s, v0, jet=None):
     """Batched Newton solve of dLdv(q, v, s) = p.  Shapes: q (n, *B),
-    p/v0 (n, k, *B), s (k, *B).  Returns v, with the same shape as p,
-    and the jet at (q, v, s)."""
+    p/v0 (n, k, *B), s (k, *B).  `jet`, if given, is the jet at
+    (q, v0, s), which the first iteration then does not evaluate again.
+    Returns v, with the same shape as p, and the jet at (q, v, s)."""
     n, k = model.n, model.k
     nk = n * k
     v = np.array(v0, dtype=float)
     batch = v.shape[2:]
     last = np.inf
     for _ in range(NEWTON_MAXITER):
-        jet = evaluate_jet_batch(model, q, v, s)
+        if jet is None:
+            jet = evaluate_jet_batch(model, q, v, s)
         r = jet.dLdv - p
         last = float(np.max(np.abs(r)))
         if last <= NEWTON_TOL:
@@ -45,6 +47,7 @@ def _newton_batch(model, q, p, s, v0):
             r.reshape((nk, 1) + batch),
             "singular velocity Hessian during Legendre inversion")
         v = v - step.reshape((n, k) + batch)
+        jet = None
     raise NewtonError(
         f"Legendre inversion did not converge in {NEWTON_MAXITER} "
         f"iterations (last residual {last:.3e})", residual=last)
@@ -84,9 +87,11 @@ class MomentumPath:
 
 
 def momentum_path_from_arrays(model: LagrangianModel, q, v, s,
-                              spacings) -> MomentumPath:
-    """Push a (batched) velocity path through the Legendre map."""
-    jet = evaluate_jet_batch(model, q, v, s)
+                              spacings, jet=None) -> MomentumPath:
+    """Push a (batched) velocity path through the Legendre map; `jet`,
+    the jet at (q, v, s), is evaluated unless given."""
+    if jet is None:
+        jet = evaluate_jet_batch(model, q, v, s)
     return MomentumPath(q=np.asarray(q, dtype=float), p=np.array(jet.dLdv),
                         s=np.asarray(s, dtype=float),
                         spacings=np.asarray(spacings, dtype=float))
@@ -107,20 +112,21 @@ class HdwResiduals:
 
 
 def hdw_residual(model: LagrangianModel, path: MomentumPath,
-                 v0=None) -> HdwResiduals:
+                 v0=None, jet=None) -> HdwResiduals:
     """Residuals of the canonical HDW equations along a discrete path.
 
     Path derivatives and the interior the residuals are reported on are
     those of the trace suites (`sim._trace_d1`, `sim._trace_trim`);
     Hamiltonian derivatives come from the duality identities at the
-    batched Legendre preimage.
+    batched Legendre preimage.  `jet`, the jet at (path.q, v0, path.s)
+    if already evaluated, starts the Newton solve for that preimage.
     """
     k = model.k
     h = path.spacings
     if h.shape != (k,):
         raise ValueError("path spacings must have one entry per direction")
     v, jet = _newton_batch(model, path.q, path.p, path.s,
-                           path.p if v0 is None else v0)
+                           path.p if v0 is None else v0, jet)
     r_q = np.stack([_trace_d1(path.q, h, a) for a in range(k)], axis=1) - v
     r_p = (_trace_div(path.p, h)
            - jet.dLdq

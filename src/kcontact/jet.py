@@ -85,8 +85,10 @@ class Jet2:
     first-derivative blocks carry the full batch; the three
     second-derivative blocks carry trailing axes that broadcast against
     it, of size 1 where they do not vary from point to point.  Blocks
-    are views of the Taylor kernel's output, possibly read-only and
-    sharing memory with the coordinates; never write into them.
+    stack the Taylor kernel's stored rows and may be broadcast views,
+    read-only and sharing memory with the coordinates; a block with no
+    stored row (dLdq of a density free of q) is a read-only broadcast
+    zero.  Never write into them.
     """
 
     L: np.ndarray
@@ -146,6 +148,23 @@ class LagrangianModel:
         return np.broadcast_to(np.asarray(out, dtype=float), shape)
 
 
+def _block(rows, keys, lead, tail):
+    """The rows `keys` of a T2 derivative dict as one array of shape
+    lead + tail.  Only the stored rows are stacked, at their broadcast
+    shape, with zeros for the absent ones; a block with no stored row is
+    a read-only broadcast zero."""
+    stored = [(i, rows[key]) for i, key in enumerate(keys) if key in rows]
+    if not stored:
+        return np.broadcast_to(0.0, lead + tail)
+    b = np.broadcast_shapes(*(np.shape(x) for _, x in stored),
+                            (1,) * len(tail))
+    block = np.zeros((len(keys),) + b)
+    for i, x in stored:
+        block[i] = x
+    block = block.reshape(lead + b)
+    return block if b == tail else np.broadcast_to(block, lead + tail)
+
+
 def evaluate_jet_batch(model: LagrangianModel, q, v, s) -> Jet2:
     """Exact Jet2 blocks at a batch of points.
 
@@ -159,22 +178,26 @@ def evaluate_jet_batch(model: LagrangianModel, q, v, s) -> Jet2:
     ctx = TaylorContext(n, k)
     out = model.lagrangian(*variables(ctx, q, v, s))
     if not isinstance(out, T2):  # constant Lagrangian
-        out = T2(ctx, out, np.zeros((ctx.m,) + (1,) * len(batch)))
-    L = np.broadcast_to(np.asarray(out.val, dtype=float), batch)
-    grad = np.broadcast_to(out.grad, (ctx.m,) + batch)
-    # the second-derivative blocks keep the kernel's trailing shape, which
-    # broadcasts against the batch (size-1 axes where L is quadratic in v)
-    hess = out._materialized_hess()
-    hb = hess.shape[2:]
+        out = T2(ctx, out, {}, {})
     nv = ctx.nv
+    qs, vs, ss = range(n), range(n, n + nv), range(n + nv, ctx.m)
+    # the second-derivative blocks keep the stored entries' shape, which
+    # broadcasts against the batch (size-1 axes where L is quadratic in v)
+    hb = np.broadcast_shapes(*map(np.shape, out.hess.values()),
+                             (1,) * len(batch))
+
+    def hess(cols, lead):
+        return _block(out.hess, [(r, j) for r in range(nv) for j in cols],
+                      (n, k) + lead, hb)
+
     return Jet2(
-        L=L,
-        dLdq=grad[:n],
-        dLdv=grad[n:n + nv].reshape((n, k) + batch),
-        dLds=grad[n + nv:],
-        d2Ldvdv=hess[:, n:n + nv].reshape((n, k, n, k) + hb),
-        d2Ldvdq=hess[:, :n].reshape((n, k, n) + hb),
-        d2Ldvds=hess[:, n + nv:].reshape((n, k, k) + hb),
+        L=np.broadcast_to(np.asarray(out.val, dtype=float), batch),
+        dLdq=_block(out.grad, qs, (n,), batch),
+        dLdv=_block(out.grad, vs, (n, k), batch),
+        dLds=_block(out.grad, ss, (k,), batch),
+        d2Ldvdv=hess(vs, (n, k)),
+        d2Ldvdq=hess(qs, (n,)),
+        d2Ldvds=hess(ss, (k,)),
     )
 
 

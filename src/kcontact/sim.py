@@ -124,32 +124,44 @@ def zero_state(model: LagrangianModel, grid: Grid) -> SimState:
 
 # -- stencils -----------------------------------------------------------
 
+def _along(f, axis):
+    """Index builder for `f`: at(start, stop) selects start:stop along
+    `axis` and everything along the other axes."""
+    def at(start, stop):
+        idx = [slice(None)] * f.ndim
+        idx[axis] = slice(start, stop)
+        return tuple(idx)
+    return at
+
+
 def _d1(f, h, axis, periodic):
     """Central first difference along `axis`, wrapped if `periodic`, else
-    one-sided second-order at both ends; also the trace stencil."""
+    one-sided second-order at both ends with numpy's coefficients (it
+    equals numpy's `gradient` with edge_order=2 bit for bit); also the
+    trace stencil."""
     if periodic:
         return (np.roll(f, -1, axis=axis) - np.roll(f, 1, axis=axis)) / (2 * h)
-    return np.gradient(f, h, axis=axis, edge_order=2)
+    at = _along(f, axis)
+    out = np.empty_like(f)
+    out[at(1, -1)] = (f[at(2, None)] - f[at(None, -2)]) / (2. * h)
+    out[at(None, 1)] = (-1.5 / h * f[at(None, 1)] + 2. / h * f[at(1, 2)]
+                        + -0.5 / h * f[at(2, 3)])
+    out[at(-1, None)] = (0.5 / h * f[at(-3, -2)] + -2. / h * f[at(-2, -1)]
+                         + 1.5 / h * f[at(-1, None)])
+    return out
 
 
 def _d2(f, h, axis, periodic):
     if periodic:
         return (np.roll(f, -1, axis=axis) - 2 * f
                 + np.roll(f, 1, axis=axis)) / h ** 2
+    at = _along(f, axis)
     out = np.empty_like(f)
-    lo = [slice(None)] * f.ndim
-    mid = [slice(None)] * f.ndim
-    hi = [slice(None)] * f.ndim
-    lo[axis], mid[axis], hi[axis] = slice(0, -2), slice(1, -1), slice(2, None)
-    out[tuple(mid)] = (f[tuple(hi)] - 2 * f[tuple(mid)]
-                       + f[tuple(lo)]) / h ** 2
+    out[at(1, -1)] = (f[at(2, None)] - 2 * f[at(1, -1)]
+                      + f[at(None, -2)]) / h ** 2
     # edge values are only consumed by masked-off Dirichlet nodes
-    first = [slice(None)] * f.ndim
-    second = [slice(None)] * f.ndim
-    first[axis], second[axis] = slice(0, 1), slice(1, 2)
-    out[tuple(first)] = out[tuple(second)]
-    first[axis], second[axis] = slice(-1, None), slice(-2, -1)
-    out[tuple(first)] = out[tuple(second)]
+    out[at(None, 1)] = out[at(1, 2)]
+    out[at(-1, None)] = out[at(-2, -1)]
     return out
 
 

@@ -85,7 +85,7 @@ class SymmetryField:
         ctx = TaylorContext(self.n, self.k)
         dYq, dYv, dYs = self._blocks(
             variables(ctx, q, v, s), (ctx.m,) + q.shape[1:],
-            lambda x: x.grad if isinstance(x, T2) else 0.0)
+            lambda x: x.dense()[0] if isinstance(x, T2) else 0.0)
         return SymmetryJacobian(dYq=dYq, dYv=dYv, dYs=dYs)
 
 

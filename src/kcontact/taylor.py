@@ -1,19 +1,25 @@
-"""Truncated second-order Taylor arithmetic.
+"""Truncated second-order Taylor arithmetic with sparse derivative rows.
 
-A `T2` carries a value, its gradient with respect to all phase-space
+A `T2` carries a value, its gradient with respect to the phase-space
 coordinates (q^i, v^i_a, s^a), and the second-derivative rows paired with
 the velocity coordinates only.  Those are exactly the blocks the field
 equations ever contract against, so the q-q, q-s and s-s second
-derivatives are never materialized.
+derivatives are never formed.
 
-Values may be plain floats or numpy arrays of an arbitrary batch shape;
-the gradient then has shape (m, *batch) and the Hessian rows
-(nv, m, *batch), with m = n + n*k + k and nv = n*k.  Gradients and
-Hessian rows need only broadcast against the batch: a seeded coordinate
-has the one-hot gradient (m, 1, ..., 1), so derivatives that do not vary
-from point to point (the Hessian of a density quadratic in the
-velocities) stay of shape (nv, m, 1, ..., 1).  A velocity pair (i, a)
-maps to flat index i*k + a.
+Coordinates are numbered in the flat layout q | v | s, m = n + n*k + k
+of them, the velocity pair (i, a) at n + i*k + a.  Derivatives are kept
+by row, and only the rows that can be nonzero are stored:
+
+  grad  {j: dL/dx^j}                     j in range(m)
+  hess  {(r, j): d2L/dv^r dx^j}          r in range(n*k), j in range(m)
+
+A row that is absent is structurally zero.  Values may be plain floats
+or numpy arrays of an arbitrary batch shape, and each stored row need
+only broadcast against the batch: a seeded coordinate has the one row
+1.0 of shape (1, ..., 1), so a product of two velocities stores no q or
+s rows, and the Hessian of a density quadratic in the velocities stays
+of shape (1, ..., 1) per entry.  Every operation touches only the rows
+its operands carry; `dense` lays them out as full arrays.
 """
 
 from __future__ import annotations
@@ -38,60 +44,67 @@ class TaylorContext:
     def m(self) -> int:
         return self.n + self.nv + self.k
 
-    @property
-    def vslice(self) -> slice:
-        # rows/columns of the velocity coordinates inside the gradient
-        return slice(self.n, self.n + self.nv)
+
+def _add_into(rows, key, x):
+    # rows[key] += x, where an absent row is zero
+    rows[key] = rows[key] + x if key in rows else x
 
 
 class T2:
     """Second-order Taylor value over a `TaylorContext`.
 
-    `hess` may be None, meaning identically zero; linear operations
-    preserve that, which keeps affine models cheap.
+    `grad` maps a coordinate index to its gradient row and `hess` maps
+    (velocity row, coordinate index) to a second-derivative entry; an
+    absent key is zero (see the module docstring).  Operations never
+    mutate the dicts of their operands, so results may share rows.
     """
 
     __slots__ = ("ctx", "val", "grad", "hess")
 
-    def __init__(self, ctx, val, grad, hess=None):
+    def __init__(self, ctx, val, grad, hess):
         self.ctx = ctx
         self.val = val
         self.grad = grad
         self.hess = hess
 
-    # -- helpers -------------------------------------------------------
+    def dense(self):
+        """The gradient (m, *b) and the velocity Hessian rows (nv, m, *b)
+        as arrays, absent rows filled with zeros; b is the broadcast shape
+        of the stored rows."""
+        ctx = self.ctx
+        rows = [*self.grad.values(), *self.hess.values()]
+        b = np.broadcast_shapes(*map(np.shape, rows))
+        grad = np.zeros((ctx.m,) + b)
+        for j, g in self.grad.items():
+            grad[j] = g
+        hess = np.zeros((ctx.nv, ctx.m) + b)
+        for rj, h in self.hess.items():
+            hess[rj] = h
+        return grad, hess
 
-    def _materialized_hess(self):
-        if self.hess is not None:
-            return self.hess
-        shape = (self.ctx.nv,) + np.shape(self.grad)
-        return np.zeros(shape)
-
-    @staticmethod
-    def _add_hess(a, b):
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return a + b
-
-    def _vgrad(self):
-        # gradient restricted to the velocity rows, shape (nv, *batch)
-        return self.grad[self.ctx.vslice]
+    def _vrows(self):
+        # the stored velocity rows of the gradient as (r, row) pairs
+        n, nv = self.ctx.n, self.ctx.nv
+        return [(j - n, g) for j, g in self.grad.items() if n <= j < n + nv]
 
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, T2):
-            return T2(self.ctx, self.val + other.val, self.grad + other.grad,
-                      self._add_hess(self.hess, other.hess))
-        return T2(self.ctx, self.val + other, self.grad, self.hess)
+        if not isinstance(other, T2):
+            return T2(self.ctx, self.val + other, self.grad, self.hess)
+        grad, hess = dict(self.grad), dict(self.hess)
+        for j, g in other.grad.items():
+            _add_into(grad, j, g)
+        for rj, h in other.hess.items():
+            _add_into(hess, rj, h)
+        return T2(self.ctx, self.val + other.val, grad, hess)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return T2(self.ctx, -self.val, -self.grad,
-                  None if self.hess is None else -self.hess)
+        return T2(self.ctx, -self.val,
+                  {j: -g for j, g in self.grad.items()},
+                  {rj: -h for rj, h in self.hess.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -101,17 +114,24 @@ class T2:
 
     def __mul__(self, other):
         if not isinstance(other, T2):
-            return T2(self.ctx, self.val * other, self.grad * other,
-                      None if self.hess is None else self.hess * other)
-        cross = (self._vgrad()[:, None] * other.grad[None, :]
-                 + other._vgrad()[:, None] * self.grad[None, :])
-        hess = cross
-        if self.hess is not None:
-            hess = hess + self.hess * other.val
-        if other.hess is not None:
-            hess = hess + other.hess * self.val
-        return T2(self.ctx, self.val * other.val,
-                  self.grad * other.val + other.grad * self.val, hess)
+            return T2(self.ctx, self.val * other,
+                      {j: g * other for j, g in self.grad.items()},
+                      {rj: h * other for rj, h in self.hess.items()})
+        a, b = self.val, other.val
+        grad = {j: g * b for j, g in self.grad.items()}
+        for j, g in other.grad.items():
+            _add_into(grad, j, g * a)
+        # cross terms first, then the operands' own Hessians scaled by the
+        # other value, so each entry sums its terms in a fixed order
+        hess = {}
+        for x, y in ((self, other), (other, self)):
+            for r, gr in x._vrows():
+                for j, g in y.grad.items():
+                    _add_into(hess, (r, j), gr * g)
+        for h2, w in ((self.hess, b), (other.hess, a)):
+            for rj, h in h2.items():
+                _add_into(hess, rj, h * w)
+        return T2(self.ctx, self.val * other.val, grad, hess)
 
     __rmul__ = __mul__
 
@@ -139,22 +159,22 @@ class T2:
     def apply(self, f, df, d2f):
         """Compose with a scalar function given its first two derivatives."""
         f0, f1, f2 = f(self.val), df(self.val), d2f(self.val)
-        hess = f2 * (self._vgrad()[:, None] * self.grad[None, :])
-        if self.hess is not None:
-            hess = hess + f1 * self.hess
-        return T2(self.ctx, f0, f1 * self.grad, hess)
+        hess = {(r, j): f2 * (gr * g)
+                for r, gr in self._vrows() for j, g in self.grad.items()}
+        for rj, h in self.hess.items():
+            _add_into(hess, rj, f1 * h)
+        return T2(self.ctx, f0, {j: f1 * g for j, g in self.grad.items()},
+                  hess)
 
     def __repr__(self):
         return f"T2(val={self.val!r})"
 
 
 def variable(ctx, index, value):
-    """Seed coordinate `index` (flat layout q | v | s) with `value`; the
-    one-hot gradient has shape (m, 1, ..., 1) and broadcasts against it."""
+    """Seed coordinate `index` (flat layout q | v | s) with `value`; its
+    one gradient row 1.0 has shape (1, ..., 1) and broadcasts against it."""
     value = np.asarray(value, dtype=float)
-    grad = np.zeros((ctx.m,) + (1,) * value.ndim)
-    grad[index] = 1.0
-    return T2(ctx, value, grad, None)
+    return T2(ctx, value, {index: np.ones((1,) * value.ndim)}, {})
 
 
 def variables(ctx, q, v, s):

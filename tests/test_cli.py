@@ -281,18 +281,18 @@ class TestVerify:
         assert [s["suite"] for s in rep["suites"]] == ["dissipation", "hdw"]
         assert calls == [coarse, fine]
 
-    def test_trace_suites_evaluate_three_jets_per_trace(
+    def test_trace_suites_evaluate_two_jets_per_trace(
             self, capsys, monkeypatch, membrane_trace_pair):
         # dissipation: one jet for F and R_a(E); hdw: one for the
-        # momenta, one Newton iteration (v0 is the preimage), whose jet
-        # the residuals reuse
+        # momenta, which also starts Newton (v0 is the preimage) and
+        # gives the residuals their Hamiltonian derivatives
         calls = count_jets(monkeypatch)
         code, _ = report_of(capsys, "verify", "--suite", "dissipation",
                             "--suite", "hdw", "--trace",
                             membrane_trace_pair[0], "--trace",
                             membrane_trace_pair[1])
         assert code == 0
-        assert len(calls) == 3 * 2
+        assert len(calls) == 2 * 2
 
     def test_inverse_roundtrip_suite(self, capsys):
         code, rep = report_of(capsys, "verify", "--suite",

@@ -1,10 +1,12 @@
 """Exact jets vs pure finite differences of the Lagrangian density."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from kcontact import (Jet2, LagrangianModel, PhasePoint, builtin_models,
-                      evaluate_jet, evaluate_jet_batch, fd_check,
+                      evaluate_jet, evaluate_jet_batch, fd_check, membrane,
                       random_phase_point, stack_points)
 from kcontact.taylor import sqrt
 from test_contact import coupled_quartic
@@ -70,6 +72,44 @@ def test_quadratic_hessian_blocks_batch_constant(model):
     assert jet.dLdv.shape == (model.n, model.k, 3, 4)
     for name in ("d2Ldvdv", "d2Ldvdq", "d2Ldvds"):
         assert getattr(jet, name).shape[-2:] == (1, 1), name
+
+
+# the 101x101 membrane trace: 51 frames of a 101x101 grid
+TRACE_BATCH = (51, 101, 101)
+
+
+@pytest.fixture(scope="module")
+def membrane_trace_points():
+    rng = np.random.default_rng(2)
+    return (rng.standard_normal((1,) + TRACE_BATCH),
+            rng.standard_normal((1, 3) + TRACE_BATCH),
+            rng.standard_normal((3,) + TRACE_BATCH))
+
+
+def test_unstored_rows_are_broadcast_zeros(membrane_trace_points):
+    # the membrane density is free of q: dLdq has no stored row and is
+    # a read-only zero-stride view, not a batch-sized array
+    jet = evaluate_jet_batch(membrane(), *membrane_trace_points)
+    assert jet.dLdq.shape == (1,) + TRACE_BATCH
+    assert jet.dLdq.strides == (0,) * jet.dLdq.ndim
+    assert not jet.dLdq.flags.writeable
+    assert not jet.dLdq.any()
+    assert not jet.d2Ldvdq.any() and not jet.d2Ldvds.any()
+
+
+def test_jet_memory_bounded_by_stored_rows(membrane_trace_points):
+    # L = u_t^2/2 - mu^2 (u_x^2 + u_y^2)/2 - gamma s^t stores 4 gradient
+    # rows; a kernel carrying all m = 7 rows at full batch size peaks at
+    # about 8x (stored rows x batch bytes), the sparse one near 2.25x
+    batch_bytes = np.prod(TRACE_BATCH) * 8
+    model = membrane()
+    tracemalloc.start()
+    try:
+        evaluate_jet_batch(model, *membrane_trace_points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 4 * batch_bytes
 
 
 def test_multidim_batch_axes():

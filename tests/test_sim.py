@@ -11,7 +11,8 @@ from kcontact import (Grid, LagrangianModel, PdeSpec, SimState,
                       el_convergence, energy_monitor, load_trace, membrane,
                       run, s_accumulation_check, save_trace, step, string,
                       trace_el_residual, trace_point_arrays)
-from kcontact.sim import CFL_FACTOR, char_speeds, check_cfl, zero_state
+from kcontact.sim import (CFL_FACTOR, _d1, char_speeds, check_cfl,
+                          zero_state)
 from kcontact.taylor import cos
 
 
@@ -25,6 +26,24 @@ def membrane_exact(mu, gamma):
         return (amp * np.sin(X) * np.sin(Y))[None]
 
     return exact
+
+
+@pytest.mark.parametrize("shape", [(9,), (8, 11), (6, 9, 10)],
+                         ids=["1d", "2d", "time-space"])
+@pytest.mark.parametrize("h", [0.3, np.float64(np.pi / 100)],
+                         ids=["float", "float64"])
+@pytest.mark.parametrize("layout", ["contiguous", "strided"])
+def test_d1_equals_numpy_gradient_bitwise(shape, h, layout):
+    # the Dirichlet/trace stencil is numpy's second-order gradient, bit
+    # for bit (signed zeros included); numpy stays the oracle here
+    f = np.random.default_rng(len(shape)).standard_normal(shape)
+    f[..., 1] = 0.0
+    if layout == "strided":  # as `sim._trace_div` hands it moved axes
+        f = np.moveaxis(np.ascontiguousarray(np.moveaxis(f, 0, -1)), -1, 0)
+    for axis in [*range(f.ndim), *range(-f.ndim, 0)]:
+        got = _d1(f, h, axis, False)
+        want = np.gradient(f, h, axis=axis, edge_order=2)
+        assert got.tobytes() == want.tobytes(), axis
 
 
 class TestGuards:

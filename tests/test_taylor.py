@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kcontact import membrane
 from kcontact.taylor import T2, TaylorContext, cos, exp, log, sin, sqrt, \
-    tanh, variable
+    tanh, variable, variables
 
 
 def fd_second(f, x0, i, j, h=1e-4):
@@ -45,9 +46,9 @@ class TestArithmetic:
             -1.0 / (2.0 + x0[4]),
             x0[3] / (2.0 + x0[4]) ** 2,
         ])
-        assert np.allclose(out.grad, grad, rtol=1e-13)
+        assert np.allclose(out.dense()[0], grad, rtol=1e-13)
         # velocity rows of the Hessian (coords 1 and 2) vs finite differences
-        hess = out._materialized_hess()
+        hess = out.dense()[1]
         for r, i in enumerate((1, 2)):
             for j in range(5):
                 assert hess[r, j] == pytest.approx(
@@ -61,9 +62,9 @@ class TestArithmetic:
         expect = x0[1] ** 3 / (1.0 + x0[0] ** 2) - 4.0
         assert out.val == pytest.approx(expect, rel=1e-14)
         # d/dv of v^3/(1+q^2)
-        assert out.grad[1] == pytest.approx(
+        assert out.dense()[0][1] == pytest.approx(
             3 * x0[1] ** 2 / (1.0 + x0[0] ** 2), rel=1e-13)
-        assert out._materialized_hess()[0, 1] == pytest.approx(
+        assert out.dense()[1][0, 1] == pytest.approx(
             6 * x0[1] / (1.0 + x0[0] ** 2), rel=1e-13)
 
     def test_scalar_and_reverse_ops(self):
@@ -72,8 +73,8 @@ class TestArithmetic:
         assert (3.0 - v).val == 1.0
         assert (3.0 / v).val == 1.5
         assert (-v).val == -2.0
-        assert (v - 1.0).grad[1] == 1.0
-        assert (1.0 / v).grad[1] == pytest.approx(-0.25)
+        assert (v - 1.0).dense()[0][1] == 1.0
+        assert (1.0 / v).dense()[0][1] == pytest.approx(-0.25)
 
     def test_batched_values(self):
         ctx = TaylorContext(1, 1)
@@ -82,8 +83,36 @@ class TestArithmetic:
         out = v * v * 0.5
         assert out.val.shape == (7,)
         assert np.allclose(out.val, 0.5 * vals ** 2)
-        assert np.allclose(out.grad[1], vals)
-        assert np.allclose(out._materialized_hess()[0, 1], 1.0)
+        assert np.allclose(out.dense()[0][1], vals)
+        assert np.allclose(out.dense()[1][0, 1], 1.0)
+
+
+class TestSparseRows:
+    def test_membrane_density_stores_only_nonzero_rows(self):
+        # coordinates q | u_t u_x u_y | s^t s^x s^y: the density stores the
+        # gradient rows u_t, u_x, u_y, s^t and the three diagonal velocity
+        # Hessian entries, nothing for q, s^x or s^y
+        model = membrane(mu=1.5, gamma=0.2)
+        ctx = TaylorContext(model.n, model.k)
+        batch = (4, 5)
+        rng = np.random.default_rng(0)
+        out = model.lagrangian(*variables(
+            ctx, rng.standard_normal((1,) + batch),
+            rng.standard_normal((1, 3) + batch),
+            rng.standard_normal((3,) + batch)))
+        assert sorted(out.grad) == [1, 2, 3, 4]
+        assert sorted(out.hess) == [(0, 1), (1, 2), (2, 3)]
+        # the Hessian of a quadratic density does not vary with the point
+        assert all(h.shape == (1, 1) for h in out.hess.values())
+        assert out.grad[4].shape == (1, 1)
+
+    def test_dense_layout(self):
+        ctx = TaylorContext(1, 1)
+        q, v, s = (variable(ctx, j, x) for j, x in enumerate((0.5, 2.0,
+                                                               -1.0)))
+        grad, hess = (v * v * q).dense()
+        assert np.array_equal(grad, [4.0, 2.0, 0.0])
+        assert np.array_equal(hess, [[4.0, 1.0, 0.0]])
 
 
 class TestLiftedFunctions:
@@ -97,8 +126,8 @@ class TestLiftedFunctions:
         x0 = np.array([0.3, 0.8, -0.5])
         xs = seed_all(ctx, x0)
         out = fn(xs[1] * xs[0])
-        assert out.grad[1] == pytest.approx(dfn(x0[1] * x0[0]) * x0[0],
-                                            rel=1e-12)
+        assert out.dense()[0][1] == pytest.approx(
+            dfn(x0[1] * x0[0]) * x0[0], rel=1e-12)
 
     def test_second_derivative_of_composition(self):
         ctx = TaylorContext(1, 1)
@@ -112,8 +141,7 @@ class TestLiftedFunctions:
 
         h = 1e-4
         expect = (f(v + h) - 2 * f(v) + f(v - h)) / h ** 2
-        assert out._materialized_hess()[0, 1] == pytest.approx(expect,
-                                                               abs=1e-6)
+        assert out.dense()[1][0, 1] == pytest.approx(expect, abs=1e-6)
 
     def test_works_on_plain_arrays(self):
         x = np.linspace(0, 1, 5)
@@ -133,7 +161,7 @@ def test_product_rule_property(coords):
     def f(x):
         return (x[1] + 0.5 * x[0]) * (x[2] - x[3] * x[1])
 
-    hess = out._materialized_hess()
+    hess = out.dense()[1]
     for r, i in enumerate((1, 2)):
         for j in range(4):
             assert hess[r, j] == pytest.approx(fd_second(f, x0, i, j),
