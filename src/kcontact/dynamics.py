@@ -51,16 +51,53 @@ class SopdeData:
     g: np.ndarray      # (k, k, *B)
 
 
-def _el_operator(jet, v, a, dsdt):
-    """Euler-Lagrange operator at second-jet data (a, dsdt) over `jet`;
-    batch axes, if any, trail every array."""
-    rEL = (np.einsum("iajb...,jba...->i...", jet.d2Ldvdv, a)
-           + np.einsum("iaj...,ja...->i...", jet.d2Ldvdq, v)
-           + np.einsum("iab...,ab...->i...", jet.d2Ldvds, dsdt)
-           - jet.dLdq
-           - np.einsum("a...,ia...->i...", jet.dLds, jet.dLdv))
-    rS = np.einsum("aa...->...", dsdt) - jet.L
-    return rEL, rS
+def _el_operator(jet, v, a, dsdt, evolution=False):
+    """Euler-Lagrange operator at second-jet data (a, dsdt) over `jet`,
+    rEL[i] = W[i,a,j,b] a[j,b,a] + Q[i,a,j] v[j,a] + S[i,a,b] dsdt[a,b]
+    - dLdq[i] - dLds[a] dLdv[i,a] with (W, Q, S) the blocks d2Ldvdv,
+    d2Ldvdq and d2Ldvds; batch axes, if any, trail every array.
+
+    Only the entries the jet's masks mark as stored are multiplied.  Each
+    of the three contractions sums from +0.0 in the label order of its
+    block, (a, j, b), (a, j) and (a, b), and the terms add in the order
+    above.  That is how einsum sums batched C-ordered operands, and a
+    skipped entry would only add a +-0 product to a sum that is never -0,
+    so on such operands the result equals the dense einsums bit for bit.
+    (At a single point einsum orders its sums differently, and a skipped
+    entry does not turn an inf operand into NaN.)
+
+    With `evolution`, a[:, 0, 0] reads as 0 and dsdt[0, 0] as L, whatever
+    the arrays hold; nothing is written into them.
+    """
+    n = jet.dLdv.shape[0]
+    mask_vv = jet.mask_vv
+    if evolution:  # a[:, 0, 0] = 0 drops the W[:, 0, :, 0] terms
+        mask_vv = mask_vv.copy()
+        mask_vv[:, 0, :, 0] = False
+
+    def dsdt_entry(c, b):
+        return jet.L if evolution and b == c == 0 else dsdt[c, b]
+
+    rEL = np.zeros((n,) + jet.L.shape)
+    for block, mask, operand in (
+            (jet.d2Ldvdv, mask_vv, lambda c, j, b: a[j, b, c]),
+            (jet.d2Ldvdq, jet.mask_vq, lambda c, j: v[j, c]),
+            (jet.d2Ldvds, jet.mask_vs, dsdt_entry)):
+        # the stored entries in C order, as tuples of ints
+        entries = list(zip(*(x.tolist() for x in mask.nonzero())))
+        if entries:
+            part = np.zeros(rEL.shape)  # sums from +0.0, never -0
+            for i, *idx in entries:
+                part[i] += block[(i, *idx)] * operand(*idx)
+            rEL += part
+    rEL -= jet.dLdq
+    rEL -= np.einsum("a...,ia...->i...", jet.dLds, jet.dLdv)
+    return rEL
+
+
+def _divergence_residual(jet, dsdt):
+    """trace(dsdt) - L, the divergence condition of the field equations."""
+    return np.einsum("aa...->...", dsdt) - jet.L
 
 
 def el_residual(model: LagrangianModel, sj: SecondJet):
@@ -70,13 +107,17 @@ def el_residual(model: LagrangianModel, sj: SecondJet):
     divergence condition residual trace(dsdt) - L.  Both vanish exactly
     on solutions.
     """
-    rEL, rS = _el_operator(evaluate_jet(model, sj.z), sj.z.v, sj.a, sj.dsdt)
-    return rEL, float(rS)
+    jet = evaluate_jet(model, sj.z)
+    return (_el_operator(jet, sj.z.v, sj.a, sj.dsdt),
+            float(_divergence_residual(jet, sj.dsdt)))
 
 
-def el_residual_batch(model: LagrangianModel, q, v, s, a, dsdt):
-    """Batched `el_residual`; batch axes trail every array."""
-    return _el_operator(evaluate_jet_batch(model, q, v, s), v, a, dsdt)
+def el_residual_batch(model: LagrangianModel, q, v, s, a, dsdt, jet=None):
+    """Batched `el_residual`; batch axes trail every array.  `jet`, if
+    given, is the jet at (q, v, s), which is then not evaluated again."""
+    if jet is None:
+        jet = evaluate_jet_batch(model, q, v, s)
+    return _el_operator(jet, v, a, dsdt), _divergence_residual(jet, dsdt)
 
 
 def evolution_rhs(model: LagrangianModel, sj: SecondJet) -> np.ndarray:
@@ -92,23 +133,24 @@ def evolution_rhs(model: LagrangianModel, sj: SecondJet) -> np.ndarray:
     return evolution_rhs_batch(model, z.q, z.v, z.s, sj.a, sj.dsdt)[0]
 
 
-def evolution_rhs_batch(model: LagrangianModel, q, v, s, a, dsdt):
+def evolution_rhs_batch(model: LagrangianModel, q, v, s, a, dsdt,
+                        jet=None):
     """Batched evolution solve; returns (accel, L) with batch trailing.
 
     The Euler-Lagrange operator is linear in the time-time entries
     a[:, 0, 0], so they solve W11 accel = -rEL with rEL evaluated at
     a[:, 0, 0] = 0.  The evolution gauge (s^a = 0 for a >= 2) turns the
     divergence condition into dsdt[0, 0] = L.  Both entries of the
-    given arrays are ignored.  accel has shape (n, *B); L is returned
-    because the simulator needs the density for the s^1 equation and
-    the jet is already in hand.
+    given arrays are ignored, and the arrays are not written.  Only the
+    entries of a and dsdt that a stored entry of the jet multiplies are
+    read (see `_el_operator`).  `jet`, if given, is the jet at (q, v, s),
+    which is then not evaluated again.  accel has shape (n, *B); L is
+    returned because the simulator needs the density for the s^1
+    equation and the jet is already in hand.
     """
-    jet = evaluate_jet_batch(model, q, v, s)
-    a = np.array(a, dtype=float)
-    a[:, 0, 0] = 0.0
-    dsdt = np.array(dsdt, dtype=float)
-    dsdt[0, 0] = jet.L
-    rEL, _ = _el_operator(jet, v, a, dsdt)
+    if jet is None:
+        jet = evaluate_jet_batch(model, q, v, s)
+    rEL = _el_operator(jet, v, a, dsdt, evolution=True)
     accel = solve_batch(jet.d2Ldvdv[:, 0, :, 0], -rEL[:, None],
                         "not hyperbolic-evolvable in direction t")
     return accel[:, 0], jet.L
@@ -147,7 +189,7 @@ def assemble_sopde(model: LagrangianModel, z: PhasePoint) -> SopdeData:
     batch = z.q.shape[1:]
     g = gauge_s_velocities(jet.L, k)
     b = -_el_operator(jet, z.v, np.zeros((n, k, k) + batch),
-                      g.swapaxes(0, 1))[0]
+                      g.swapaxes(0, 1))
     basis = _symmetric_basis(k)
     # columns: contraction of W with each (j, basis-matrix) pair
     A = np.einsum("iajb...,mab->...ijm", jet.d2Ldvdv, basis)
@@ -168,6 +210,8 @@ def verify_sopde(model: LagrangianModel, z: PhasePoint,
     and the trace condition on the dissipation velocities, i.e. the
     Euler-Lagrange operator at a = Gamma, dsdt = g^T.
     """
-    rEL, rS = _el_operator(evaluate_jet(model, z), z.v, sopde.Gamma,
-                           sopde.g.swapaxes(0, 1))
+    jet = evaluate_jet(model, z)
+    dsdt = sopde.g.swapaxes(0, 1)
+    rEL = _el_operator(jet, z.v, sopde.Gamma, dsdt)
+    rS = _divergence_residual(jet, dsdt)
     return np.maximum(np.max(np.abs(rEL), axis=0), np.abs(rS))

@@ -89,6 +89,13 @@ class Jet2:
     read-only and sharing memory with the coordinates; a block with no
     stored row (dLdq of a density free of q) is a read-only broadcast
     zero.  Never write into them.
+
+    The masks mark the entries of the three second-derivative blocks that
+    the kernel stored, over their lead axes: mask_vv (n,k,n,k) for
+    d2Ldvdv, mask_vq (n,k,n) for d2Ldvdq, mask_vs (n,k,k) for d2Ldvds.
+    They are read off the kernel's row keys, not the values, so they are
+    the same at every point and for every batch shape; an unmarked entry
+    is an exact zero, a marked one may be zero at some points.
     """
 
     L: np.ndarray
@@ -98,6 +105,9 @@ class Jet2:
     d2Ldvdv: np.ndarray
     d2Ldvdq: np.ndarray
     d2Ldvds: np.ndarray
+    mask_vv: np.ndarray
+    mask_vq: np.ndarray
+    mask_vs: np.ndarray
 
     def check(self):
         """Validate finiteness and v-v symmetry of d2Ldvdv (rtol 1e-12)."""
@@ -190,6 +200,10 @@ def evaluate_jet_batch(model: LagrangianModel, q, v, s) -> Jet2:
         return _block(out.hess, [(r, j) for r in range(nv) for j in cols],
                       (n, k) + lead, hb)
 
+    stored = np.zeros((nv, ctx.m), dtype=bool)
+    for rj in out.hess:
+        stored[rj] = True
+
     return Jet2(
         L=np.broadcast_to(np.asarray(out.val, dtype=float), batch),
         dLdq=_block(out.grad, qs, (n,), batch),
@@ -198,6 +212,9 @@ def evaluate_jet_batch(model: LagrangianModel, q, v, s) -> Jet2:
         d2Ldvdv=hess(vs, (n, k)),
         d2Ldvdq=hess(qs, (n,)),
         d2Ldvds=hess(ss, (k,)),
+        mask_vv=stored[:, n:n + nv].reshape(n, k, n, k),
+        mask_vq=stored[:, :n].reshape(n, k, n),
+        mask_vs=stored[:, n + nv:].reshape(n, k, k),
     )
 
 

@@ -180,27 +180,39 @@ def _point_arrays(model, grid, phi, phidot, s1):
     return v, s
 
 
-def _second_jet(grid, phi, v, s1):
+def _second_jet(grid, phi, v, s1, jet):
     """Stencil entries of the second jet (a, dsdt) for the arrays of
-    `_point_arrays`: the spatial and mixed entries of a and
-    dsdt[x, 0] = d_x s^1.  The time-time entries a[:, 0, 0] and
-    dsdt[0, 0] are left zero for the caller to fill in or solve for."""
+    `_point_arrays` and their `jet`: the spatial and mixed entries of a
+    and dsdt[x, 0] = d_x s^1, each computed only where a stored entry of
+    the jet multiplies it in the Euler-Lagrange operator (a[:, b, c]
+    meets d2Ldvdv[:, c, :, b] and dsdt[b, c] meets d2Ldvds[:, b, c]).
+    Every other entry, a[:, 0, 0] and dsdt[0, 0] among them, stays in the
+    untouched pages of np.zeros, for the caller to fill in or solve for.
+    """
     n, k = v.shape[:2]
     d = grid.ndim
     periodic = grid.bc == "periodic"
+    need_a = jet.mask_vv.any(axis=(0, 2)).T
+    need_s = jet.mask_vs.any(axis=0)
     a = np.zeros((n, k, k) + phi.shape[1:])
     dsdt = np.zeros((k, k) + phi.shape[1:])
+
+    def fill(positions, stencil, f, h, axis):
+        positions = [bc for bc in positions if need_a[bc]]
+        if positions:
+            val = stencil(f, h, axis, periodic)
+            for b, c in positions:
+                a[:, b, c] = val
+
     for x in range(d):
         h, ax = grid.spacing[x], x - d
-        mixed = _d1(v[:, 0], h, ax, periodic)
-        a[:, 0, 1 + x] = mixed
-        a[:, 1 + x, 0] = mixed
-        a[:, 1 + x, 1 + x] = _d2(phi, h, ax, periodic)
+        fill(((0, 1 + x), (1 + x, 0)), _d1, v[:, 0], h, ax)
+        fill(((1 + x, 1 + x),), _d2, phi, h, ax)
         for y in range(x + 1, d):
-            cross = _d1(v[:, 1 + x], grid.spacing[y], y - d, periodic)
-            a[:, 1 + x, 1 + y] = cross
-            a[:, 1 + y, 1 + x] = cross
-        dsdt[1 + x, 0] = _d1(s1, h, ax, periodic)
+            fill(((1 + x, 1 + y), (1 + y, 1 + x)), _d1, v[:, 1 + x],
+                 grid.spacing[y], y - d)
+        if need_s[1 + x, 0]:
+            dsdt[1 + x, 0] = _d1(s1, h, ax, periodic)
     return a, dsdt
 
 
@@ -219,8 +231,9 @@ def _boundary_mask(grid: Grid):
 
 def _state_rhs(model, grid, phi, phidot, s1, mask):
     v, s = _point_arrays(model, grid, phi, phidot, s1)
-    a, dsdt = _second_jet(grid, phi, v, s1)
-    accel, L = evolution_rhs_batch(model, phi, v, s, a, dsdt)
+    jet = evaluate_jet_batch(model, phi, v, s)
+    a, dsdt = _second_jet(grid, phi, v, s1, jet)
+    accel, L = evolution_rhs_batch(model, phi, v, s, a, dsdt, jet=jet)
     dphi = phidot.copy()
     if mask is not None:
         accel[:, mask] = 0.0
@@ -287,7 +300,8 @@ def run(model: LagrangianModel, grid: Grid, dt: float, t_end: float,
         initial: SimState, output_every: int = 1) -> SimTrace:
     """Integrate to t_end, recording every `output_every` steps.
 
-    Every recorded frame is checked for finiteness, and every recorded
+    The state after every step is checked for finiteness, so a blow-up
+    is reported at the first step that produced it, and every recorded
     frame the run steps on from (t=0 included) for the CFL condition."""
     if dt <= 0:
         raise SimulationError("nonpositive step")
@@ -303,9 +317,9 @@ def run(model: LagrangianModel, grid: Grid, dt: float, t_end: float,
     for j in range(steps):
         if j % output_every == 0:
             check_cfl(model, state, grid, dt)
-        state = step(model, state, grid, dt, _mask=mask, _skip_cfl=True)
+        state = step(model, state, grid, dt, _mask=mask,
+                     _skip_cfl=True).check_finite()
         if (j + 1) % output_every == 0:
-            state.check_finite()
             frames.append(state)
             times.append(state.t)
     return SimTrace(
@@ -358,10 +372,11 @@ def trace_el_residual(model: LagrangianModel, trace: SimTrace):
     grid; the result is reported on the interior (two layers stripped in
     every direction, including time)."""
     q, v, s, spacings = trace_point_arrays(model, trace)
-    a, dsdt = _second_jet(trace.grid, q, v, trace.s1)
+    jet = evaluate_jet_batch(model, q, v, s)
+    a, dsdt = _second_jet(trace.grid, q, v, trace.s1, jet)
     a[:, 0, 0] = _trace_d1(v[:, 0], spacings, 0)
     dsdt[0, 0] = _trace_d1(trace.s1, spacings, 0)
-    rEL, rS = el_residual_batch(model, q, v, s, a, dsdt)
+    rEL, rS = el_residual_batch(model, q, v, s, a, dsdt, jet=jet)
     return tuple(float(np.max(np.abs(_trace_trim(r, model.k))))
                  for r in (rEL, rS))
 

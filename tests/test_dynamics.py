@@ -16,9 +16,10 @@ from kcontact import (Jet2, LagrangianModel, NotRegularError, PhasePoint,
                       stack_points, string, sv_coupling, verify_reeb,
                       verify_sopde)
 from kcontact.contact import reeb_energy_derivative_batch
-from kcontact.dynamics import (el_residual_batch, evolution_rhs_batch,
-                               gauge_s_velocities)
+from kcontact.dynamics import (_el_operator, el_residual_batch,
+                               evolution_rhs_batch, gauge_s_velocities)
 from test_contact import coupled_quartic
+from test_jet import born_infeld
 
 MODELS = builtin_models()
 
@@ -213,7 +214,11 @@ def test_single_point_paths_agree_bitwise(index, seed):
     zs = stack_points(points)
     jets = evaluate_jet(model, zs)
     for name in Jet2.__dataclass_fields__:
-        assert np.array_equal(getattr(jet, name), getattr(jets, name)[..., 0])
+        if name.startswith("mask"):  # structural: no batch axes
+            assert np.array_equal(getattr(jet, name), getattr(jets, name))
+        else:
+            assert np.array_equal(getattr(jet, name),
+                                  getattr(jets, name)[..., 0])
     assert energy(jet, z) == energy(jets, zs)[0]
     hw, hws = hessian(jet), hessian(jets)
     assert np.array_equal(hw.W, hws.W[..., 0])
@@ -238,3 +243,55 @@ def test_single_point_paths_agree_bitwise(index, seed):
         check_contact_symmetry(model, Y, p)["max_residual"] for p in points)
     assert reeb_bracket_check(model, Y, zs) == max(
         reeb_bracket_check(model, Y, p) for p in points)
+
+
+def dense_el_operator(jet, v, a, dsdt):
+    """The Euler-Lagrange field residual as three dense einsums over every
+    entry of the second-derivative blocks: the reference for the masked
+    sum of `_el_operator`."""
+    return (np.einsum("iajb...,jba...->i...", jet.d2Ldvdv, a)
+            + np.einsum("iaj...,ja...->i...", jet.d2Ldvdq, v)
+            + np.einsum("iab...,ab...->i...", jet.d2Ldvds, dsdt)
+            - jet.dLdq
+            - np.einsum("a...,ia...->i...", jet.dLds, jet.dLdv))
+
+
+@pytest.mark.parametrize("batch", [(5,), (3, 4)], ids=str)
+@pytest.mark.parametrize("model", MODELS + [born_infeld(), coupled_quartic()],
+                         ids=lambda m: f"{m.name}-n{m.n}k{m.k}")
+def test_masked_operator_equals_dense_einsums_bitwise(model, batch):
+    # dense random a and dsdt: the masks skip entries that are not zero
+    # in the operands, only in the blocks
+    n, k = model.n, model.k
+    rng = np.random.default_rng(7)
+    q = rng.uniform(-0.5, 0.5, (n,) + batch)
+    v = rng.uniform(-0.5, 0.5, (n, k) + batch)
+    s = rng.uniform(-0.5, 0.5, (k,) + batch)
+    a = rng.standard_normal((n, k, k) + batch)
+    a = a + np.swapaxes(a, 1, 2)
+    dsdt = rng.standard_normal((k, k) + batch)
+    jet = evaluate_jet(model, PhasePoint(q=q, v=v, s=s))
+    assert np.array_equal(_el_operator(jet, v, a, dsdt),
+                          dense_el_operator(jet, v, a, dsdt))
+    # the evolution form reads a[:, 0, 0] as 0 and dsdt[0, 0] as L
+    a_ev, dsdt_ev = a.copy(), dsdt.copy()
+    a_ev[:, 0, 0] = 0.0
+    dsdt_ev[0, 0] = jet.L
+    assert np.array_equal(_el_operator(jet, v, a, dsdt, evolution=True),
+                          dense_el_operator(jet, v, a_ev, dsdt_ev))
+
+
+def test_evolution_rhs_batch_leaves_its_inputs_alone():
+    model = string(rho=1.0, tau=1.0, lam=0.1, gamma=0.3, B=1.0)
+    rng = np.random.default_rng(4)
+    z = stack_points(random_phase_point(model, rng) for _ in range(5))
+    a = rng.standard_normal((2, 2, 2, 5))
+    a = a + np.swapaxes(a, 1, 2)
+    dsdt = rng.standard_normal((2, 2, 5))
+    a0, dsdt0 = a.copy(), dsdt.copy()
+    jet = evaluate_jet(model, z)
+    for given in (None, jet):
+        acc, L = evolution_rhs_batch(model, z.q, z.v, z.s, a, dsdt,
+                                     jet=given)
+        assert np.array_equal(a, a0) and np.array_equal(dsdt, dsdt0)
+    assert np.array_equal(L, jet.L)

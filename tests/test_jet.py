@@ -7,7 +7,7 @@ import pytest
 
 from kcontact import (Jet2, LagrangianModel, PhasePoint, builtin_models,
                       evaluate_jet, evaluate_jet_batch, fd_check, membrane,
-                      random_phase_point, stack_points)
+                      random_phase_point, stack_points, sv_coupling)
 from kcontact.taylor import sqrt
 from test_contact import coupled_quartic
 
@@ -52,12 +52,62 @@ def test_batch_matches_single():
         pts = [random_phase_point(model, rng, scale=0.5) for _ in range(7)]
         z = stack_points(pts)
         jb = evaluate_jet_batch(model, z.q, z.v, z.s)
+        singles = [evaluate_jet(model, p) for p in pts]
         for name in Jet2.__dataclass_fields__:
             block = getattr(jb, name)
-            single = np.stack([getattr(evaluate_jet(model, p), name)
-                               for p in pts], axis=-1)
+            if name.startswith("mask"):  # structural: no batch axes
+                assert all(np.array_equal(block, getattr(j, name))
+                           for j in singles), (model, name)
+                continue
+            single = np.stack([getattr(j, name) for j in singles], axis=-1)
             assert np.array_equal(
                 np.broadcast_to(block, single.shape), single), (model, name)
+
+
+def test_membrane_masks():
+    # L = u_t^2/2 - mu^2 (u_x^2 + u_y^2)/2 - gamma s^t: W is diagonal,
+    # and no second derivative pairs a velocity with q or s
+    jet = evaluate_jet(membrane(), random_phase_point(
+        membrane(), np.random.default_rng(0)))
+    assert np.array_equal(jet.mask_vv[0, :, 0, :], np.eye(3, dtype=bool))
+    assert jet.mask_vv.shape == (1, 3, 1, 3)
+    assert jet.mask_vq.shape == (1, 3, 1) and not jet.mask_vq.any()
+    assert jet.mask_vs.shape == (1, 3, 3) and not jet.mask_vs.any()
+
+
+def test_born_infeld_stores_every_velocity_entry():
+    jet = evaluate_jet(born_infeld(), random_phase_point(
+        born_infeld(), np.random.default_rng(0), scale=0.5))
+    assert jet.mask_vv.all()
+    assert not jet.mask_vq.any() and not jet.mask_vs.any()
+
+
+def test_sv_coupling_stores_one_s_entry():
+    # L = v^2/2 + eps s v: d2L/dv ds is the single entry [0, 0, 0]
+    jet = evaluate_jet(sv_coupling(), random_phase_point(
+        sv_coupling(), np.random.default_rng(0)))
+    assert np.argwhere(jet.mask_vs).tolist() == [[0, 0, 0]]
+
+
+@pytest.mark.parametrize("model", builtin_models() + [born_infeld(),
+                                                      coupled_quartic()],
+                         ids=lambda m: f"{m.name}-n{m.n}k{m.k}")
+def test_masks_cover_every_nonzero_entry(model):
+    # the masks come from the kernel's keys; every entry with a nonzero
+    # value at some point must be marked, and the masks do not depend
+    # on the point or the batch shape
+    rng = np.random.default_rng(3)
+    z = stack_points(random_phase_point(model, rng, scale=0.5)
+                     for _ in range(6))
+    jet = evaluate_jet(model, z)
+    single = evaluate_jet(model, random_phase_point(model, rng))
+    for block, mask in (("d2Ldvdv", "mask_vv"), ("d2Ldvdq", "mask_vq"),
+                        ("d2Ldvds", "mask_vs")):
+        values, marks = getattr(jet, block), getattr(jet, mask)
+        assert marks.dtype == bool and marks.shape == values.shape[:-1]
+        nonzero = np.any(values != 0, axis=-1)
+        assert not np.any(nonzero & ~marks), (block, np.argwhere(nonzero))
+        assert np.array_equal(marks, getattr(single, mask))
 
 
 @pytest.mark.parametrize("model", builtin_models(),

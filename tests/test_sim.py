@@ -11,9 +11,11 @@ from kcontact import (Grid, LagrangianModel, PdeSpec, SimState,
                       el_convergence, energy_monitor, load_trace, membrane,
                       run, s_accumulation_check, save_trace, step, string,
                       trace_el_residual, trace_point_arrays)
-from kcontact.sim import (CFL_FACTOR, _d1, char_speeds, check_cfl,
-                          zero_state)
+from kcontact import sim
+from kcontact.sim import (CFL_FACTOR, _boundary_mask, _d1, _state_rhs,
+                          char_speeds, check_cfl, zero_state)
 from kcontact.taylor import cos
+from test_jet import born_infeld
 
 
 def membrane_exact(mu, gamma):
@@ -125,6 +127,25 @@ class TestGuards:
         with pytest.raises(SimulationError, match="blow-up detected at t"):
             run(model, grid, 0.1, 40.0, init)
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_blow_up_reported_at_the_first_bad_step(self):
+        # one output frame at t_end: the guard still names the first step
+        # whose state is not finite, long before t_end
+        model = damped_oscillator(gamma=-80.0, omega=1.0)
+        grid = Grid(bounds=(), counts=())
+        init = SimState(phi=np.ones((1,)), phidot=np.zeros((1,)),
+                        s1=np.zeros(()))
+        dt, steps = 0.1, 400
+        state = init
+        while all(np.isfinite(x).all()
+                  for x in (state.phi, state.phidot, state.s1)):
+            state = step(model, state, grid, dt, _skip_cfl=True)
+        assert state.t < steps * dt
+        with pytest.raises(SimulationError,
+                           match=f"blow-up detected at t={state.t:.6g}$"):
+            run(model, grid, dt, steps * dt, init, output_every=steps)
+
     def test_output_cadence_validated(self):
         model = damped_oscillator()
         grid = Grid(bounds=(), counts=())
@@ -189,6 +210,25 @@ class TestAccuracy:
         trace = run(model, grid, 0.02, 3.0, init, output_every=10)
         err = np.max(np.abs(trace.phi[-1] - exact(trace.t[-1], mesh)))
         assert err < 3e-3
+
+    def test_born_infeld_travelling_wave(self):
+        # L = 1 - sqrt(1 - u_t^2 + u_x^2) has the exact travelling wave
+        # u = A sin(x - t + phase), on which L = 0, so s1 stays 0; one
+        # period on a 128-point periodic grid, second order in h
+        amplitude, phase, N = 0.5, 0.3, 128
+        h = 2 * np.pi / N
+        grid = Grid(bounds=((0.0, 2 * np.pi),), counts=(N,), bc="periodic")
+        x = grid.axes()[0]
+        init = SimState(phi=(amplitude * np.sin(x + phase))[None],
+                        phidot=(-amplitude * np.cos(x + phase))[None],
+                        s1=np.zeros(N))
+        dt = 0.4 * h
+        steps = round(2 * np.pi / dt)
+        trace = run(born_infeld(), grid, dt, steps * dt, init,
+                    output_every=steps)
+        exact = amplitude * np.sin(x - trace.t[-1] + phase)
+        assert np.max(np.abs(trace.phi[-1, 0] - exact)) <= 0.5 * h ** 2
+        assert np.max(np.abs(trace.s1[-1])) <= 0.5 * h ** 2
 
     def test_trace_residual_refines_at_order_two(self):
         model = string(rho=1.0, tau=1.0, gamma=0.3, B=0.0, lam=0.0)
@@ -356,3 +396,23 @@ def test_determinism():
     t2 = run(model, grid, 0.05, 0.5, init)
     assert np.array_equal(t1.phi, t2.phi)
     assert np.array_equal(t1.s1, t2.s1)
+
+
+def test_membrane_rhs_stencils_only_what_the_jet_multiplies(monkeypatch):
+    # the membrane's W is diagonal and it stores no d2L/dv ds: one right-
+    # hand side takes the two spatial velocities (_d1) and the two
+    # diagonal second derivatives (_d2), and no mixed, cross or d_x s^1
+    # stencil
+    calls = {"_d1": 0, "_d2": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(sim, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(sim, name, counted)
+    model = membrane(mu=1.0, gamma=0.2)
+    grid = Grid(bounds=((0, np.pi), (0, np.pi)), counts=(21, 21))
+    X, Y = grid.mesh()
+    phi = (np.sin(X) * np.sin(Y))[None]
+    _state_rhs(model, grid, phi, 0.5 * phi, 0.1 * phi[0],
+               _boundary_mask(grid))
+    assert calls == {"_d1": 2, "_d2": 2}
