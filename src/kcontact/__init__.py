@@ -4,8 +4,7 @@ Hamilton-De Donder-Weyl checks, symmetries and dissipation laws, the
 inverse problem, and a method-of-lines simulator.
 """
 
-from .contact import (ContactCoeffs, HessianW, ReebFields, contact_coeffs,
-                      energy, hessian, legendre, reeb,
+from .contact import (HessianW, ReebFields, energy, hessian, legendre, reeb,
                       reeb_derivative_of_energy, verify_reeb)
 from .dynamics import (SecondJet, SopdeData, assemble_sopde, el_residual,
                        evolution_rhs, verify_sopde)
@@ -13,7 +12,7 @@ from .errors import (ConfigError, KContactError, NewtonError, NotRegularError,
                      SimulationError)
 from .hamiltonian import (HdwResiduals, MomentumPath, hamiltonian_value,
                           hdw_residual, legendre_inverse,
-                          momentum_path_from_arrays, no_reeb_residual)
+                          momentum_path_from_arrays)
 from .inverse import (PdeSpec, build_lagrangian, direct_residual,
                       membrane_spec, roundtrip_check, telegraph_spec)
 from .jet import (Jet2, LagrangianModel, MomentumPoint, PhasePoint,
@@ -33,23 +32,22 @@ from .symmetry import (DissipatedQuantity, SymmetryField,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConfigError", "ContactCoeffs", "DissipatedQuantity", "Grid",
-    "HdwResiduals", "HessianW", "Jet2", "KContactError", "LagrangianModel",
-    "MomentumPath", "MomentumPoint", "NewtonError", "NotRegularError",
-    "PdeSpec", "PhasePoint", "ReebFields", "SecondJet", "SimState",
-    "SimTrace", "SimulationError", "SopdeData", "SymmetryField",
-    "assemble_sopde", "build_lagrangian", "build_model", "builtin_models",
+    "ConfigError", "DissipatedQuantity", "Grid", "HdwResiduals", "HessianW",
+    "Jet2", "KContactError", "LagrangianModel", "MomentumPath",
+    "MomentumPoint", "NewtonError", "NotRegularError", "PdeSpec",
+    "PhasePoint", "ReebFields", "SecondJet", "SimState", "SimTrace",
+    "SimulationError", "SopdeData", "SymmetryField", "assemble_sopde",
+    "build_lagrangian", "build_model", "builtin_models",
     "builtin_symmetry_field", "check_contact_symmetry", "constant_field",
-    "contact_coeffs", "damped_oscillator", "direct_residual",
-    "dissipated_quantity", "dissipation_law_check", "el_convergence",
-    "el_residual", "energy", "energy_monitor", "evaluate_jet",
-    "evaluate_jet_batch", "evolution_rhs", "fd_check", "free",
-    "hamiltonian_value", "hdw_residual", "hessian", "legendre",
-    "legendre_inverse", "lie_derivative_eta", "load_trace", "membrane",
-    "membrane_spec", "momentum_dissipation_check",
-    "momentum_path_from_arrays", "no_reeb_residual", "random_phase_point",
-    "reeb", "reeb_bracket_check", "reeb_derivative_of_energy",
-    "roundtrip_check", "run", "s_accumulation_check", "save_trace",
-    "stack_points", "step", "string", "sv_coupling", "telegraph_spec", "trace_el_residual",
+    "damped_oscillator", "direct_residual", "dissipated_quantity",
+    "dissipation_law_check", "el_convergence", "el_residual", "energy",
+    "energy_monitor", "evaluate_jet", "evaluate_jet_batch", "evolution_rhs",
+    "fd_check", "free", "hamiltonian_value", "hdw_residual", "hessian",
+    "legendre", "legendre_inverse", "lie_derivative_eta", "load_trace",
+    "membrane", "membrane_spec", "momentum_dissipation_check",
+    "momentum_path_from_arrays", "random_phase_point", "reeb",
+    "reeb_bracket_check", "reeb_derivative_of_energy", "roundtrip_check",
+    "run", "s_accumulation_check", "save_trace", "stack_points", "step",
+    "string", "sv_coupling", "telegraph_spec", "trace_el_residual",
     "trace_lagrangian", "trace_point_arrays", "verify_reeb", "verify_sopde",
 ]

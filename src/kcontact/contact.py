@@ -24,13 +24,6 @@ RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class ContactCoeffs:
-    """Coefficients of the contact forms: eta^a = ds^a - p[i, a] dq^i."""
-
-    p: np.ndarray  # (n, k)
-
-
-@dataclass(frozen=True)
 class HessianW:
     """Velocity Hessian in flat (i*k + a) indexing with regularity data,
     one verdict and condition number per point."""
@@ -50,10 +43,6 @@ class ReebFields:
 def energy(jet: Jet2, z: PhasePoint):
     """Lagrangian energy: scaling of L along velocities minus L."""
     return np.sum(z.v * jet.dLdv, axis=(0, 1)) - jet.L
-
-
-def contact_coeffs(jet: Jet2) -> ContactCoeffs:
-    return ContactCoeffs(p=np.array(jet.dLdv))
 
 
 def legendre(jet: Jet2, z: PhasePoint) -> MomentumPoint:
@@ -85,11 +74,23 @@ def solve_batch(W, b, what: str) -> np.ndarray:
     with BW broadcasting against B -> x (r, c, *batch).  A W with one
     batch element is factored once, against all columns of b.  The one
     place that hands velocity-Hessian systems to LAPACK; a singular
-    system raises NotRegularError(what)."""
+    system raises NotRegularError(what).
+
+    A 1x1 system is divided out instead, as LAPACK does it: by b / W
+    when one LAPACK call would get a single right-hand side, by
+    b * (1 / W) when it would get several."""
     r, c = b.shape[:2]
+    const = W[0, 0].size == 1
+    if r == 1:
+        if (W == 0).any():
+            raise NotRegularError(what)
+        nd = max(W.ndim, b.ndim)
+        W = W.reshape(W.shape[:2] + (1,) * (nd - W.ndim) + W.shape[2:])
+        b = b.reshape(b.shape[:2] + (1,) * (nd - b.ndim) + b.shape[2:])
+        return b * (1 / W) if (b[0].size if const else c) > 1 else b / W
     batch = np.broadcast_shapes(W.shape[2:], b.shape[2:])
     try:
-        if W[0, 0].size == 1:
+        if const:
             x = np.linalg.solve(W.reshape(r, r),
                                 np.broadcast_to(b, (r, c) + batch)
                                 .reshape(r, -1))

@@ -24,29 +24,45 @@ NEWTON_MAXITER = 50
 
 def _newton_batch(model, q, p, s, v0, jet=None):
     """Batched Newton solve of dLdv(q, v, s) = p.  Shapes: q (n, *B),
-    p/v0 (n, k, *B), s (k, *B).  `jet`, if given, is the jet at
+    p/v0 (n, k, *B), s (k, *B).  A point stops once max |dLdv - p| over
+    its (i, a) entries is at most NEWTON_TOL; later iterations evaluate
+    jets and solve at the other points only, so every preimage is the
+    one a single-point solve gives.  `jet`, if given, is the jet at
     (q, v0, s), which the first iteration then does not evaluate again.
-    Returns v, with the same shape as p, and the jet at (q, v, s)."""
+    Returns v, with the same shape as p, and the jet at (q, v, s), or
+    None where its last evaluation covered only some of the points."""
     n, k = model.n, model.k
     nk = n * k
     v = np.array(v0, dtype=float)
-    batch = v.shape[2:]
+    at = ()  # indices of the unconverged points into B; () while all are
     last = np.inf
     for _ in range(NEWTON_MAXITER):
+        pick = (Ellipsis,) + at
         if jet is None:
-            jet = evaluate_jet_batch(model, q, v, s)
-        r = jet.dLdv - p
-        last = float(np.max(np.abs(r)))
-        if last <= NEWTON_TOL:
-            return v, jet
+            jet = evaluate_jet_batch(model, q[pick], v[pick], s[pick])
+        r = jet.dLdv - p[pick]
+        err = np.max(np.abs(r), axis=(0, 1))
+        last = float(np.max(err))
         if not np.isfinite(last):
             raise NewtonError("Legendre inversion diverged",
                               residual=last)
+        todo = err > NEWTON_TOL
+        if not todo.any():
+            return v, jet if at == () else None
+        W = jet.d2Ldvdv.reshape((nk, nk) + jet.d2Ldvdv.shape[4:])
+        if not todo.all():
+            keep = (Ellipsis,) + np.nonzero(todo)
+            r = r[keep]
+            W = (W.reshape(nk, nk, 1) if W[0, 0].size == 1
+                 else np.broadcast_to(W, (nk, nk) + todo.shape)[keep])
+            at = (np.nonzero(todo) if at == ()
+                  else tuple(i[todo] for i in at))
+            pick = (Ellipsis,) + at
+        batch = r.shape[2:]
         step = solve_batch(
-            jet.d2Ldvdv.reshape((nk, nk) + jet.d2Ldvdv.shape[4:]),
-            r.reshape((nk, 1) + batch),
+            W, r.reshape((nk, 1) + batch),
             "singular velocity Hessian during Legendre inversion")
-        v = v - step.reshape((n, k) + batch)
+        v[pick] = v[pick] - step.reshape((n, k) + batch)
         jet = None
     raise NewtonError(
         f"Legendre inversion did not converge in {NEWTON_MAXITER} "
@@ -127,6 +143,8 @@ def hdw_residual(model: LagrangianModel, path: MomentumPath,
         raise ValueError("path spacings must have one entry per direction")
     v, jet = _newton_batch(model, path.q, path.p, path.s,
                            path.p if v0 is None else v0, jet)
+    if jet is None:
+        jet = evaluate_jet_batch(model, path.q, v, path.s)
     r_q = np.stack([_trace_d1(path.q, h, a) for a in range(k)], axis=1) - v
     r_p = (_trace_div(path.p, h)
            - jet.dLdq
@@ -135,35 +153,3 @@ def hdw_residual(model: LagrangianModel, path: MomentumPath,
     pv = np.einsum("ia...,ia...->...", path.p, v)
     r_s = _trace_div(path.s, h) - (pv - H)
     return HdwResiduals(*(_trace_trim(r, k) for r in (r_q, r_p, r_s)))
-
-
-def no_reeb_residual(model: LagrangianModel, mp: MomentumPoint,
-                     Xq, Xp, Xs, v0=None):
-    """Diagnostic contraction residuals of the Reeb-free equations.
-
-    For a candidate k-vector field with components Xq[a, i], Xp[a, i, b],
-    Xs[a, b], evaluates the one-form sum_a i(X_a) Omega^a with
-    Omega^a = -H d(eta^a) + dH ^ eta^a, plus the energy condition
-    sum_a i(X_a) eta^a + H.  Only meaningful where H != 0.
-    """
-    z = legendre_inverse(model, mp, v0=v0)
-    jet = evaluate_jet(model, z)
-    H = energy(jet, z)
-    Hq, Hp, Hs = -jet.dLdq, z.v, -jet.dLds
-    Xq = np.asarray(Xq, dtype=float)
-    Xp = np.asarray(Xp, dtype=float)
-    Xs = np.asarray(Xs, dtype=float)
-    # X_a(H) per direction
-    XH = (np.einsum("ai,i->a", Xq, Hq)
-          + np.einsum("aib,ib->a", Xp, Hp)
-          + np.einsum("ab,b->a", Xs, Hs))
-    i_eta = np.einsum("aa->", Xs) - np.einsum("ai,ia->", Xq, mp.p)
-    energy_residual = float(i_eta + H)
-    # coefficients of sum_a i(X_a) Omega^a in the coframe (dq, dp, ds)
-    coeff_dq = (H * np.einsum("aia->i", Xp)
-                - np.einsum("a,ia->i", XH, mp.p)
-                - i_eta * Hq)
-    coeff_dp = -H * np.swapaxes(Xq, 0, 1) - i_eta * Hp  # (n, k) dp^a_i slot
-    coeff_ds = XH - i_eta * Hs
-    return {"dq": coeff_dq, "dp": coeff_dp, "ds": coeff_ds,
-            "energy": energy_residual, "H": H}

@@ -12,6 +12,7 @@ selects which solution is computed.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -333,7 +334,14 @@ def run(model: LagrangianModel, grid: Grid, dt: float, t_end: float,
 # -- trace-derived quantities ------------------------------------------
 # Trace suites difference along every direction of the trailing (time,
 # space) grid axes with `_d1`, ends not wrapped, and report on the
-# interior, where the one-sided end stencils never enter.
+# interior, where the one-sided end stencils never enter.  The trace
+# residuals walk that interior in time slabs (`_trace_slabs`), so their
+# memory does not grow with the frame count.
+
+# space-time samples per slab of a trace residual (at least one frame);
+# the working memory of a residual scales with it, not with the frames
+TRACE_SLAB_SAMPLES = 1 << 17
+
 
 def _trace_d1(f, spacings, a):
     """d_a f over the trailing len(spacings) grid axes of f."""
@@ -347,9 +355,20 @@ def _trace_div(fields, spacings):
                for a in range(k))
 
 
-def _trace_trim(arr, k):
-    """arr with two layers stripped at both ends of its last k axes."""
-    return arr[(Ellipsis,) + (slice(2, -2),) * k]
+def _trace_trim(arr, k, halo=2):
+    """arr with `halo` layers stripped at both ends of the first of its
+    last k axes (time) and two at both ends of the other k - 1."""
+    return arr[(Ellipsis, slice(halo, -halo)) + (slice(2, -2),) * (k - 1)]
+
+
+def _frame_arrays(model, trace, frames):
+    """`trace_point_arrays` at the trace frames `frames`; the time
+    spacing stays the whole trace's dt_out."""
+    q = np.moveaxis(trace.phi[frames], 0, 1)        # (n, T, *S)
+    v, s = _point_arrays(model, trace.grid, q,
+                         np.moveaxis(trace.phidot[frames], 0, 1),
+                         trace.s1[frames])
+    return q, v, s, np.array([trace.dt_out] + list(trace.grid.spacing))
 
 
 def trace_point_arrays(model: LagrangianModel, trace: SimTrace):
@@ -358,11 +377,25 @@ def trace_point_arrays(model: LagrangianModel, trace: SimTrace):
     Returns (q (n, T, *S), v (n, k, T, *S), s (k, T, *S), spacings (k,)).
     Spatial velocities are central differences of the stored fields.
     """
-    q = np.moveaxis(trace.phi, 0, 1)        # (n, T, *S)
-    v, s = _point_arrays(model, trace.grid, q,
-                         np.moveaxis(trace.phidot, 0, 1), trace.s1)
-    spacings = np.array([trace.dt_out] + list(trace.grid.spacing))
-    return q, v, s, spacings
+    return _frame_arrays(model, trace, slice(None))
+
+
+def _trace_slabs(model, trace, halo=1):
+    """The reported time interior [2, T-2) of `trace` in slabs of
+    max(1, TRACE_SLAB_SAMPLES // prod(S)) frames.  Yields
+    (q, v, s, spacings, jet) per slab, as `trace_point_arrays` and
+    `evaluate_jet_batch` give them over the slab's frames and `halo`
+    more at both ends, which `_trace_trim(..., halo)` strips again.
+    A trace of fewer than 5 frames has no interior and raises."""
+    T = trace.t.size
+    if T < 5:
+        raise SimulationError(
+            f"trace residuals need at least 5 frames, the trace has {T}")
+    per = max(1, TRACE_SLAB_SAMPLES // math.prod(trace.grid.shape))
+    for lo in range(2, T - 2, per):
+        q, v, s, spacings = _frame_arrays(
+            model, trace, slice(lo - halo, min(lo + per, T - 2) + halo))
+        yield q, v, s, spacings, evaluate_jet_batch(model, q, v, s)
 
 
 def trace_el_residual(model: LagrangianModel, trace: SimTrace):
@@ -370,15 +403,17 @@ def trace_el_residual(model: LagrangianModel, trace: SimTrace):
 
     Time derivatives come from the recorded frames, spatial ones from the
     grid; the result is reported on the interior (two layers stripped in
-    every direction, including time)."""
-    q, v, s, spacings = trace_point_arrays(model, trace)
-    jet = evaluate_jet_batch(model, q, v, s)
-    a, dsdt = _second_jet(trace.grid, q, v, trace.s1, jet)
-    a[:, 0, 0] = _trace_d1(v[:, 0], spacings, 0)
-    dsdt[0, 0] = _trace_d1(trace.s1, spacings, 0)
-    rEL, rS = el_residual_batch(model, q, v, s, a, dsdt, jet=jet)
-    return tuple(float(np.max(np.abs(_trace_trim(r, model.k))))
-                 for r in (rEL, rS))
+    every direction, including time).  The trace is walked slab by slab,
+    in memory independent of the frame count."""
+    maxima = []
+    for q, v, s, spacings, jet in _trace_slabs(model, trace):
+        a, dsdt = _second_jet(trace.grid, q, v, s[0], jet)
+        a[:, 0, 0] = _trace_d1(v[:, 0], spacings, 0)
+        dsdt[0, 0] = _trace_d1(s[0], spacings, 0)
+        rEL, rS = el_residual_batch(model, q, v, s, a, dsdt, jet=jet)
+        maxima.append([np.max(np.abs(_trace_trim(r, model.k, 1)))
+                       for r in (rEL, rS)])
+    return tuple(float(x) for x in np.max(maxima, axis=0))
 
 
 def energy_monitor(model: LagrangianModel, state: SimState,

@@ -18,7 +18,7 @@ import numpy as np
 from .contact import (_energy_along_reeb, _energy_gradients, _reeb_vcomp,
                       hessian, reeb)
 from .jet import LagrangianModel, PhasePoint, evaluate_jet, evaluate_jet_batch
-from .sim import _trace_div, _trace_trim, trace_point_arrays
+from .sim import _trace_div, _trace_slabs, _trace_trim
 from .taylor import T2, TaylorContext, variables
 
 
@@ -245,26 +245,32 @@ def momentum_dissipation_check(model: LagrangianModel, i: int,
         div(p_i o sigma) = sum_a dL/ds^a * p_i^a  on solutions,
 
     valid when q^i is cyclic, over the trace interior.  Raises if
-    |dL/dq^i| exceeds 1e-9 anywhere on the trace samples."""
-    q, v, s, spacings = trace_point_arrays(model, trace)
-    jet = evaluate_jet_batch(model, q, v, s)
-    if np.max(np.abs(jet.dLdq[i])) > 1e-9:
-        raise ValueError(f"coordinate {i} not cyclic")
-    momenta = jet.dLdv[i]  # (k, T, *S)
-    rhs = np.einsum("a...,a...->...", jet.dLds, momenta)
-    res = _trace_div(momenta, spacings) - rhs
-    return float(np.max(np.abs(_trace_trim(res, model.k))))
+    |dL/dq^i| exceeds 1e-9 at any sample the residual reads (every frame
+    but the first and the last).  The trace is walked slab by slab, in
+    memory independent of the frame count."""
+    maxima = []
+    for q, v, s, spacings, jet in _trace_slabs(model, trace):
+        if np.max(np.abs(jet.dLdq[i])) > 1e-9:
+            raise ValueError(f"coordinate {i} not cyclic")
+        momenta = jet.dLdv[i]  # (k, T, *S)
+        rhs = np.einsum("a...,a...->...", jet.dLds, momenta)
+        res = _trace_div(momenta, spacings) - rhs
+        maxima.append(np.max(np.abs(_trace_trim(res, model.k, 1))))
+    return float(np.max(maxima))
 
 
 def dissipation_law_check(model: LagrangianModel, F: DissipatedQuantity,
                           trace) -> np.ndarray:
     """Pointwise residual of div(F o sigma) + (L_{R_a} E_L) F^a o sigma
     over the trace interior; F and the Reeb derivative of the energy
-    come from one jet of `model` along the trace."""
-    q, v, s, spacings = trace_point_arrays(model, trace)
-    jet = evaluate_jet_batch(model, q, v, s)
-    Fvals = F._at(jet, q, v, s)  # (k, T, *S)
-    rE = _energy_along_reeb(jet, v, _reeb_vcomp(jet))
-    res = (_trace_div(Fvals, spacings)
-           + np.einsum("a...,a...->...", rE, Fvals))
-    return _trace_trim(res, model.k)
+    come from one jet of `model` along the trace.  The trace is walked
+    slab by slab, in memory independent of the frame count, and the
+    slabs' residuals are joined along the time axis."""
+    res = []
+    for q, v, s, spacings, jet in _trace_slabs(model, trace):
+        Fvals = F._at(jet, q, v, s)  # (k, T, *S)
+        rE = _energy_along_reeb(jet, v, _reeb_vcomp(jet))
+        r = (_trace_div(Fvals, spacings)
+             + np.einsum("a...,a...->...", rE, Fvals))
+        res.append(_trace_trim(r, model.k, 1))
+    return np.concatenate(res, axis=-model.k)

@@ -126,6 +126,20 @@ class TestSimulate:
                           "--output", str(tmp_path / "x"))
         assert code == 3
 
+    def test_too_few_frames_exits_3(self, capsys, tmp_path):
+        # three frames leave no interior for the manifest residuals or
+        # a trace suite to report on
+        out = tmp_path / "x"
+        code = main(["simulate", "--model", "membrane",
+                     "--grid", "0,pi,17;0,pi,17", "--dt", "0.05",
+                     "--t-end", "0.1", "--output", str(out)])
+        assert code == 3
+        assert "at least 5 frames" in capsys.readouterr().err
+        for suite in ("dissipation", "hdw"):
+            code, _ = run_cli(capsys, "verify", "--suite", suite,
+                              "--trace", str(out))
+            assert code == 3
+
     def test_cfl_violation_exits_3(self, capsys, tmp_path):
         code, _ = run_cli(capsys, "simulate", "--model", "membrane",
                           "--mu", "2", "--grid", "0,pi,17;0,pi,17",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kcontact import (LagrangianModel, NotRegularError, PhasePoint,
-                      builtin_models, contact_coeffs, energy, evaluate_jet,
+                      builtin_models, energy, evaluate_jet,
                       free, hessian, legendre, membrane, random_phase_point,
                       reeb, reeb_derivative_of_energy, stack_points, string,
                       sv_coupling, verify_reeb)
@@ -50,7 +50,6 @@ class TestDerivedValues:
         assert np.allclose(jet.dLdv, [[1.0, -8.0, 4.0]])
         mp = legendre(jet, z)
         assert np.allclose(mp.p, [[1.0, -8.0, 4.0]])
-        assert np.allclose(contact_coeffs(jet).p, mp.p)
 
     def test_hessian(self, membrane_point):
         model, z = membrane_point
@@ -138,6 +137,30 @@ class TestSolveBatch:
         W = np.array(W)[:, :, None]
         with pytest.raises(NotRegularError, match="singular"):
             solve_batch(W, np.ones((W.shape[0], 1, 6)), "singular")
+
+    @pytest.mark.parametrize("wb, bb, c", [
+        ((), (), 1), ((), (), 3), ((1, 1), (4, 5), 1), ((1, 1), (4, 5), 2),
+        ((4, 5), (4, 5), 1), ((4, 5), (4, 5), 3), ((4, 1), (4, 5), 1),
+        ((), (6,), 1)])
+    def test_one_by_one_is_a_division(self, wb, bb, c):
+        # 1x1 systems skip LAPACK; the quotient is LAPACK's within 1 ulp
+        rng = np.random.default_rng(len(wb) + len(bb) + c)
+        W = rng.normal(size=(1, 1) + wb) * 10.0 ** rng.uniform(-3, 3, wb)
+        b = rng.normal(size=(1, c) + bb)
+        batch = np.broadcast_shapes(wb, bb)
+        x = solve_batch(W, b, "singular")
+        assert x.shape == (1, c) + batch
+        Wb = np.broadcast_to(W, (1, 1) + batch).reshape(1, 1, -1)
+        bb_ = np.broadcast_to(b, (1, c) + batch).reshape(1, c, -1)
+        want = np.linalg.solve(Wb.transpose(2, 0, 1), bb_.transpose(2, 0, 1))
+        np.testing.assert_array_max_ulp(
+            x, want.transpose(1, 2, 0).reshape((1, c) + batch), maxulp=1)
+
+    def test_one_by_one_zero_raises(self):
+        W = np.ones((1, 1, 6))
+        W[..., 4] = 0.0
+        with pytest.raises(NotRegularError, match="singular"):
+            solve_batch(W, np.ones((1, 1, 6)), "singular")
 
 
 class TestDegenerate:

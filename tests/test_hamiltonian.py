@@ -7,8 +7,10 @@ from kcontact import (LagrangianModel, MomentumPoint, NewtonError, NotRegularErr
                       PhasePoint, builtin_models, damped_oscillator,
                       energy, evaluate_jet, hamiltonian_value, hdw_residual,
                       legendre, legendre_inverse, membrane,
-                      momentum_path_from_arrays, no_reeb_residual,
-                      random_phase_point)
+                      momentum_path_from_arrays, random_phase_point,
+                      stack_points)
+from kcontact import hamiltonian
+from test_jet import born_infeld
 
 
 def oscillator_path(gamma, omega, t_end, num):
@@ -77,6 +79,36 @@ class TestLegendreInverse:
             legendre_inverse(model, mp)
         assert err.value.residual > 0
 
+    def test_batched_preimages_match_single_point_solves(self,
+                                                         monkeypatch):
+        # Born-Infeld guesses at distances 1e-12 .. 1e-1 from the
+        # preimage need 0 to several Newton steps; every point stops on
+        # its own, so the batch returns the single-point preimages
+        model = born_infeld()
+        rng = np.random.default_rng(8)
+        num = 12
+        z = stack_points([random_phase_point(model, rng, scale=0.4)
+                          for _ in range(num)])
+        mp = legendre(evaluate_jet(model, z), z)
+        v0 = z.v + rng.choice([-1.0, 1.0], size=(1, 2, num)) * np.logspace(
+            -12, -1, num)
+        sizes = []
+        jet_batch = hamiltonian.evaluate_jet_batch
+
+        def counted(model, q, v, s):
+            sizes.append(q.shape[1:])
+            return jet_batch(model, q, v, s)
+
+        monkeypatch.setattr(hamiltonian, "evaluate_jet_batch", counted)
+        batch = legendre_inverse(model, mp, v0=v0)
+        assert len(set(sizes)) > 2  # the points stop at different steps
+        monkeypatch.undo()
+        for j in range(num):
+            single = legendre_inverse(
+                model, MomentumPoint(q=mp.q[:, j], p=mp.p[:, :, j],
+                                     s=mp.s[:, j]), v0=v0[..., j])
+            assert batch.v[..., j].tobytes() == single.v.tobytes(), j
+
     def test_shape_mismatch_rejected(self):
         model = builtin_models()[2]
         mp = MomentumPoint(q=[0.0], p=[[1.0]], s=[0.0])
@@ -117,32 +149,3 @@ class TestHdw:
         hdw_residual(model, path)  # fine
         with pytest.raises(ValueError):
             hdw_residual(model, bad)
-
-
-class TestNoReeb:
-    def test_oscillator_dynamics_satisfies_reeb_free_form(self):
-        # the true contact dynamics X = v d/dq + a d/dp + L d/ds
-        # contracts the Reeb-free two-form to zero wherever H != 0
-        gamma, omega = 0.3, 1.1
-        model = damped_oscillator(gamma=gamma, omega=omega)
-        z = PhasePoint(q=[0.7], v=[[0.4]], s=[0.2])
-        jet = evaluate_jet(model, z)
-        mp = legendre(jet, z)
-        pdot = jet.dLdq + jet.dLds * jet.dLdv[:, 0]
-        res = no_reeb_residual(model, mp,
-                               Xq=[[z.v[0, 0]]],
-                               Xp=[[[pdot[0]]]],
-                               Xs=[[jet.L]])
-        assert abs(res["H"]) > 0.1
-        assert abs(res["energy"]) < 1e-12
-        for key in ("dq", "dp", "ds"):
-            assert np.max(np.abs(res[key])) < 1e-12
-
-    def test_wrong_dynamics_detected(self):
-        model = damped_oscillator(gamma=0.3, omega=1.1)
-        z = PhasePoint(q=[0.7], v=[[0.4]], s=[0.2])
-        jet = evaluate_jet(model, z)
-        mp = legendre(jet, z)
-        res = no_reeb_residual(model, mp, Xq=[[z.v[0, 0]]],
-                               Xp=[[[5.0]]], Xs=[[jet.L]])
-        assert np.max(np.abs(res["dq"])) > 1e-3

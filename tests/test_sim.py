@@ -18,6 +18,18 @@ from kcontact.taylor import cos
 from test_jet import born_infeld
 
 
+def coupled_wave():
+    """L = u_t^2/2 - u_x^2/2 + 0.2 s u_t cos u - u_t^4/40 couples
+    velocity and dissipation (d2L/du_t ds = 0.2 cos u) and has a
+    point-dependent time-time Hessian."""
+    return LagrangianModel(
+        n=1, k=2, name="coupled_wave",
+        lagrangian=lambda q, v, s: (0.5 * v[0][0] * v[0][0]
+                                    - 0.5 * v[0][1] * v[0][1]
+                                    + 0.2 * s[0] * v[0][0] * cos(q[0])
+                                    - 0.025 * v[0][0] ** 4))
+
+
 def membrane_exact(mu, gamma):
     wd = np.sqrt(2 * mu ** 2 - gamma ** 2 / 4)
 
@@ -248,15 +260,7 @@ class TestAccuracy:
         assert 3.0 < res[0] / res[1] < 5.5
 
     def test_s_coupled_nonlinear_residual_refines_at_order_two(self):
-        # L = u_t^2/2 - u_x^2/2 + 0.2 s u_t cos u - u_t^4/40 couples
-        # velocity and dissipation (d2L/du_t ds = 0.2 cos u) and has a
-        # point-dependent time-time Hessian
-        model = LagrangianModel(
-            n=1, k=2, name="coupled_wave",
-            lagrangian=lambda q, v, s: (0.5 * v[0][0] * v[0][0]
-                                        - 0.5 * v[0][1] * v[0][1]
-                                        + 0.2 * s[0] * v[0][0] * cos(q[0])
-                                        - 0.025 * v[0][0] ** 4))
+        model = coupled_wave()
         res = []
         for N in (64, 128, 256):
             grid = Grid(bounds=((0.0, 2 * np.pi),), counts=(N,),
