@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: derive (pointwise geometry reports), simulate (grid runs
-with CSV/JSON trace export), verify (numerical verification suites),
-inverse (build a Lagrangian from a PDE spec).  Exit codes: 0 success /
-all-pass, 2 configuration error, 3 numerical failure.
+with trace export: CSV, JSON manifest, npz arrays), verify (numerical
+verification suites), inverse (build a Lagrangian from a PDE spec).
+Exit codes: 0 success / all-pass, 2 configuration error, 3 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -355,12 +356,8 @@ def _suite_symmetry(args, tol) -> dict:
 
 
 def _load_trace_and_model(path):
-    try:
-        trace = load_trace(path)
-    except OSError as exc:
-        raise ConfigError(f"missing trace {path}: {exc}")
-    model = build_model(trace.model_name, trace.params)
-    return trace, model
+    trace = load_trace(path)
+    return trace, build_model(trace.model_name, trace.params)
 
 
 # a trace suite over two or more traces passes when the residual ratio of

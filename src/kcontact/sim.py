@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import json
 import math
+import operator
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,7 +22,7 @@ import numpy as np
 
 from .contact import solve_batch
 from .dynamics import el_residual_batch, evolution_rhs_batch
-from .errors import SimulationError
+from .errors import ConfigError, SimulationError
 from .jet import LagrangianModel, evaluate_jet_batch
 
 CFL_FACTOR = 0.4
@@ -335,11 +337,12 @@ def run(model: LagrangianModel, grid: Grid, dt: float, t_end: float,
 # Trace suites difference along every direction of the trailing (time,
 # space) grid axes with `_d1`, ends not wrapped, and report on the
 # interior, where the one-sided end stencils never enter.  The trace
-# residuals walk that interior in time slabs (`_trace_slabs`), so their
-# memory does not grow with the frame count.
+# residuals walk that interior, and `trace_lagrangian` every frame, in
+# time slabs (`_trace_slabs`), so their memory does not grow with the
+# frame count.
 
-# space-time samples per slab of a trace residual (at least one frame);
-# the working memory of a residual scales with it, not with the frames
+# space-time samples per slab of a trace walk (at least one frame); the
+# working memory of a residual scales with it, not with the frames
 TRACE_SLAB_SAMPLES = 1 << 17
 
 
@@ -380,21 +383,23 @@ def trace_point_arrays(model: LagrangianModel, trace: SimTrace):
     return _frame_arrays(model, trace, slice(None))
 
 
-def _trace_slabs(model, trace, halo=1):
-    """The reported time interior [2, T-2) of `trace` in slabs of
+def _trace_slabs(model, trace, halo=1, ends=2):
+    """The frames [ends, T-ends) of `trace` in slabs of
     max(1, TRACE_SLAB_SAMPLES // prod(S)) frames.  Yields
     (q, v, s, spacings, jet) per slab, as `trace_point_arrays` and
     `evaluate_jet_batch` give them over the slab's frames and `halo`
     more at both ends, which `_trace_trim(..., halo)` strips again.
-    A trace of fewer than 5 frames has no interior and raises."""
+    The residuals walk the reported time interior (ends=2), so a trace
+    of fewer than 5 frames has none and raises."""
     T = trace.t.size
-    if T < 5:
+    if T < 2 * ends + 1:
         raise SimulationError(
-            f"trace residuals need at least 5 frames, the trace has {T}")
+            f"trace residuals need at least {2 * ends + 1} frames, "
+            f"the trace has {T}")
     per = max(1, TRACE_SLAB_SAMPLES // math.prod(trace.grid.shape))
-    for lo in range(2, T - 2, per):
+    for lo in range(ends, T - ends, per):
         q, v, s, spacings = _frame_arrays(
-            model, trace, slice(lo - halo, min(lo + per, T - 2) + halo))
+            model, trace, slice(lo - halo, min(lo + per, T - ends) + halo))
         yield q, v, s, spacings, evaluate_jet_batch(model, q, v, s)
 
 
@@ -458,10 +463,14 @@ def energy_monitor(model: LagrangianModel, state: SimState,
 
 
 def trace_lagrangian(model: LagrangianModel, trace: SimTrace) -> np.ndarray:
-    """Pointwise L along the trace, shape (T, *S)."""
-    q, v, s, _ = trace_point_arrays(model, trace)
-    jet = evaluate_jet_batch(model, q, v, s)
-    return jet.L
+    """Pointwise L along the trace, shape (T, *S), evaluated slab by slab
+    over every frame (L takes no time derivative, so slabs need no halo)."""
+    L = np.empty(trace.s1.shape)
+    lo = 0
+    for *_, jet in _trace_slabs(model, trace, halo=0, ends=0):
+        L[lo:lo + len(jet.L)] = jet.L
+        lo += len(jet.L)
+    return L
 
 
 def s_accumulation_check(trace: SimTrace, model: LagrangianModel) -> float:
@@ -510,9 +519,20 @@ def el_convergence(model: LagrangianModel, exact, grids, t_end: float,
 
 
 # -- trace export/import -----------------------------------------------
+# trace.npz holds the arrays `load_trace` reads; trace.csv is an export
+# for other tools and is never read back
+
+TRACE_ARRAYS = ("t", "phi", "phidot", "s1")
+
 
 def save_trace(trace: SimTrace, directory):
-    """Write trace.csv plus manifest.json into `directory`."""
+    """Write trace.csv, manifest.json and trace.npz into `directory`.
+
+    trace.csv has one row per frame and grid point (t, the grid
+    coordinates, every phi, every phidot, s1; repr of each float).
+    trace.npz holds t (F,), phi (F, n, *S), phidot (F, n, *S) and
+    s1 (F, *S) as float64, with the members and bytes an uncompressed
+    `np.savez` of them has; `load_trace` reads it."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     n = trace.phi.shape[1]
@@ -551,31 +571,69 @@ def save_trace(trace: SimTrace, directory):
     with open(directory / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    # the members np.savez would write, from each array's own buffer:
+    # np.savez copies every array into a bytes object first, and glibc
+    # keeps such a freed copy (4 MB for a 101x101 trace) in its heap,
+    # which raised the benchmark's 101x101 membrane peak RSS by 6-16%
+    with zipfile.ZipFile(directory / "trace.npz", "w") as npz:
+        for key in TRACE_ARRAYS:
+            arr = np.ascontiguousarray(getattr(trace, key), dtype=np.float64)
+            with npz.open(f"{key}.npy", "w", force_zip64=True) as fh:
+                np.lib.format.write_array_header_1_0(
+                    fh, np.lib.format.header_data_from_array_1_0(arr))
+                fh.write(memoryview(arr).cast("B"))
     return manifest
 
 
 def load_trace(directory) -> SimTrace:
-    """Rebuild a SimTrace from `save_trace` output."""
+    """Rebuild a SimTrace from the manifest.json and trace.npz that
+    `save_trace` wrote; trace.csv is not read.
+
+    Each array must have the float64 dtype and the shape that the
+    manifest's frame count, grid counts and phi* columns give.  A
+    missing, malformed or inconsistent file raises ConfigError naming
+    it; a directory without trace.npz (written before the binary file
+    was added) needs a new `kcontact simulate`."""
     directory = Path(directory)
-    with open(directory / "manifest.json") as fh:
-        manifest = json.load(fh)
-    grid = Grid(bounds=tuple(tuple(b) for b in manifest["grid"]["bounds"]),
-                counts=tuple(manifest["grid"]["counts"]),
-                bc=manifest["grid"]["bc"])
-    data = np.loadtxt(directory / "trace.csv", delimiter=",", skiprows=1,
-                      ndmin=2)
-    d = grid.ndim
-    ncols = data.shape[1]
-    n = (ncols - 2 - d) // 2
-    F = manifest["frames"]
-    S = grid.shape
-    # copies, so that the parsed block is freed on return
-    t = data[:: int(np.prod(S)) if d else 1, 0][:F].copy()
-    phi = data[:, 1 + d:1 + d + n].T.reshape((n, F) + S)
-    dot = data[:, 1 + d + n:1 + d + 2 * n].T.reshape((n, F) + S)
-    s1 = data[:, -1].reshape((F,) + S).copy()
-    return SimTrace(model_name=manifest["model"], params=manifest["params"],
-                    grid=grid, dt=manifest["dt"],
-                    output_every=manifest["output_every"], t=t,
-                    phi=np.moveaxis(phi, 0, 1).copy(),
-                    phidot=np.moveaxis(dot, 0, 1).copy(), s1=s1)
+    path = directory / "manifest.json"
+    try:
+        manifest = json.loads(path.read_text())
+        if (manifest["kind"] != "trace"
+                or manifest["schema_version"] != SCHEMA_VERSION):
+            raise ValueError(f"not a schema-{SCHEMA_VERSION} trace manifest")
+        grid = Grid(bounds=tuple(map(tuple, manifest["grid"]["bounds"])),
+                    counts=tuple(map(operator.index,
+                                     manifest["grid"]["counts"])),
+                    bc=manifest["grid"]["bc"])
+        meta = dict(model_name=manifest["model"],
+                    params=dict(manifest["params"]), grid=grid,
+                    dt=manifest["dt"], output_every=manifest["output_every"])
+        F, S = manifest["frames"], grid.shape
+        n = sum(c[:3] == "phi" and c[3:].isdigit()
+                for c in manifest["columns"])
+    except KeyError as exc:
+        raise ConfigError(f"trace manifest {path} lacks the key {exc}")
+    except (OSError, ValueError, TypeError) as exc:
+        raise ConfigError(f"cannot read trace manifest {path}: {exc}")
+    path = directory / "trace.npz"
+    if not path.is_file():
+        raise ConfigError(f"trace arrays {path} not found; re-run "
+                          f"`kcontact simulate` to write them")
+    if not zipfile.is_zipfile(path):
+        raise ConfigError(f"trace arrays {path} are not an npz (zip) file")
+    shapes = {"t": (F,), "phi": (F, n) + S, "phidot": (F, n) + S,
+              "s1": (F,) + S}
+    arrays = {}
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            for key in TRACE_ARRAYS:
+                arr = arrays[key] = npz[key]
+                if arr.dtype != np.float64 or arr.shape != shapes[key]:
+                    raise ValueError(
+                        f"{key} is {arr.dtype} {arr.shape}, expected "
+                        f"float64 {shapes[key]}")
+    except KeyError:
+        raise ConfigError(f"trace arrays {path} lack '{key}'")
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ConfigError(f"cannot read trace arrays {path}: {exc}")
+    return SimTrace(**meta, **arrays)

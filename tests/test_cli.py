@@ -1,8 +1,10 @@
 """CLI contract: exit codes, report schemas, determinism."""
 
 import json
+import shutil
 import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -179,6 +181,60 @@ def membrane_trace_pair(tmp_path_factory):
     return paths
 
 
+def rewrite_manifest(change):
+    def corrupt(path):
+        manifest = json.loads((path / "manifest.json").read_text())
+        change(manifest)
+        (path / "manifest.json").write_text(json.dumps(manifest))
+    return corrupt
+
+
+def rewrite_arrays(change):
+    def corrupt(path):
+        with np.load(path / "trace.npz") as npz:
+            arrays = dict(npz)
+        change(arrays)
+        np.savez(path / "trace.npz", **arrays)
+    return corrupt
+
+
+def truncate(name, size):
+    def corrupt(path):
+        data = (path / name).read_bytes()
+        (path / name).write_bytes(data[:-size])
+    return corrupt
+
+
+def save_npy(path):
+    with open(path / "trace.npz", "wb") as fh:
+        np.save(fh, np.zeros(3))
+
+
+# damage done to a trace directory, and the file the error must name
+HOSTILE_TRACES = {
+    "manifest-not-json": (truncate("manifest.json", 20), "manifest.json"),
+    "manifest-lacks-key": (rewrite_manifest(lambda m: m.pop("frames")),
+                           "manifest.json"),
+    "manifest-wrong-kind": (rewrite_manifest(lambda m: m.update(kind="x")),
+                            "manifest.json"),
+    "manifest-wrong-schema": (
+        rewrite_manifest(lambda m: m.update(schema_version=2)),
+        "manifest.json"),
+    "npz-missing": (lambda path: (path / "trace.npz").unlink(), "trace.npz"),
+    "npz-not-zip": (save_npy, "trace.npz"),
+    "npz-truncated": (truncate("trace.npz", 200), "trace.npz"),
+    "npz-lacks-key": (rewrite_arrays(lambda a: a.pop("s1")), "trace.npz"),
+    "npz-object-array": (
+        rewrite_arrays(lambda a: a.update(t=a["t"].astype(object))),
+        "trace.npz"),
+    "npz-wrong-shape": (
+        rewrite_arrays(lambda a: a.update(phi=a["phi"][:-1])), "trace.npz"),
+    "npz-wrong-dtype": (
+        rewrite_arrays(lambda a: a.update(s1=a["s1"].astype(np.float32))),
+        "trace.npz"),
+}
+
+
 class TestVerify:
     def test_reeb_suite_passes(self, capsys):
         code, rep = report_of(capsys, "verify", "--suite", "reeb",
@@ -267,6 +323,39 @@ class TestVerify:
         code, _ = run_cli(capsys, "verify", "--suite", "dissipation",
                           "--trace", str(tmp_path / "nope"))
         assert code == 2
+
+    @pytest.mark.parametrize("case", HOSTILE_TRACES)
+    def test_hostile_trace_exits_2(self, capsys, tmp_path, case,
+                                   membrane_trace_pair):
+        corrupt, name = HOSTILE_TRACES[case]
+        path = tmp_path / "trace"
+        shutil.copytree(membrane_trace_pair[0], path)
+        corrupt(path)
+        code = main(["verify", "--suite", "dissipation", "--trace",
+                     str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and name in err
+        if case == "npz-missing":
+            assert "simulate" in err
+
+    def test_trace_csv_is_not_read(self, capsys, tmp_path,
+                                   membrane_trace_pair):
+        # the same report from the trace pair with its CSV exports deleted
+        argv = ["verify", "--suite", "dissipation", "--suite", "hdw"]
+        copies = []
+        for path in membrane_trace_pair:
+            copies.append(tmp_path / Path(path).name)
+            shutil.copytree(path, copies[-1])
+            (copies[-1] / "trace.csv").unlink()
+        reports = []
+        for paths in (membrane_trace_pair, copies):
+            code, rep = report_of(capsys, *argv, *[
+                arg for path in paths for arg in ("--trace", str(path))])
+            assert code == 0
+            del rep["timestamp"]
+            reports.append(rep)
+        assert reports[0] == reports[1]
 
     def test_dissipation_ratio_from_trace_pair(self, capsys,
                                                membrane_trace_pair):

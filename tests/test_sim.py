@@ -2,11 +2,12 @@
 
 import csv
 import io
+import zipfile
 
 import numpy as np
 import pytest
 
-from kcontact import (Grid, LagrangianModel, PdeSpec, SimState,
+from kcontact import (Grid, LagrangianModel, PdeSpec, SimState, SimTrace,
                       SimulationError, build_lagrangian, damped_oscillator,
                       el_convergence, energy_monitor, load_trace, membrane,
                       run, s_accumulation_check, save_trace, step, string,
@@ -331,9 +332,41 @@ class TestExport:
         assert np.array_equal(loaded.s1, trace.s1)
         assert loaded.grid == trace.grid
         assert loaded.dt == trace.dt
-        # copies, not views that keep the whole parsed CSV block alive
+        # no loaded array keeps a larger buffer alive
         for arr in (loaded.t, loaded.phi, loaded.phidot, loaded.s1):
-            assert arr.base is None
+            assert arr.base is None or arr.base.nbytes == arr.nbytes
+
+    def test_roundtrip_is_bit_exact(self, tmp_path):
+        # arbitrary bit patterns, signed zeros among them
+        grid = Grid(bounds=((0, 1), (0, 2)), counts=(8, 9))
+        rng = np.random.default_rng(5)
+        F, n = 4, 2
+        arrays = {"t": np.array([0.0, 0.1, 0.2, 0.30000000000000004]),
+                  "phi": rng.standard_normal((F, n) + grid.shape) ** 7,
+                  "phidot": -rng.standard_normal((F, n) + grid.shape),
+                  "s1": rng.standard_normal((F,) + grid.shape)}
+        arrays["phi"][0] = -0.0
+        arrays["phidot"][1, 0, ::2] = 0.0
+        arrays["phidot"][1, 1, ::2] = -0.0
+        arrays["s1"][2, 3] = -0.0
+        trace = SimTrace(model_name="string", params={"gamma": 0.3},
+                         grid=grid, dt=0.05, output_every=2, **arrays)
+        save_trace(trace, tmp_path)
+        loaded = load_trace(tmp_path)
+        for key, arr in arrays.items():
+            got = getattr(loaded, key)
+            assert got.dtype == np.float64 and got.shape == arr.shape
+            assert got.tobytes() == arr.tobytes()
+            assert np.array_equal(np.signbit(got), np.signbit(arr))
+        assert np.signbit(loaded.phi[0]).all()
+        # the members of an uncompressed np.savez of the same arrays
+        np.savez(tmp_path / "savez.npz", **arrays)
+        with (zipfile.ZipFile(tmp_path / "trace.npz") as got,
+              zipfile.ZipFile(tmp_path / "savez.npz") as ref):
+            assert got.namelist() == ref.namelist()
+            for name in ref.namelist():
+                assert got.getinfo(name).compress_type == zipfile.ZIP_STORED
+                assert got.read(name) == ref.read(name)
 
     @staticmethod
     def csv_writer_reference(trace):

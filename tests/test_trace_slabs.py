@@ -1,5 +1,6 @@
-"""Trace residuals walked in time slabs: the slab size changes neither a
-bit of any residual nor, with the frame count, the working memory."""
+"""Trace residuals and the trace Lagrangian walked in time slabs: the
+slab size changes neither a bit of any result nor, with the frame
+count, the working memory."""
 
 import math
 import tracemalloc
@@ -9,7 +10,8 @@ import pytest
 
 from kcontact import (Grid, SimState, SimTrace, builtin_symmetry_field,
                       dissipated_quantity, dissipation_law_check, membrane,
-                      momentum_dissipation_check, run, trace_el_residual)
+                      momentum_dissipation_check, run, trace_el_residual,
+                      trace_lagrangian)
 from kcontact import sim
 from kcontact.cli import _suite_hdw
 from test_jet import born_infeld
@@ -44,9 +46,10 @@ CASES = {
 
 
 def residuals(model, trace):
-    """Every trace residual, as exactly comparable values."""
+    """Every trace residual and L, as exactly comparable values."""
     F = dissipated_quantity(model, builtin_symmetry_field(model, "du"))
     out = {"el": trace_el_residual(model, trace),
+           "lagrangian": trace_lagrangian(model, trace).tobytes(),
            "dissipation": dissipation_law_check(model, F, trace).tobytes(),
            "hdw": _suite_hdw(None, 0.5, lambda: [(trace, model)])}
     if model.name != "coupled_wave":  # its q is not cyclic
@@ -97,7 +100,7 @@ def test_memory_does_not_grow_with_the_frame_count(monkeypatch):
     model = membrane(mu=1.0, gamma=0.2)
     monkeypatch.setattr(sim, "TRACE_SLAB_SAMPLES", 4 * 33 * 33)
     F = dissipated_quantity(model, builtin_symmetry_field(model, "du"))
-    peaks = {"dissipation": [], "hdw": []}
+    peaks = {"dissipation": [], "hdw": [], "lagrangian": []}
     trace_bytes = []
     for frames in (24, 48):
         trace = analytic_membrane_trace(frames)
@@ -107,6 +110,8 @@ def test_memory_does_not_grow_with_the_frame_count(monkeypatch):
             lambda: dissipation_law_check(model, F, trace)))
         peaks["hdw"].append(peak_bytes(
             lambda: _suite_hdw(None, 0.5, lambda: [(trace, model)])))
+        peaks["lagrangian"].append(peak_bytes(
+            lambda: trace_lagrangian(model, trace)))
     margin = 64 * 1024
     for name, (small, large) in peaks.items():
         assert large - small < trace_bytes[1] - trace_bytes[0] + margin, \
