@@ -57,7 +57,7 @@ def _el_operator(jet, v, a, dsdt, evolution=False):
     - dLdq[i] - dLds[a] dLdv[i,a] with (W, Q, S) the blocks d2Ldvdv,
     d2Ldvdq and d2Ldvds; batch axes, if any, trail every array.
 
-    Only the entries the jet's masks mark as stored are multiplied.  Each
+    Only the entries the jet's layout lists as stored are multiplied.  Each
     of the three contractions sums from +0.0 in the label order of its
     block, (a, j, b), (a, j) and (a, b), and the terms add in the order
     above.  That is how einsum sums batched C-ordered operands, and a
@@ -70,21 +70,18 @@ def _el_operator(jet, v, a, dsdt, evolution=False):
     the arrays hold; nothing is written into them.
     """
     n = jet.dLdv.shape[0]
-    mask_vv = jet.mask_vv
-    if evolution:  # a[:, 0, 0] = 0 drops the W[:, 0, :, 0] terms
-        mask_vv = mask_vv.copy()
-        mask_vv[:, 0, :, 0] = False
+    layout = jet.layout
 
     def dsdt_entry(c, b):
         return jet.L if evolution and b == c == 0 else dsdt[c, b]
 
     rEL = np.zeros((n,) + jet.L.shape)
-    for block, mask, operand in (
-            (jet.d2Ldvdv, mask_vv, lambda c, j, b: a[j, b, c]),
-            (jet.d2Ldvdq, jet.mask_vq, lambda c, j: v[j, c]),
-            (jet.d2Ldvds, jet.mask_vs, dsdt_entry)):
-        # the stored entries in C order, as tuples of ints
-        entries = list(zip(*(x.tolist() for x in mask.nonzero())))
+    for block, entries, operand in (
+            # a[:, 0, 0] = 0 drops the W[:, 0, :, 0] terms
+            (jet.d2Ldvdv, layout.vv_evolution if evolution else layout.vv,
+             lambda c, j, b: a[j, b, c]),
+            (jet.d2Ldvdq, layout.vq, lambda c, j: v[j, c]),
+            (jet.d2Ldvds, layout.vs, dsdt_entry)):
         if entries:
             part = np.zeros(rEL.shape)  # sums from +0.0, never -0
             for i, *idx in entries:

@@ -10,6 +10,7 @@ evaluates both on plain numpy arrays (fast path for simulation) and on
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -75,6 +76,80 @@ def stack_points(points) -> PhasePoint:
                         for x in "qvs"))
 
 
+def _read_only(arr):
+    arr.flags.writeable = False
+    return arr
+
+
+def _entries(mask):
+    """The marked entries of `mask` in C order, as tuples of ints."""
+    return tuple(zip(*(x.tolist() for x in mask.nonzero())))
+
+
+@dataclass(frozen=True, eq=False)
+class JetLayout:
+    """Everything about a jet that depends only on which derivative rows
+    the Taylor kernel stored, worked out once per sparsity pattern by
+    `_layout` and shared by every jet with that pattern.
+
+    `rows` holds, for each of the six derivative blocks of `Jet2` in
+    field order, the block's row count and the (position, key) pairs of
+    its stored rows.  The masks mark the stored entries of the three
+    second-derivative blocks over their lead axes (see `Jet2`); the
+    entry tuples list them in C order, as `_el_operator` multiplies
+    them, `vv_evolution` without W[:, 0, :, 0].  `need_a[b, c]` and
+    `need_s[b, c]` tell whether a stored entry multiplies a[:, b, c] and
+    dsdt[b, c].  Every array is read-only.
+    """
+
+    rows: tuple
+    mask_vv: np.ndarray
+    mask_vq: np.ndarray
+    mask_vs: np.ndarray
+    vv: tuple
+    vv_evolution: tuple
+    vq: tuple
+    vs: tuple
+    need_a: np.ndarray
+    need_s: np.ndarray
+
+
+@lru_cache(maxsize=64)
+def _layout(n, k, grad_keys, hess_keys):
+    """The `JetLayout` of a T2 over (n, k) that stores the gradient rows
+    `grad_keys` and the Hessian entries `hess_keys` (frozensets).  The
+    key is the stored set itself, never the model, so a density whose
+    stored set changes gets another layout."""
+    nv = n * k
+    q_cols, v_cols = range(n), range(n, n + nv)
+    s_cols = range(n + nv, n + nv + k)
+
+    def rows(present, keys):
+        keys = list(keys)
+        return len(keys), tuple((i, key) for i, key in enumerate(keys)
+                                if key in present)
+
+    def hess(cols):
+        return rows(hess_keys, ((r, j) for r in range(nv) for j in cols))
+
+    stored = np.zeros((nv, n + nv + k), dtype=bool)
+    for rj in hess_keys:
+        stored[rj] = True
+    mask_vv = _read_only(stored[:, n:n + nv].reshape(n, k, n, k))
+    mask_vq = _read_only(stored[:, :n].reshape(n, k, n))
+    mask_vs = _read_only(stored[:, n + nv:].reshape(n, k, k))
+    vv = _entries(mask_vv)
+    return JetLayout(
+        rows=(rows(grad_keys, q_cols), rows(grad_keys, v_cols),
+              rows(grad_keys, s_cols), hess(v_cols), hess(q_cols),
+              hess(s_cols)),
+        mask_vv=mask_vv, mask_vq=mask_vq, mask_vs=mask_vs,
+        vv=vv, vv_evolution=tuple(e for e in vv if e[1] or e[3]),
+        vq=_entries(mask_vq), vs=_entries(mask_vs),
+        need_a=_read_only(mask_vv.any(axis=(0, 2)).T),
+        need_s=_read_only(mask_vs.any(axis=0)))
+
+
 @dataclass(frozen=True)
 class Jet2:
     """Value and derivative blocks of L at a point (or a batch of points).
@@ -87,15 +162,18 @@ class Jet2:
     it, of size 1 where they do not vary from point to point.  Blocks
     stack the Taylor kernel's stored rows and may be broadcast views,
     read-only and sharing memory with the coordinates; a block with no
-    stored row (dLdq of a density free of q) is a read-only broadcast
-    zero.  Never write into them.
+    stored row (dLdq of a density free of q) is a shared read-only
+    broadcast zero.  Never write into them.
 
-    The masks mark the entries of the three second-derivative blocks that
-    the kernel stored, over their lead axes: mask_vv (n,k,n,k) for
-    d2Ldvdv, mask_vq (n,k,n) for d2Ldvdq, mask_vs (n,k,k) for d2Ldvds.
-    They are read off the kernel's row keys, not the values, so they are
-    the same at every point and for every batch shape; an unmarked entry
-    is an exact zero, a marked one may be zero at some points.
+    `layout` is the shared, cached, read-only `JetLayout` of the kernel's
+    stored rows; jets of densities that store the same rows hold the
+    same layout object.  Its masks, read through `mask_vv` (n,k,n,k) for
+    d2Ldvdv, `mask_vq` (n,k,n) for d2Ldvdq and `mask_vs` (n,k,k) for
+    d2Ldvds, mark the entries the kernel stored over the blocks' lead
+    axes.  They are read off the kernel's row keys, not the values, so
+    they are the same at every point and for every batch shape; an
+    unmarked entry is an exact zero, a marked one may be zero at some
+    points.
     """
 
     L: np.ndarray
@@ -105,13 +183,17 @@ class Jet2:
     d2Ldvdv: np.ndarray
     d2Ldvdq: np.ndarray
     d2Ldvds: np.ndarray
-    mask_vv: np.ndarray
-    mask_vq: np.ndarray
-    mask_vs: np.ndarray
+    layout: JetLayout
+
+    mask_vv = property(lambda self: self.layout.mask_vv)
+    mask_vq = property(lambda self: self.layout.mask_vq)
+    mask_vs = property(lambda self: self.layout.mask_vs)
 
     def check(self):
         """Validate finiteness and v-v symmetry of d2Ldvdv (rtol 1e-12)."""
         for name in self.__dataclass_fields__:
+            if name == "layout":
+                continue
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"non-finite entries in jet block {name}")
         W = self.d2Ldvdv
@@ -158,18 +240,35 @@ class LagrangianModel:
         return np.broadcast_to(np.asarray(out, dtype=float), shape)
 
 
-def _block(rows, keys, lead, tail):
-    """The rows `keys` of a T2 derivative dict as one array of shape
-    lead + tail.  Only the stored rows are stacked, at their broadcast
-    shape, with zeros for the absent ones; a block with no stored row is
-    a read-only broadcast zero."""
-    stored = [(i, rows[key]) for i, key in enumerate(keys) if key in rows]
+@lru_cache(maxsize=128)
+def _zeros(shape):
+    # the read-only broadcast zero of a block with no stored row
+    return np.broadcast_to(0.0, shape)
+
+
+def _common_shape(xs, ndim):
+    """The broadcast shape of the arrays `xs`, with at least `ndim` axes."""
+    shapes = {np.shape(x) for x in xs}
+    if len(shapes) == 1:
+        (shape,) = shapes
+        if len(shape) == ndim:
+            return shape
+    return np.broadcast_shapes(*shapes, (1,) * ndim)
+
+
+def _block(rows, layout_rows, lead, tail):
+    """The rows of a T2 derivative dict that `layout_rows` = (size,
+    ((position, key), ...)) places as one array of shape lead + tail.
+    Only the stored rows are stacked, at their broadcast shape, with
+    zeros for the absent ones; a block with no stored row is a shared
+    read-only broadcast zero."""
+    size, stored = layout_rows
     if not stored:
-        return np.broadcast_to(0.0, lead + tail)
-    b = np.broadcast_shapes(*(np.shape(x) for _, x in stored),
-                            (1,) * len(tail))
-    block = np.zeros((len(keys),) + b)
-    for i, x in stored:
+        return _zeros(lead + tail)
+    xs = [rows[key] for _, key in stored]
+    b = _common_shape(xs, len(tail))
+    block = np.zeros((size,) + b)
+    for (i, _), x in zip(stored, xs):
         block[i] = x
     block = block.reshape(lead + b)
     return block if b == tail else np.broadcast_to(block, lead + tail)
@@ -179,6 +278,7 @@ def evaluate_jet_batch(model: LagrangianModel, q, v, s) -> Jet2:
     """Exact Jet2 blocks at a batch of points.
 
     q: (n, *B), v: (n, k, *B), s: (k, *B); batch axes trail everywhere.
+    The coordinate arrays are not written.
     """
     n, k = model.n, model.k
     q = np.asarray(q, dtype=float)
@@ -189,32 +289,23 @@ def evaluate_jet_batch(model: LagrangianModel, q, v, s) -> Jet2:
     out = model.lagrangian(*variables(ctx, q, v, s))
     if not isinstance(out, T2):  # constant Lagrangian
         out = T2(ctx, out, {}, {})
-    nv = ctx.nv
-    qs, vs, ss = range(n), range(n, n + nv), range(n + nv, ctx.m)
+    layout = _layout(n, k, frozenset(out.grad), frozenset(out.hess))
+    dq, dv, ds, hvv, hvq, hvs = layout.rows
     # the second-derivative blocks keep the stored entries' shape, which
     # broadcasts against the batch (size-1 axes where L is quadratic in v)
-    hb = np.broadcast_shapes(*map(np.shape, out.hess.values()),
-                             (1,) * len(batch))
-
-    def hess(cols, lead):
-        return _block(out.hess, [(r, j) for r in range(nv) for j in cols],
-                      (n, k) + lead, hb)
-
-    stored = np.zeros((nv, ctx.m), dtype=bool)
-    for rj in out.hess:
-        stored[rj] = True
-
+    hb = _common_shape(out.hess.values(), len(batch))
+    # L may share memory with the coordinates: a read-only view either way
+    L = np.asarray(out.val, dtype=float)
+    L = _read_only(L.view()) if L.shape == batch else np.broadcast_to(L, batch)
     return Jet2(
-        L=np.broadcast_to(np.asarray(out.val, dtype=float), batch),
-        dLdq=_block(out.grad, qs, (n,), batch),
-        dLdv=_block(out.grad, vs, (n, k), batch),
-        dLds=_block(out.grad, ss, (k,), batch),
-        d2Ldvdv=hess(vs, (n, k)),
-        d2Ldvdq=hess(qs, (n,)),
-        d2Ldvds=hess(ss, (k,)),
-        mask_vv=stored[:, n:n + nv].reshape(n, k, n, k),
-        mask_vq=stored[:, :n].reshape(n, k, n),
-        mask_vs=stored[:, n + nv:].reshape(n, k, k),
+        L=L,
+        dLdq=_block(out.grad, dq, (n,), batch),
+        dLdv=_block(out.grad, dv, (n, k), batch),
+        dLds=_block(out.grad, ds, (k,), batch),
+        d2Ldvdv=_block(out.hess, hvv, (n, k, n, k), hb),
+        d2Ldvdq=_block(out.hess, hvq, (n, k, n), hb),
+        d2Ldvds=_block(out.hess, hvs, (n, k, k), hb),
+        layout=layout,
     )
 
 

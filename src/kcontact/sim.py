@@ -137,14 +137,21 @@ def _along(f, axis):
     return at
 
 
+def _wrap(f, axis):
+    """`f` padded along `axis` with one periodic cell at each end."""
+    at = _along(f, axis)
+    return np.concatenate((f[at(-1, None)], f, f[at(None, 1)]), axis=axis)
+
+
 def _d1(f, h, axis, periodic):
     """Central first difference along `axis`, wrapped if `periodic`, else
     one-sided second-order at both ends with numpy's coefficients (it
     equals numpy's `gradient` with edge_order=2 bit for bit); also the
     trace stencil."""
-    if periodic:
-        return (np.roll(f, -1, axis=axis) - np.roll(f, 1, axis=axis)) / (2 * h)
     at = _along(f, axis)
+    if periodic:
+        f = _wrap(f, axis)
+        return (f[at(2, None)] - f[at(None, -2)]) / (2 * h)
     out = np.empty_like(f)
     out[at(1, -1)] = (f[at(2, None)] - f[at(None, -2)]) / (2. * h)
     out[at(None, 1)] = (-1.5 / h * f[at(None, 1)] + 2. / h * f[at(1, 2)]
@@ -155,10 +162,10 @@ def _d1(f, h, axis, periodic):
 
 
 def _d2(f, h, axis, periodic):
-    if periodic:
-        return (np.roll(f, -1, axis=axis) - 2 * f
-                + np.roll(f, 1, axis=axis)) / h ** 2
     at = _along(f, axis)
+    if periodic:
+        f = _wrap(f, axis)
+        return (f[at(2, None)] - 2 * f[at(1, -1)] + f[at(None, -2)]) / h ** 2
     out = np.empty_like(f)
     out[at(1, -1)] = (f[at(2, None)] - 2 * f[at(1, -1)]
                       + f[at(None, -2)]) / h ** 2
@@ -195,8 +202,7 @@ def _second_jet(grid, phi, v, s1, jet):
     n, k = v.shape[:2]
     d = grid.ndim
     periodic = grid.bc == "periodic"
-    need_a = jet.mask_vv.any(axis=(0, 2)).T
-    need_s = jet.mask_vs.any(axis=0)
+    need_a, need_s = jet.layout.need_a, jet.layout.need_s
     a = np.zeros((n, k, k) + phi.shape[1:])
     dsdt = np.zeros((k, k) + phi.shape[1:])
 
@@ -233,6 +239,7 @@ def _boundary_mask(grid: Grid):
 
 
 def _state_rhs(model, grid, phi, phidot, s1, mask):
+    """Time derivatives (dphi, accel, L) of the state, then the jet at it."""
     v, s = _point_arrays(model, grid, phi, phidot, s1)
     jet = evaluate_jet_batch(model, phi, v, s)
     a, dsdt = _second_jet(grid, phi, v, s1, jet)
@@ -241,35 +248,47 @@ def _state_rhs(model, grid, phi, phidot, s1, mask):
     if mask is not None:
         accel[:, mask] = 0.0
         dphi[:, mask] = 0.0
-    return dphi, accel, L
+    return dphi, accel, L, jet
 
 
-def char_speeds(model: LagrangianModel, state: SimState, grid: Grid
-                ) -> np.ndarray:
+def _eigvals(X):
+    """Eigenvalues of the (m, m, *B) matrices X, shape (*B, m).  A 1x1
+    matrix is its own eigenvalue: `np.linalg.eigvals` returns the entry
+    bit for bit, except that LAPACK rescales entries of magnitude below
+    about 1e-138 or above 1e138 and may then be 1 ulp off."""
+    if X.shape[:2] == (1, 1):
+        return X[0, 0][..., None]
+    return np.linalg.eigvals(np.moveaxis(X, (0, 1), (-2, -1)))
+
+
+def char_speeds(model: LagrangianModel, state: SimState, grid: Grid,
+                jet=None) -> np.ndarray:
     """Characteristic speed estimate per spatial direction from the
     Hessian blocks, the maximum over every grid point of the current
-    state."""
+    state.  `jet`, if given, is the jet at the state's grid points (as
+    `_state_rhs` evaluates it), which is then not evaluated again."""
     d = grid.ndim
     if d == 0:
         return np.zeros(0)
-    v, s = _point_arrays(model, grid, state.phi, state.phidot, state.s1)
-    jet = evaluate_jet_batch(model, state.phi, v, s)
+    if jet is None:
+        v, s = _point_arrays(model, grid, state.phi, state.phidot, state.s1)
+        jet = evaluate_jet_batch(model, state.phi, v, s)
     speeds = np.zeros(d)
     for a in range(d):
         X = solve_batch(jet.d2Ldvdv[:, 0, :, 0],
                         jet.d2Ldvdv[:, 1 + a, :, 1 + a],
                         "not hyperbolic-evolvable in direction t")
-        lam = np.linalg.eigvals(np.moveaxis(X, (0, 1), (-2, -1)))
-        speeds[a] = np.sqrt(np.max(np.abs(lam)))
+        speeds[a] = np.sqrt(np.max(np.abs(_eigvals(X))))
     return speeds
 
 
 def check_cfl(model: LagrangianModel, state: SimState, grid: Grid,
-              dt: float):
-    """Enforce dt <= CFL_FACTOR * h / c per spatial direction."""
+              dt: float, jet=None):
+    """Enforce dt <= CFL_FACTOR * h / c per spatial direction; `jet` as
+    in `char_speeds`."""
     if dt <= 0:
         raise SimulationError("nonpositive step")
-    speeds = char_speeds(model, state, grid)
+    speeds = char_speeds(model, state, grid, jet)
     for a, c in enumerate(speeds):
         if c > 0 and dt > CFL_FACTOR * grid.spacing[a] / c * (1 + 1e-9):
             raise SimulationError(
@@ -278,17 +297,17 @@ def check_cfl(model: LagrangianModel, state: SimState, grid: Grid,
 
 
 def step(model: LagrangianModel, state: SimState, grid: Grid,
-         dt: float, _mask=None, _skip_cfl=False) -> SimState:
-    """One classical RK4 step of (phi, phidot, s1)."""
-    if not _skip_cfl:
-        check_cfl(model, state, grid, dt)
+         dt: float, _mask=None) -> SimState:
+    """One classical RK4 step of (phi, phidot, s1).  The state it steps
+    from is checked for the CFL condition with the jet of stage 1."""
     mask = _boundary_mask(grid) if _mask is None else _mask
     y = (state.phi, state.phidot, state.s1)
 
     def f(phi, phidot, s1):
         return _state_rhs(model, grid, phi, phidot, s1, mask)
 
-    k1 = f(*y)
+    *k1, jet = f(*y)
+    check_cfl(model, state, grid, dt, jet)
     k2 = f(y[0] + 0.5 * dt * k1[0], y[1] + 0.5 * dt * k1[1],
            y[2] + 0.5 * dt * k1[2])
     k3 = f(y[0] + 0.5 * dt * k2[0], y[1] + 0.5 * dt * k2[1],
@@ -303,9 +322,9 @@ def run(model: LagrangianModel, grid: Grid, dt: float, t_end: float,
         initial: SimState, output_every: int = 1) -> SimTrace:
     """Integrate to t_end, recording every `output_every` steps.
 
-    The state after every step is checked for finiteness, so a blow-up
-    is reported at the first step that produced it, and every recorded
-    frame the run steps on from (t=0 included) for the CFL condition."""
+    Every step checks the state it steps from for the CFL condition
+    (see `step`) and the state it produced for finiteness, so a CFL
+    violation or a blow-up is reported at the first step that meets it."""
     if dt <= 0:
         raise SimulationError("nonpositive step")
     if output_every < 1:
@@ -318,10 +337,7 @@ def run(model: LagrangianModel, grid: Grid, dt: float, t_end: float,
     times = [state.t]
     frames = [state]
     for j in range(steps):
-        if j % output_every == 0:
-            check_cfl(model, state, grid, dt)
-        state = step(model, state, grid, dt, _mask=mask,
-                     _skip_cfl=True).check_finite()
+        state = step(model, state, grid, dt, _mask=mask).check_finite()
         if (j + 1) % output_every == 0:
             frames.append(state)
             times.append(state.t)
@@ -438,11 +454,11 @@ def energy_monitor(model: LagrangianModel, state: SimState,
         return float(np.sum(phidot * jet.dLdv[:, 0]) - jet.L)
     grads = []
     for a in range(d):
-        if grid.bc == "periodic":
-            g = (np.roll(phi, -1, axis=1 + a) - phi) / grid.spacing[a]
-        else:
-            g = (np.diff(phi, axis=1 + a)) / grid.spacing[a]
-        grads.append(g)
+        ext = phi
+        if grid.bc == "periodic":  # the last cell differences to the first
+            ext = np.concatenate((phi, phi[_along(phi, 1 + a)(None, 1)]),
+                                 axis=1 + a)
+        grads.append(np.diff(ext, axis=1 + a) / grid.spacing[a])
     if grid.bc == "dirichlet":
         region = tuple(slice(0, -1) for _ in range(d))
         phi_c = phi[(slice(None),) + region]

@@ -25,6 +25,7 @@ its operands carry; `dense` lays them out as full arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -170,11 +171,21 @@ class T2:
         return f"T2(val={self.val!r})"
 
 
+@lru_cache(maxsize=None)
+def _unit_row(ndim):
+    # the read-only gradient row 1.0 of a seed, shared by every seed of
+    # that rank (one entry per rank, so the cache stays small)
+    row = np.ones((1,) * ndim)
+    row.flags.writeable = False
+    return row
+
+
 def variable(ctx, index, value):
     """Seed coordinate `index` (flat layout q | v | s) with `value`; its
-    one gradient row 1.0 has shape (1, ..., 1) and broadcasts against it."""
+    one gradient row 1.0 has shape (1, ..., 1), broadcasts against it and
+    is a shared read-only array."""
     value = np.asarray(value, dtype=float)
-    return T2(ctx, value, {index: np.ones((1,) * value.ndim)}, {})
+    return T2(ctx, value, {index: _unit_row(value.ndim)}, {})
 
 
 def variables(ctx, q, v, s):
@@ -185,7 +196,9 @@ def variables(ctx, q, v, s):
     index = iter(range(ctx.m))  # consumed in the flat order q | v | s
 
     def seed(x):
-        return variable(ctx, next(index), np.broadcast_to(x, batch))
+        if np.shape(x) != batch:
+            x = np.broadcast_to(x, batch)
+        return variable(ctx, next(index), x)
 
     return ([seed(x) for x in q], [[seed(x) for x in row] for row in v],
             [seed(x) for x in s])

@@ -8,7 +8,7 @@ import pytest
 from kcontact import (Jet2, LagrangianModel, PhasePoint, builtin_models,
                       evaluate_jet, evaluate_jet_batch, fd_check, membrane,
                       random_phase_point, stack_points, sv_coupling)
-from kcontact.taylor import sqrt
+from kcontact.taylor import TaylorContext, sqrt, variables
 from test_contact import coupled_quartic
 
 
@@ -55,9 +55,8 @@ def test_batch_matches_single():
         singles = [evaluate_jet(model, p) for p in pts]
         for name in Jet2.__dataclass_fields__:
             block = getattr(jb, name)
-            if name.startswith("mask"):  # structural: no batch axes
-                assert all(np.array_equal(block, getattr(j, name))
-                           for j in singles), (model, name)
+            if name == "layout":  # structural: shared, no batch axes
+                assert all(j.layout is block for j in singles), model
                 continue
             single = np.stack([getattr(j, name) for j in singles], axis=-1)
             assert np.array_equal(
@@ -108,6 +107,73 @@ def test_masks_cover_every_nonzero_entry(model):
         nonzero = np.any(values != 0, axis=-1)
         assert not np.any(nonzero & ~marks), (block, np.argwhere(nonzero))
         assert np.array_equal(marks, getattr(single, mask))
+
+
+def test_layout_keyed_on_stored_entries():
+    # same (n, k), different stored entries: different layouts, masks
+    # and entry lists; the same entries share one layout, whatever the
+    # model object, and a density whose stored set changes between two
+    # calls gets the layout of each call
+    cross = [False]
+
+    def density(q, v, s):
+        ut, ux = v[0]
+        return ut * ux if cross[0] else 0.5 * ut * ut - 0.5 * ux * ux
+
+    model = LagrangianModel(n=1, k=2, name="switch", lagrangian=density)
+    z = random_phase_point(model, np.random.default_rng(4))
+    diag = evaluate_jet(model, z)
+    again = evaluate_jet(LagrangianModel(n=1, k=2, name="other",
+                                         lagrangian=density), z)
+    cross[0] = True
+    off = evaluate_jet(model, z)
+    assert again.layout is diag.layout and off.layout is not diag.layout
+    assert np.argwhere(diag.mask_vv).tolist() == [[0, 0, 0, 0],
+                                                  [0, 1, 0, 1]]
+    assert np.argwhere(off.mask_vv).tolist() == [[0, 0, 0, 1],
+                                                 [0, 1, 0, 0]]
+    assert diag.layout.vv == ((0, 0, 0, 0), (0, 1, 0, 1))
+    assert diag.layout.vv_evolution == ((0, 1, 0, 1),)
+    assert off.layout.vv == off.layout.vv_evolution == ((0, 0, 0, 1),
+                                                        (0, 1, 0, 0))
+    assert off.d2Ldvdv[0, 0, 0, 1] == 1.0 and off.d2Ldvdv[0, 0, 0, 0] == 0
+
+
+def test_shared_arrays_are_read_only():
+    # masks, stencil needs, seed rows and zero blocks are shared between
+    # jets: a write raises instead of changing every later jet
+    model = membrane()
+    jet = evaluate_jet(model, random_phase_point(model,
+                                                 np.random.default_rng(1)))
+    seeds = variables(TaylorContext(1, 3), np.zeros((1, 4)),
+                      np.zeros((1, 3, 4)), np.zeros((3, 4)))
+    shared = [jet.mask_vv, jet.mask_vq, jet.mask_vs, jet.layout.need_a,
+              jet.layout.need_s, jet.dLdq, seeds[0][0].grad[0],
+              seeds[1][0][2].grad[3]]
+    assert seeds[0][0].grad[0] is seeds[2][1].grad[5]  # one row per rank
+    for arr in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 1
+
+
+@pytest.mark.parametrize("model", builtin_models() + [born_infeld(),
+                                                      coupled_quartic()],
+                         ids=lambda m: f"{m.name}-n{m.n}k{m.k}")
+def test_coordinates_not_written(model):
+    # seeds are views of the coordinates; neither the density nor a
+    # write into every writeable jet block reaches them
+    rng = np.random.default_rng(9)
+    q, v, s = (rng.uniform(-0.5, 0.5, lead + (3, 4)) for lead in
+               ((model.n,), (model.n, model.k), (model.k,)))
+    q[..., 0] = -0.0
+    before = [x.copy() for x in (q, v, s)]
+    jet = evaluate_jet_batch(model, q, v, s)
+    for name in Jet2.__dataclass_fields__:
+        block = getattr(jet, name)
+        if name != "layout" and block.flags.writeable:
+            block[...] = np.nan
+    for x, x0 in zip((q, v, s), before):
+        assert x.tobytes() == x0.tobytes()
 
 
 @pytest.mark.parametrize("model", builtin_models(),

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import math
 import zipfile
 
 import numpy as np
@@ -13,9 +14,9 @@ from kcontact import (Grid, LagrangianModel, PdeSpec, SimState, SimTrace,
                       run, s_accumulation_check, save_trace, step, string,
                       trace_el_residual, trace_point_arrays)
 from kcontact import sim
-from kcontact.sim import (CFL_FACTOR, _boundary_mask, _d1, _state_rhs,
-                          char_speeds, check_cfl, zero_state)
-from kcontact.taylor import cos
+from kcontact.sim import (CFL_FACTOR, _boundary_mask, _d1, _d2, _eigvals,
+                          _state_rhs, char_speeds, check_cfl, zero_state)
+from kcontact.taylor import cos, exp
 from test_jet import born_infeld
 
 
@@ -61,6 +62,51 @@ def test_d1_equals_numpy_gradient_bitwise(shape, h, layout):
         assert got.tobytes() == want.tobytes(), axis
 
 
+@pytest.mark.parametrize("shape", [(16,), (9, 12), (2, 5, 9, 12)],
+                         ids=["1d", "2d", "field-time-space"])
+@pytest.mark.parametrize("layout", ["contiguous", "strided"])
+def test_periodic_stencils_equal_roll_bitwise(shape, layout):
+    # the wrapped stencils pad one cell at each end; the np.roll forms
+    # stay the reference, bit for bit, signed zeros included
+    f = np.random.default_rng(len(shape)).standard_normal(shape)
+    f[..., ::4] = -0.0
+    f[..., 1::4] = 0.0
+    if layout == "strided":
+        f = np.moveaxis(np.ascontiguousarray(np.moveaxis(f, 0, -1)), -1, 0)
+    for h in (0.3, np.float64(np.pi / 50)):
+        for axis in [*range(f.ndim), *range(-f.ndim, 0)]:
+            up, down = np.roll(f, -1, axis=axis), np.roll(f, 1, axis=axis)
+            want1 = (up - down) / (2 * h)
+            want2 = (up - 2 * f + down) / h ** 2
+            got1, got2 = _d1(f, h, axis, True), _d2(f, h, axis, True)
+            assert got1.shape == got2.shape == f.shape
+            assert got1.tobytes() == want1.tobytes(), (h, axis)
+            assert got2.tobytes() == want2.tobytes(), (h, axis)
+
+
+def test_one_by_one_eigenvalue_is_the_entry():
+    # a 1x1 system skips LAPACK: the entry equals np.linalg.eigvals bit
+    # for bit wherever LAPACK does not rescale it, and within 1 ulp
+    # where it does (magnitudes below ~1e-138 or above ~1e138)
+    mags = np.logspace(-300, 300, 6001)
+    rng = np.random.default_rng(7)
+    vals = np.concatenate([mags, -mags, rng.standard_normal(1000),
+                           [0.0, -0.0, 5e-324, 1.7e308]])
+    got = _eigvals(vals[None, None])
+    want = np.linalg.eigvals(vals[:, None, None])
+    assert got.shape == want.shape == (vals.size, 1)
+    assert want.dtype == float
+    got, want = got[:, 0], want[:, 0]
+    assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
+    plain = (np.abs(vals) >= 1e-138) & (np.abs(vals) <= 1e138)
+    plain |= vals == 0
+    assert got[plain].tobytes() == want[plain].tobytes()
+    # larger systems still go to LAPACK
+    X = rng.standard_normal((2, 2, 5))
+    assert np.array_equal(_eigvals(X),
+                          np.linalg.eigvals(np.moveaxis(X, (0, 1), (-2, -1))))
+
+
 class TestGuards:
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="at least 8"):
@@ -104,6 +150,32 @@ class TestGuards:
         dt = 0.98 * CFL_FACTOR * grid.spacing[0] / c0
         with pytest.raises(SimulationError, match="CFL"):
             run(model, grid, dt, 20.0, init, output_every=10)
+
+    def test_cfl_checked_at_every_step(self):
+        # L = u_t^2/2 - exp(u) u_x^2/2: a uniform field moving at unit
+        # speed keeps u_x = 0 and u = t, and its wave speed exp(u/2)
+        # passes the limit 2 of dt = 0.2 h at t = 2 ln 2, between the
+        # run's two output frames
+        model = LagrangianModel(
+            n=1, k=2, name="growing_speed",
+            lagrangian=lambda q, v, s: (0.5 * v[0][0] * v[0][0]
+                                        - 0.5 * exp(q[0]) * v[0][1]
+                                        * v[0][1]))
+        grid = Grid(bounds=((0.0, 2 * np.pi),), counts=(16,),
+                    bc="periodic")
+        h = grid.spacing[0]
+        dt = 0.2 * h
+        init = SimState(phi=np.zeros((1, 16)), phidot=np.ones((1, 16)),
+                        s1=np.zeros(16))
+        limit = CFL_FACTOR * h / dt
+        j = math.ceil(2 * math.log(limit) / dt)  # first step from u > 2 ln 2
+        assert (j - 1) * dt + 0.01 < 2 * math.log(limit) < j * dt - 0.01
+        steps = 60
+        assert j < steps
+        with pytest.raises(SimulationError,
+                           match=f"CFL violation in direction 1 at "
+                                 f"t={j * dt:.6g}:"):
+            run(model, grid, dt, steps * dt, init, output_every=steps)
 
     def test_cfl_checked_at_every_grid_point(self):
         # a steep, narrow bump centred on grid point 5 of 640: every
@@ -153,7 +225,7 @@ class TestGuards:
         state = init
         while all(np.isfinite(x).all()
                   for x in (state.phi, state.phidot, state.s1)):
-            state = step(model, state, grid, dt, _skip_cfl=True)
+            state = step(model, state, grid, dt)
         assert state.t < steps * dt
         with pytest.raises(SimulationError,
                            match=f"blow-up detected at t={state.t:.6g}$"):
