@@ -261,18 +261,13 @@ def _eigvals(X):
     return np.linalg.eigvals(np.moveaxis(X, (0, 1), (-2, -1)))
 
 
-def char_speeds(model: LagrangianModel, state: SimState, grid: Grid,
-                jet=None) -> np.ndarray:
+def char_speeds(jet, grid: Grid) -> np.ndarray:
     """Characteristic speed estimate per spatial direction from the
-    Hessian blocks, the maximum over every grid point of the current
-    state.  `jet`, if given, is the jet at the state's grid points (as
-    `_state_rhs` evaluates it), which is then not evaluated again."""
+    Hessian blocks of `jet`, the jet at every grid point of a state (as
+    `_state_rhs` evaluates it): the maximum over those points."""
     d = grid.ndim
     if d == 0:
         return np.zeros(0)
-    if jet is None:
-        v, s = _point_arrays(model, grid, state.phi, state.phidot, state.s1)
-        jet = evaluate_jet_batch(model, state.phi, v, s)
     speeds = np.zeros(d)
     for a in range(d):
         X = solve_batch(jet.d2Ldvdv[:, 0, :, 0],
@@ -282,17 +277,16 @@ def char_speeds(model: LagrangianModel, state: SimState, grid: Grid,
     return speeds
 
 
-def check_cfl(model: LagrangianModel, state: SimState, grid: Grid,
-              dt: float, jet=None):
-    """Enforce dt <= CFL_FACTOR * h / c per spatial direction; `jet` as
-    in `char_speeds`."""
+def check_cfl(jet, grid: Grid, dt: float, t: float):
+    """Enforce dt <= CFL_FACTOR * h / c per spatial direction for the
+    state at time `t` whose jet is `jet` (see `char_speeds`)."""
     if dt <= 0:
         raise SimulationError("nonpositive step")
-    speeds = char_speeds(model, state, grid, jet)
+    speeds = char_speeds(jet, grid)
     for a, c in enumerate(speeds):
         if c > 0 and dt > CFL_FACTOR * grid.spacing[a] / c * (1 + 1e-9):
             raise SimulationError(
-                f"CFL violation in direction {a + 1} at t={state.t:.6g}: "
+                f"CFL violation in direction {a + 1} at t={t:.6g}: "
                 f"dt={dt:.4g} > {CFL_FACTOR * grid.spacing[a] / c:.4g}")
 
 
@@ -307,7 +301,7 @@ def step(model: LagrangianModel, state: SimState, grid: Grid,
         return _state_rhs(model, grid, phi, phidot, s1, mask)
 
     *k1, jet = f(*y)
-    check_cfl(model, state, grid, dt, jet)
+    check_cfl(jet, grid, dt, state.t)
     k2 = f(y[0] + 0.5 * dt * k1[0], y[1] + 0.5 * dt * k1[1],
            y[2] + 0.5 * dt * k1[2])
     k3 = f(y[0] + 0.5 * dt * k2[0], y[1] + 0.5 * dt * k2[1],

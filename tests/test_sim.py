@@ -14,10 +14,18 @@ from kcontact import (Grid, LagrangianModel, PdeSpec, SimState, SimTrace,
                       run, s_accumulation_check, save_trace, step, string,
                       trace_el_residual, trace_point_arrays)
 from kcontact import sim
+from kcontact.jet import evaluate_jet_batch
 from kcontact.sim import (CFL_FACTOR, _boundary_mask, _d1, _d2, _eigvals,
-                          _state_rhs, char_speeds, check_cfl, zero_state)
-from kcontact.taylor import cos, exp
+                          _point_arrays, _state_rhs, char_speeds, check_cfl,
+                          zero_state)
+from kcontact.taylor import cos, exp, sqrt
 from test_jet import born_infeld
+
+
+def jet_at(model, grid, state):
+    """The jet at every grid point of `state`, as `step` evaluates it."""
+    v, s = _point_arrays(model, grid, state.phi, state.phidot, state.s1)
+    return evaluate_jet_batch(model, state.phi, v, s)
 
 
 def coupled_wave():
@@ -127,9 +135,10 @@ class TestGuards:
         grid = Grid(bounds=((0, np.pi), (0, np.pi)), counts=(17, 17))
         h = grid.spacing[0]
         state = zero_state(model, grid)
+        jet = jet_at(model, grid, state)
         with pytest.raises(SimulationError, match="CFL"):
-            check_cfl(model, state, grid, h)  # dt = h > 0.4 h / 2
-        check_cfl(model, state, grid, 0.4 * h / 2.0)  # at the limit: ok
+            check_cfl(jet, grid, h, state.t)  # dt = h > 0.4 h / 2
+        check_cfl(jet, grid, 0.4 * h / 2.0, state.t)  # at the limit: ok
 
     def test_cfl_rechecked_at_output_frames(self):
         # L = u_t^2/2 - u_x^2/2 - u_x^4/4 + 0.1 s steepens its data, so
@@ -146,7 +155,7 @@ class TestGuards:
         (x,) = grid.mesh()
         init = SimState(phi=0.1 * np.sin(x)[None], phidot=np.zeros((1, 64)),
                         s1=np.zeros(64))
-        c0 = char_speeds(model, init, grid)[0]
+        c0 = char_speeds(jet_at(model, grid, init), grid)[0]
         dt = 0.98 * CFL_FACTOR * grid.spacing[0] / c0
         with pytest.raises(SimulationError, match="CFL"):
             run(model, grid, dt, 20.0, init, output_every=10)
@@ -195,7 +204,7 @@ class TestGuards:
         assert np.max(np.abs(ux[::10])) < 1e-3 < 0.9 < np.max(np.abs(ux))
         init = SimState(phi=phi[None], phidot=np.zeros((1, 640)),
                         s1=np.zeros(640))
-        c = char_speeds(model, init, grid)[0]
+        c = char_speeds(jet_at(model, grid, init), grid)[0]
         assert c == pytest.approx(np.sqrt(1 + 3 * np.max(ux ** 2)))
         dt = 0.3 * h  # inside the limit at the samples, not at the bump
         with pytest.raises(SimulationError, match="CFL"):
@@ -383,6 +392,37 @@ class TestEnergyMonitor:
         # E = v^2/2 + omega^2 q^2 / 2
         assert energy_monitor(model, state, grid) == pytest.approx(
             0.5 * 0.09 + 2.0 * 0.25, abs=1e-13)
+
+    @pytest.mark.parametrize("model, counts", [
+        (born_infeld(), (24,)),
+        (LagrangianModel(
+            n=1, k=3, name="born_infeld_2d",
+            lagrangian=lambda q, v, s: 1.0 - sqrt(
+                1.0 - v[0][0] * v[0][0] + v[0][1] * v[0][1]
+                + v[0][2] * v[0][2])), (9, 12)),
+        (membrane(mu=1.3, gamma=0.0), (9, 12)),
+    ], ids=["1d-born-infeld", "2d-born-infeld", "2d-membrane"])
+    def test_periodic_equals_roll_bitwise(self, model, counts):
+        # the wrapped forward difference appends one cell; the np.roll
+        # form stays the reference, bit for bit, signed zeros included
+        grid = Grid(bounds=tuple((0.0, 2 * np.pi) for _ in counts),
+                    counts=counts, bc="periodic")
+        rng = np.random.default_rng(len(counts))
+        phi = 0.3 * rng.standard_normal((1,) + counts)
+        phidot = 0.3 * rng.standard_normal((1,) + counts)
+        phi[..., ::4] = -0.0
+        phi[..., 1::4] = 0.0
+        phidot[..., 2::4] = -0.0
+        state = SimState(phi=phi, phidot=phidot, s1=np.zeros(counts))
+        v = np.zeros((1, model.k) + counts)
+        v[:, 0] = phidot
+        for a, h in enumerate(grid.spacing):
+            v[:, 1 + a] = (np.roll(phi, -1, axis=1 + a) - phi) / h
+        jet = evaluate_jet_batch(model, phi, v, np.zeros((model.k,) + counts))
+        dens = np.einsum("i...,i...->...", phidot, jet.dLdv[:, 0]) - jet.L
+        want = float(np.sum(dens) * np.prod(grid.spacing))
+        got = energy_monitor(model, state, grid)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 class TestExport:
