@@ -29,8 +29,8 @@ from .inverse import (PdeSpec, build_lagrangian, membrane_spec,
                       render_lagrangian, roundtrip_check)
 from .jet import PhasePoint, evaluate_jet, random_phase_point, stack_points
 from .models import MODEL_NAMES, build_model
-from .sim import (SCHEMA_VERSION, Grid, SimState, _trace_slabs, load_trace,
-                  run, save_trace, trace_el_residual)
+from .sim import (SCHEMA_VERSION, Grid, SimState, _trace_slabs,
+                  _TraceExport, load_trace, run, trace_el_residual)
 from .symmetry import (builtin_symmetry_field, check_contact_symmetry,
                        dissipated_quantity, dissipation_law_check)
 
@@ -260,16 +260,15 @@ def _initial_state(model, grid: Grid, kind: str, amplitude: float
 def cmd_simulate(args) -> int:
     model = _model_from_args(args)
     grid = parse_grid(args.grid or "", args.bc)
-    if grid.ndim != model.k - 1:
-        raise ConfigError(
-            f"model has {model.k - 1} spatial directions, grid has "
-            f"{grid.ndim}")
     if not args.output:
         raise ConfigError("simulate requires --output DIR")
     initial = _initial_state(model, grid, args.init, args.amplitude)
-    trace = run(model, grid, args.dt, args.t_end, initial,
-                output_every=args.output_every)
-    manifest = save_trace(trace, args.output)
+    # trace.csv is formatted by the export's writer process while the
+    # steps run; a bad --output fails before the first step
+    with _TraceExport(args.output, grid, model.n) as export:
+        trace = run(model, grid, args.dt, args.t_end, initial,
+                    output_every=args.output_every, on_frame=export.frame)
+        manifest = export.finish(trace)
     rEL, rS = trace_el_residual(model, trace)
     manifest["max_el_residual"] = rEL
     manifest["max_s_residual"] = rS

@@ -13,26 +13,21 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .dynamics import SecondJet, el_residual_batch
 from .errors import ConfigError
 from .jet import LagrangianModel, PhasePoint, stack_points
-from .taylor import T2
 
 RANK_TOL = 1e-10
-QUAD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class PdeSpec:
     """Coefficients of the target PDE.
 
-    G is a scalar callable (or None for G = 0); gbar optionally supplies
-    a closed-form antiderivative written with overloaded arithmetic so
-    it can be differentiated exactly.  Without it the antiderivative is
-    computed by adaptive quadrature and G is differenced once for the
-    second-derivative channel.
+    G is a scalar callable (or None for G = 0); gbar, required with G,
+    is its antiderivative with gbar(0) = 0, written with overloaded
+    arithmetic so that the Taylor kernel differentiates it exactly.
     """
 
     A: np.ndarray
@@ -50,6 +45,8 @@ class PdeSpec:
         if np.max(np.abs(self.A - self.A.T)) > 1e-12 * max(
                 1.0, np.max(np.abs(self.A))):
             raise ValueError("A must be symmetric")
+        if self.G is not None and self.gbar is None:
+            raise ValueError("a spec with G needs its antiderivative gbar")
 
     @property
     def k(self) -> int:
@@ -92,32 +89,6 @@ class PdeSpec:
                    g_poly=tuple(coeffs) if gspec is not None else None)
 
 
-def _antiderivative(spec: PdeSpec):
-    """Return gbar usable on arrays and T2 values, with gbar(0) = 0."""
-    if spec.G is None:
-        return None
-    if spec.gbar is not None:
-        return spec.gbar
-
-    G = spec.G
-
-    def quad_gbar(u):
-        flat = np.atleast_1d(np.asarray(u, dtype=float)).ravel()
-        vals = np.array([quad(G, 0.0, x, epsabs=QUAD_TOL, epsrel=QUAD_TOL)[0]
-                         for x in flat])
-        return vals.reshape(np.shape(u)) if np.shape(u) else float(vals[0])
-
-    def dG(u, h=1e-6):
-        return (G(u + h) - G(u - h)) / (2 * h)
-
-    def gbar(u):
-        if isinstance(u, T2):
-            return u.apply(quad_gbar, G, dG)
-        return quad_gbar(u)
-
-    return gbar
-
-
 def build_lagrangian(spec: PdeSpec) -> LagrangianModel:
     """The matching Lagrangian as an n=1 model with k directions."""
     sv = np.linalg.svd(spec.A, compute_uv=False)
@@ -126,7 +97,6 @@ def build_lagrangian(spec: PdeSpec) -> LagrangianModel:
     k = spec.k
     A = spec.A
     c = np.linalg.solve(A, spec.D)  # (A^{-1} D)_a
-    gbar = _antiderivative(spec)
 
     def lag(q, v, s):
         u = q[0]
@@ -138,8 +108,8 @@ def build_lagrangian(spec: PdeSpec) -> LagrangianModel:
         for a in range(k):
             if c[a] != 0.0:
                 total = total - c[a] * s[a]
-        if gbar is not None:
-            total = total - gbar(u)
+        if spec.gbar is not None:
+            total = total - spec.gbar(u)
         return total
 
     return LagrangianModel(n=1, k=k, name="inverse", lagrangian=lag,

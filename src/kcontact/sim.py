@@ -11,9 +11,14 @@ selects which solution is computed.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import operator
+import os
+import shutil
+import subprocess
+import sys
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -313,12 +318,18 @@ def step(model: LagrangianModel, state: SimState, grid: Grid,
 
 
 def run(model: LagrangianModel, grid: Grid, dt: float, t_end: float,
-        initial: SimState, output_every: int = 1) -> SimTrace:
+        initial: SimState, output_every: int = 1,
+        on_frame=None) -> SimTrace:
     """Integrate to t_end, recording every `output_every` steps.
 
     Every step checks the state it steps from for the CFL condition
     (see `step`) and the state it produced for finiteness, so a CFL
-    violation or a blow-up is reported at the first step that meets it."""
+    violation or a blow-up is reported at the first step that meets it.
+    `on_frame`, if given, is called with each recorded state (the
+    initial one first) as soon as it is recorded."""
+    if grid.ndim != model.k - 1:
+        raise ConfigError(f"model has {model.k - 1} spatial directions, "
+                          f"grid has {grid.ndim}")
     if dt <= 0:
         raise SimulationError("nonpositive step")
     if output_every < 1:
@@ -328,16 +339,18 @@ def run(model: LagrangianModel, grid: Grid, dt: float, t_end: float,
         steps += output_every - steps % output_every
     mask = _boundary_mask(grid)
     state = initial.check_finite()
-    times = [state.t]
-    frames = [state]
-    for j in range(steps):
-        state = step(model, state, grid, dt, _mask=mask).check_finite()
-        if (j + 1) % output_every == 0:
+    frames = []
+    for j in range(steps + 1):
+        if j:
+            state = step(model, state, grid, dt, _mask=mask).check_finite()
+        if j % output_every == 0:
             frames.append(state)
-            times.append(state.t)
+            if on_frame is not None:
+                on_frame(state)
     return SimTrace(
         model_name=model.name, params=dict(model.params), grid=grid,
-        dt=dt, output_every=output_every, t=np.array(times),
+        dt=dt, output_every=output_every,
+        t=np.array([f.t for f in frames]),
         phi=np.stack([f.phi for f in frames]),
         phidot=np.stack([f.phidot for f in frames]),
         s1=np.stack([f.s1 for f in frames]))
@@ -530,69 +543,162 @@ def el_convergence(model: LagrangianModel, exact, grids, t_end: float,
 
 # -- trace export/import -----------------------------------------------
 # trace.npz holds the arrays `load_trace` reads; trace.csv is an export
-# for other tools and is never read back
+# for other tools and is never read back.  A child process
+# (`_trace_csv.py`) formats trace.csv from the frames as they are sent,
+# so during `run` the formatting overlaps the time stepping.
 
 TRACE_ARRAYS = ("t", "phi", "phidot", "s1")
+CSV_WRITER = Path(__file__).with_name("_trace_csv.py")
+
+
+class _TraceExport:
+    """A trace directory being written; a context manager.
+
+    Entering it creates the directory, opens trace.csv under a temporary
+    name and starts the writer process on it, so a path that cannot be
+    written fails (ConfigError) before any step runs.  `frame` sends one
+    state's float64 bytes down the writer's stdin; the pipe blocks, so
+    only the frames the pipe holds are in flight.  `finish` waits for
+    the writer, writes manifest.json and trace.npz and moves trace.csv
+    into place, the last step.  Leaving the block by any exception
+    kills and reaps the writer and removes the temporary file, or the
+    directory if it was created here, so a failed export leaves no
+    trace.csv.  A writer that fails raises ConfigError naming
+    trace.csv."""
+
+    def __init__(self, directory, grid: Grid, n: int):
+        self.directory = Path(directory)
+        self.grid = grid
+        self.cols = (["t"] + [f"x{a + 1}" for a in range(grid.ndim)]
+                     + [f"phi{i}" for i in range(n)]
+                     + [f"phidot{i}" for i in range(n)] + ["s1"])
+        self.part = self.directory / "trace.csv.part"
+        # the outermost directory this export creates
+        self.created = next((p for p in (*reversed(self.directory.parents),
+                                         self.directory)
+                             if not p.exists()), None)
+        self.proc = None
+
+    def __enter__(self):
+        try:
+            try:
+                self.directory.mkdir(parents=True, exist_ok=True)
+                with open(self.part, "wb") as out:
+                    self.proc = subprocess.Popen(
+                        [sys.executable, "-I", "-S", str(CSV_WRITER),
+                         str(math.prod(self.grid.shape)),
+                         str(self.grid.ndim)],
+                        stdin=subprocess.PIPE, stdout=out,
+                        stderr=subprocess.PIPE)
+            except OSError as exc:
+                raise ConfigError(
+                    f"cannot write a trace to {self.directory}: {exc}")
+            self._send((",".join(self.cols) + "\r\n").encode(),
+                       *(m.ravel() for m in self.grid.mesh()))
+        except BaseException:
+            self._abort()
+            raise
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is not None:
+            self._abort()
+
+    def frame(self, state: SimState):
+        """Send `state` (t, phi, phidot, s1) to the writer."""
+        self._send(np.array([state.t]), state.phi, state.phidot, state.s1)
+
+    def _send(self, *chunks):
+        try:
+            for c in chunks:
+                if isinstance(c, np.ndarray):
+                    c = memoryview(np.ascontiguousarray(
+                        c, dtype=np.float64).reshape(-1)).cast("B")
+                self.proc.stdin.write(c)
+        except OSError:  # the writer has gone: report how it ended
+            self.proc.kill()
+            self._wait()
+            raise
+
+    def _wait(self):
+        """Close the writer's stdin, wait for it to exit, and raise
+        ConfigError unless it succeeded."""
+        with contextlib.suppress(OSError):  # a writer gone loses the rest
+            self.proc.stdin.close()
+        err = self.proc.stderr.read().decode(errors="replace").strip()
+        self.proc.stderr.close()
+        if self.proc.wait() != 0:
+            raise ConfigError(
+                f"the trace.csv writer for {self.directory} failed (exit "
+                f"{self.proc.returncode})"
+                + (f": {err.splitlines()[-1]}" if err else ""))
+
+    def _abort(self):
+        if self.proc is not None:
+            self.proc.kill()
+            self.proc.wait()
+            for pipe in (self.proc.stdin, self.proc.stderr):
+                with contextlib.suppress(OSError):
+                    pipe.close()
+        if self.created is not None:
+            shutil.rmtree(self.created, ignore_errors=True)
+        else:
+            with contextlib.suppress(OSError):
+                self.part.unlink()
+
+    def finish(self, trace: SimTrace) -> dict:
+        """Wait for the writer, write manifest.json and trace.npz, move
+        trace.csv into place; return the manifest."""
+        self._wait()
+        directory = self.directory
+        manifest = {
+            "schema_version": SCHEMA_VERSION,
+            "kind": "trace",
+            "model": trace.model_name,
+            "params": trace.params,
+            "grid": {"bounds": [list(b) for b in trace.grid.bounds],
+                     "counts": list(trace.grid.counts),
+                     "bc": trace.grid.bc},
+            "dt": trace.dt,
+            "output_every": trace.output_every,
+            "frames": int(trace.t.size),
+            "gauge": GAUGE_NOTE,
+            "columns": self.cols,
+        }
+        with open(directory / "manifest.json", "w") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        # the members np.savez would write, from each array's own buffer:
+        # np.savez copies every array into a bytes object first, and glibc
+        # keeps such a freed copy (4 MB for a 101x101 trace) in its heap,
+        # which raised the benchmark's 101x101 membrane peak RSS by 6-16%
+        with zipfile.ZipFile(directory / "trace.npz", "w") as npz:
+            for key in TRACE_ARRAYS:
+                arr = np.ascontiguousarray(getattr(trace, key),
+                                           dtype=np.float64)
+                with npz.open(f"{key}.npy", "w", force_zip64=True) as fh:
+                    np.lib.format.write_array_header_1_0(
+                        fh, np.lib.format.header_data_from_array_1_0(arr))
+                    fh.write(memoryview(arr).cast("B"))
+        os.replace(self.part, directory / "trace.csv")
+        return manifest
 
 
 def save_trace(trace: SimTrace, directory):
     """Write trace.csv, manifest.json and trace.npz into `directory`.
 
     trace.csv has one row per frame and grid point (t, the grid
-    coordinates, every phi, every phidot, s1; repr of each float).
+    coordinates, every phi, every phidot, s1; repr of each float),
+    formatted by the writer process every trace export uses.
     trace.npz holds t (F,), phi (F, n, *S), phidot (F, n, *S) and
     s1 (F, *S) as float64, with the members and bytes an uncompressed
-    `np.savez` of them has; `load_trace` reads it."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    n = trace.phi.shape[1]
-    d = trace.grid.ndim
-    mesh = trace.grid.mesh()
-    cols = (["t"] + [f"x{a + 1}" for a in range(d)]
-            + [f"phi{i}" for i in range(n)]
-            + [f"phidot{i}" for i in range(n)] + ["s1"])
-    mesh_cols = [list(map(repr, m.ravel().tolist())) for m in mesh]
-    with open(directory / "trace.csv", "w", newline="") as fh:
-        # the rows csv.writer would write: repr of each float, "\r\n"
-        # line ends; one frame's strings at a time
-        fh.write(",".join(cols) + "\r\n")
-        for fidx, t in enumerate(trace.t):
-            size = trace.s1[fidx].size
-            frame = ([[repr(float(t))] * size] + mesh_cols
-                     + [list(map(repr, col.tolist())) for col in
-                        (*trace.phi[fidx].reshape(n, -1),
-                         *trace.phidot[fidx].reshape(n, -1),
-                         trace.s1[fidx].ravel())])
-            fh.write("\r\n".join(map(",".join, zip(*frame))) + "\r\n")
-    manifest = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "trace",
-        "model": trace.model_name,
-        "params": trace.params,
-        "grid": {"bounds": [list(b) for b in trace.grid.bounds],
-                 "counts": list(trace.grid.counts),
-                 "bc": trace.grid.bc},
-        "dt": trace.dt,
-        "output_every": trace.output_every,
-        "frames": int(trace.t.size),
-        "gauge": GAUGE_NOTE,
-        "columns": cols,
-    }
-    with open(directory / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    # the members np.savez would write, from each array's own buffer:
-    # np.savez copies every array into a bytes object first, and glibc
-    # keeps such a freed copy (4 MB for a 101x101 trace) in its heap,
-    # which raised the benchmark's 101x101 membrane peak RSS by 6-16%
-    with zipfile.ZipFile(directory / "trace.npz", "w") as npz:
-        for key in TRACE_ARRAYS:
-            arr = np.ascontiguousarray(getattr(trace, key), dtype=np.float64)
-            with npz.open(f"{key}.npy", "w", force_zip64=True) as fh:
-                np.lib.format.write_array_header_1_0(
-                    fh, np.lib.format.header_data_from_array_1_0(arr))
-                fh.write(memoryview(arr).cast("B"))
-    return manifest
+    `np.savez` of them has; `load_trace` reads it.  A directory that
+    cannot be written, or a writer that fails, raises ConfigError and
+    leaves no trace.csv."""
+    with _TraceExport(directory, trace.grid, trace.phi.shape[1]) as export:
+        for idx in range(trace.t.size):
+            export.frame(trace.state(idx))
+        return export.finish(trace)
 
 
 def load_trace(directory) -> SimTrace:

@@ -1,16 +1,19 @@
-"""Shared fixtures for the acceptance suite.
+"""Shared fixtures.
 
-The membrane reference runs are expensive (the fine one is the quoted
-101x101 configuration, plus one doubled grid for the refinement checks),
-so they are built once per session and shared across criteria.
+The membrane reference runs of the acceptance suite are expensive (the
+fine one is the quoted 101x101 configuration, plus one doubled grid for
+the refinement checks), so they are built once per session and shared
+across criteria.  `writers` records the trace.csv writer processes a
+test starts.
 """
 
+import subprocess
 import time
 
 import numpy as np
 import pytest
 
-from kcontact import Grid, SimState, membrane, run
+from kcontact import Grid, SimState, membrane, run, sim
 
 MU, GAMMA = 1.0, 0.2
 OMEGA_D = np.sqrt(2 * MU ** 2 - GAMMA ** 2 / 4)  # sqrt(1.99)
@@ -69,3 +72,26 @@ def membrane_undamped_run():
     grid, trace, _ = _membrane_run(model, 101, output_every=20,
                                    t_end=10.0)
     return model, grid, trace
+
+
+@pytest.fixture
+def writers(monkeypatch):
+    """The list of every process that trace exports start in the test
+    (the trace.csv writers), appended to as they start."""
+    procs, popen = [], subprocess.Popen
+
+    def recording(*args, **kwargs):
+        procs.append(popen(*args, **kwargs))
+        return procs[-1]
+
+    monkeypatch.setattr(sim.subprocess, "Popen", recording)
+    return procs
+
+
+def assert_reaped(procs):
+    """Every process in `procs` has exited and been waited for, and the
+    pipes to it are closed."""
+    assert procs
+    for proc in procs:
+        assert proc.returncode is not None
+        assert proc.stdin.closed and proc.stderr.closed

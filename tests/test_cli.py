@@ -10,10 +10,12 @@ import jsonschema
 import numpy as np
 import pytest
 
-from kcontact import cli
-from kcontact import jet
+from kcontact import cli, jet, sim
 from kcontact.cli import REFINEMENT_BAND, main, parse_grid, parse_point
 from kcontact.errors import ConfigError
+from kcontact.sim import run, step
+from conftest import assert_reaped
+from test_sim import growing_speed
 
 
 def load_schema(name):
@@ -107,7 +109,8 @@ class TestDerive:
 
 
 class TestSimulate:
-    def test_run_writes_trace_and_manifest(self, capsys, tmp_path):
+    def test_run_writes_trace_and_manifest(self, capsys, tmp_path,
+                                           writers):
         out = tmp_path / "run"
         code, _ = run_cli(capsys, "simulate", "--model", "membrane",
                           "--mu", "1", "--gamma", "0.2",
@@ -121,6 +124,10 @@ class TestSimulate:
         assert "du" in manifest["dissipated_quantity_residuals"]
         header = (out / "trace.csv").read_text().splitlines()[0]
         assert header == "t,x1,x2,phi0,phidot0,s1"
+        assert sorted(p.name for p in out.iterdir()) == [
+            "manifest.json", "trace.csv", "trace.npz"]
+        assert [p.returncode for p in writers] == [0]
+        assert_reaped(writers)
 
     def test_zero_dt_exits_3(self, capsys, tmp_path):
         code, _ = run_cli(capsys, "simulate", "--model", "membrane",
@@ -165,6 +172,71 @@ class TestSimulate:
                           "--grid", "0,pi,17", "--dt", "0.01",
                           "--output", str(tmp_path / "x"))
         assert code == 2
+
+    def test_grid_dimension_checked_by_run(self, capsys, tmp_path,
+                                           monkeypatch):
+        # the library's check, reached through the CLI: a k=1 model
+        # takes no spatial grid; nothing is left in the output
+        calls = []
+        monkeypatch.setattr(cli, "run", lambda *a, **kw: (
+            calls.append(1), run(*a, **kw))[1])
+        code = main(["simulate", "--model", "oscillator",
+                     "--grid", "0,1,16", "--dt", "0.01",
+                     "--output", str(tmp_path / "x")])
+        assert code == 2 and calls == [1]
+        assert capsys.readouterr().err == (
+            "error: model has 0 spatial directions, grid has 1\n")
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("where", ["under-a-file", "a-file"])
+    def test_bad_output_fails_before_any_step(self, capsys, tmp_path,
+                                              monkeypatch, where):
+        (tmp_path / "file").write_text("x")
+        out = tmp_path / "file" / ("run" if where == "under-a-file" else "")
+        monkeypatch.setattr(sim, "step", None)  # no step may run
+        code = main(["simulate", "--model", "membrane",
+                     "--grid", "0,pi,17;0,pi,17", "--dt", "0.05",
+                     "--output", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write a trace to {out}: ")
+        assert "Traceback" not in err
+        assert (tmp_path / "file").read_text() == "x"
+
+    def test_cfl_violation_mid_run_leaves_no_trace(self, capsys, tmp_path,
+                                                   monkeypatch, writers):
+        # the growing wave speed passes the CFL limit at step 18, after
+        # four frames went to the writer
+        model, grid, init = growing_speed()
+        monkeypatch.setattr(cli, "_model_from_args", lambda args: model)
+        monkeypatch.setattr(cli, "_initial_state", lambda *args: init)
+        code = main(["simulate", "--grid", "0,2*pi,16", "--bc", "periodic",
+                     "--dt", repr(0.2 * grid.spacing[0]), "--t-end", "5",
+                     "--output-every", "4", "--output", str(tmp_path / "x")])
+        assert code == 3
+        assert "CFL violation" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+        assert len(writers) == 1 and writers[0].returncode is not None
+        assert_reaped(writers)
+
+    def test_killed_writer_exits_2(self, capsys, tmp_path, monkeypatch,
+                                   writers):
+        def killing_step(*args, **kwargs):
+            if args[1].t > 0.2 and writers[0].returncode is None:
+                writers[0].kill()
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(sim, "step", killing_step)
+        (tmp_path / "x").mkdir()
+        code = main(["simulate", "--model", "membrane",
+                     "--grid", "0,pi,17;0,pi,17", "--dt", "0.05",
+                     "--t-end", "0.5", "--output", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the trace.csv writer for ")
+        assert "Traceback" not in err
+        assert list((tmp_path / "x").iterdir()) == []
+        assert_reaped(writers)
 
 
 @pytest.fixture(scope="module")

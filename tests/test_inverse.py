@@ -86,20 +86,11 @@ class TestConstruction:
         assert np.allclose(jet.dLds, -c)
         assert jet.dLdq[0] == pytest.approx(-0.25 * 0.6, abs=1e-13)
 
-    def test_quadrature_antiderivative(self):
-        # same G given once in closed form and once only as a callable
-        closed = telegraph_spec(c=0.0, m=0.4)
-        quad = PdeSpec(A=closed.A, D=closed.D, G=lambda u: 0.4 * u)
-        mc, mq = build_lagrangian(closed), build_lagrangian(quad)
-        rng = np.random.default_rng(2)
-        for _ in range(5):
-            z = PhasePoint(q=rng.uniform(-1, 1, 1),
-                           v=rng.uniform(-1, 1, (1, 2)),
-                           s=rng.uniform(-1, 1, 2))
-            jc, jq = evaluate_jet(mc, z), evaluate_jet(mq, z)
-            assert jq.L == pytest.approx(jc.L, abs=1e-9)
-            assert jq.dLdq[0] == pytest.approx(jc.dLdq[0], abs=1e-9)
-        assert roundtrip_check(quad, n_samples=20) <= 1e-5
+    def test_G_without_antiderivative_refused(self):
+        # gbar enters the Lagrangian; no quadrature stands in for it
+        with pytest.raises(ValueError, match="antiderivative gbar"):
+            PdeSpec(A=np.diag([1.0, -1.0]), D=np.zeros(2),
+                    G=lambda u: 0.4 * u)
 
     def test_from_dict(self):
         spec = PdeSpec.from_dict({"A": [[1.0, 0.0], [0.0, -1.0]],

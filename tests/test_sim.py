@@ -2,14 +2,16 @@
 
 import csv
 import io
+import json
 import math
 import zipfile
 
 import numpy as np
 import pytest
 
-from kcontact import (Grid, LagrangianModel, PdeSpec, SimState, SimTrace,
-                      SimulationError, build_lagrangian, damped_oscillator,
+from kcontact import (ConfigError, Grid, LagrangianModel, PdeSpec, SimState,
+                      SimTrace, SimulationError, build_lagrangian,
+                      damped_oscillator,
                       el_convergence, energy_monitor, load_trace, membrane,
                       run, s_accumulation_check, save_trace, step, string,
                       trace_el_residual, trace_point_arrays)
@@ -19,6 +21,7 @@ from kcontact.sim import (CFL_FACTOR, _boundary_mask, _d1, _d2, _eigvals,
                           _point_arrays, _state_rhs, char_speeds, check_cfl,
                           zero_state)
 from kcontact.taylor import cos, exp, sqrt
+from conftest import assert_reaped
 from test_jet import born_infeld
 
 
@@ -38,6 +41,21 @@ def coupled_wave():
                                     - 0.5 * v[0][1] * v[0][1]
                                     + 0.2 * s[0] * v[0][0] * cos(q[0])
                                     - 0.025 * v[0][0] ** 4))
+
+
+def growing_speed():
+    """L = u_t^2/2 - exp(u) u_x^2/2 with a uniform field moving at unit
+    speed on a 16-point periodic grid: u_x stays 0 and u = t, so the
+    wave speed exp(t/2) grows through every CFL limit.  Returns (model,
+    grid, initial state)."""
+    model = LagrangianModel(
+        n=1, k=2, name="growing_speed",
+        lagrangian=lambda q, v, s: (0.5 * v[0][0] * v[0][0]
+                                    - 0.5 * exp(q[0]) * v[0][1] * v[0][1]))
+    grid = Grid(bounds=((0.0, 2 * np.pi),), counts=(16,), bc="periodic")
+    init = SimState(phi=np.zeros((1, 16)), phidot=np.ones((1, 16)),
+                    s1=np.zeros(16))
+    return model, grid, init
 
 
 def membrane_exact(mu, gamma):
@@ -161,21 +179,12 @@ class TestGuards:
             run(model, grid, dt, 20.0, init, output_every=10)
 
     def test_cfl_checked_at_every_step(self):
-        # L = u_t^2/2 - exp(u) u_x^2/2: a uniform field moving at unit
-        # speed keeps u_x = 0 and u = t, and its wave speed exp(u/2)
-        # passes the limit 2 of dt = 0.2 h at t = 2 ln 2, between the
-        # run's two output frames
-        model = LagrangianModel(
-            n=1, k=2, name="growing_speed",
-            lagrangian=lambda q, v, s: (0.5 * v[0][0] * v[0][0]
-                                        - 0.5 * exp(q[0]) * v[0][1]
-                                        * v[0][1]))
-        grid = Grid(bounds=((0.0, 2 * np.pi),), counts=(16,),
-                    bc="periodic")
+        # a uniform field moving at unit speed keeps u_x = 0 and u = t,
+        # and its wave speed exp(u/2) passes the limit 2 of dt = 0.2 h
+        # at t = 2 ln 2, between the run's two output frames
+        model, grid, init = growing_speed()
         h = grid.spacing[0]
         dt = 0.2 * h
-        init = SimState(phi=np.zeros((1, 16)), phidot=np.ones((1, 16)),
-                        s1=np.zeros(16))
         limit = CFL_FACTOR * h / dt
         j = math.ceil(2 * math.log(limit) / dt)  # first step from u > 2 ln 2
         assert (j - 1) * dt + 0.01 < 2 * math.log(limit) < j * dt - 0.01
@@ -239,6 +248,16 @@ class TestGuards:
         with pytest.raises(SimulationError,
                            match=f"blow-up detected at t={state.t:.6g}$"):
             run(model, grid, dt, steps * dt, init, output_every=steps)
+
+    def test_grid_dimensions_checked(self):
+        # a k=1 model has no spatial direction, so no 1-D grid
+        model = damped_oscillator()
+        grid = Grid(bounds=((0.0, 1.0),), counts=(16,))
+        init = SimState(phi=np.zeros((1, 16)), phidot=np.zeros((1, 16)),
+                        s1=np.zeros(16))
+        with pytest.raises(ConfigError, match="^model has 0 spatial "
+                                              "directions, grid has 1$"):
+            run(model, grid, 0.01, 0.1, init)
 
     def test_output_cadence_validated(self):
         model = damped_oscillator()
@@ -518,6 +537,178 @@ class TestExport:
             save_trace(trace, tmp_path / str(idx))
             assert ((tmp_path / str(idx) / "trace.csv").read_bytes()
                     == self.csv_writer_reference(trace))
+
+    @staticmethod
+    def columns(trace):
+        n, d = trace.phi.shape[1], trace.grid.ndim
+        return (["t"] + [f"x{a + 1}" for a in range(d)]
+                + [f"phi{i}" for i in range(n)]
+                + [f"phidot{i}" for i in range(n)] + ["s1"])
+
+    def column_formatter_reference(self, trace):
+        """trace.csv as the in-process column formatter that preceded the
+        writer process wrote it, one frame's strings at a time."""
+        n = trace.phi.shape[1]
+        mesh_cols = [list(map(repr, m.ravel().tolist()))
+                     for m in trace.grid.mesh()]
+        out = [",".join(self.columns(trace)) + "\r\n"]
+        for fidx, t in enumerate(trace.t):
+            size = trace.s1[fidx].size
+            frame = ([[repr(float(t))] * size] + mesh_cols
+                     + [list(map(repr, col.tolist())) for col in
+                        (*trace.phi[fidx].reshape(n, -1),
+                         *trace.phidot[fidx].reshape(n, -1),
+                         trace.s1[fidx].ravel())])
+            out.append("\r\n".join(map(",".join, zip(*frame))) + "\r\n")
+        return "".join(out).encode()
+
+    def manifest_reference(self, trace):
+        return {"schema_version": 1, "kind": "trace",
+                "model": trace.model_name, "params": trace.params,
+                "grid": {"bounds": [list(b) for b in trace.grid.bounds],
+                         "counts": list(trace.grid.counts),
+                         "bc": trace.grid.bc},
+                "dt": trace.dt, "output_every": trace.output_every,
+                "frames": int(trace.t.size), "gauge": sim.GAUGE_NOTE,
+                "columns": self.columns(trace)}
+
+    def assert_exported(self, trace, path):
+        """trace.csv, manifest.json and trace.npz in `path` are the files
+        the in-process formatter, json.dump and np.savez write."""
+        assert ((path / "trace.csv").read_bytes()
+                == self.column_formatter_reference(trace))
+        assert ((path / "manifest.json").read_text()
+                == json.dumps(self.manifest_reference(trace), indent=2,
+                              sort_keys=True) + "\n")
+        np.savez(path.parent / "savez.npz",
+                 **{key: getattr(trace, key) for key in sim.TRACE_ARRAYS})
+        with (zipfile.ZipFile(path / "trace.npz") as got,
+              zipfile.ZipFile(path.parent / "savez.npz") as ref):
+            assert got.namelist() == ref.namelist()
+            for name in ref.namelist():
+                assert got.getinfo(name).compress_type == zipfile.ZIP_STORED
+                assert got.read(name) == ref.read(name)
+        assert sorted(p.name for p in path.iterdir()) == [
+            "manifest.json", "trace.csv", "trace.npz"]
+
+    @staticmethod
+    def export_cases():
+        """(label, model, grid, initial state) of the simulated cases."""
+        membrane_grid = Grid(bounds=((0, np.pi), (0, 2.0)), counts=(9, 11))
+        X, Y = membrane_grid.mesh()
+        string_grid = Grid(bounds=((0, 2 * np.pi),), counts=(16,),
+                           bc="periodic")
+        (Z,) = string_grid.mesh()
+        phi = np.stack([np.sin(Z), 0.5 * np.cos(2 * Z)])
+        return [
+            ("membrane-2d-dirichlet", membrane(mu=1.0, gamma=0.2),
+             membrane_grid,
+             SimState(phi=(np.sin(X) * np.cos(Y / 3))[None],
+                      phidot=np.zeros((1, 9, 11)), s1=np.zeros((9, 11)))),
+            ("string-1d-periodic",
+             string(rho=1.0, tau=1.0, gamma=0.3, B=1.0, lam=0.5),
+             string_grid,
+             SimState(phi=phi, phidot=0.1 * phi[::-1], s1=np.zeros(16))),
+            ("oscillator-0d", damped_oscillator(gamma=0.3),
+             Grid(bounds=(), counts=()),
+             SimState(phi=np.ones(1), phidot=np.zeros(1), s1=np.zeros(()))),
+        ]
+
+    def test_export_is_byte_identical(self, tmp_path, writers):
+        # the writer process formats what the in-process formatter did,
+        # whether save_trace sends the frames or run hands them over as
+        # it records them
+        for label, model, grid, init in self.export_cases():
+            live = tmp_path / label / "live"
+            with sim._TraceExport(live, grid, model.n) as export:
+                trace = run(model, grid, 0.05, 0.3, init, output_every=2,
+                            on_frame=export.frame)
+                export.finish(trace)
+            save_trace(trace, tmp_path / label / "saved")
+            for path in (live, tmp_path / label / "saved"):
+                self.assert_exported(trace, path)
+        assert len(writers) == 6
+        assert_reaped(writers)
+
+    def test_export_covers_every_repr_form(self, tmp_path):
+        # signed zeros, the smallest subnormal, exponent forms on both
+        # sides and a plain float with a long mantissa
+        specials = [0.0, -0.0, 5e-324, -5e-324, 1e-5, 1e16, -1e16,
+                    123456789.0, 0.1, 1e-4, 1e15, 1.7976931348623157e308]
+        grid = Grid(bounds=((-1e16, 1e16), (5e-324, 1.0)), counts=(8, 9))
+        rng = np.random.default_rng(3)
+        S = grid.shape
+        trace = SimTrace(model_name="string", params={"gamma": 0.3},
+                         grid=grid, dt=1e-5, output_every=1,
+                         t=np.array([-0.0, 5e-324, 1e16]),
+                         phi=rng.choice(specials, size=(3, 2) + S),
+                         phidot=rng.choice(specials, size=(3, 2) + S),
+                         s1=rng.choice(specials, size=(3,) + S))
+        text = self.column_formatter_reference(trace).decode()
+        for form in ("-0.0", "5e-324", "1e-05", "1e+16", "123456789.0"):
+            assert f",{form}," in text or f",{form}\r\n" in text
+        save_trace(trace, tmp_path / "out")
+        self.assert_exported(trace, tmp_path / "out")
+
+    def test_frame_hook_sees_every_recorded_state(self):
+        model, grid, init = growing_speed()
+        seen = []
+        trace = run(model, grid, 0.01, 0.1, init, output_every=3,
+                    on_frame=seen.append)
+        assert [s.t for s in seen] == trace.t.tolist()
+        for idx, state in enumerate(seen):
+            assert np.array_equal(state.phi, trace.phi[idx])
+            assert np.array_equal(state.s1, trace.s1[idx])
+
+    def test_killed_writer_raises_config_error(self, tmp_path, writers,
+                                               monkeypatch):
+        frame = sim._TraceExport.frame
+
+        def kill_at_second_frame(export, state):
+            if state.t > 0:
+                export.proc.kill()
+            frame(export, state)
+
+        monkeypatch.setattr(sim._TraceExport, "frame", kill_at_second_frame)
+        model, grid, init = self.export_cases()[0][1:]
+        trace = run(model, grid, 0.05, 0.3, init, output_every=2)
+        (tmp_path / "old").mkdir()
+        for path in (tmp_path / "new" / "out", tmp_path / "old"):
+            with pytest.raises(ConfigError, match="trace.csv writer"):
+                save_trace(trace, path)
+        # a directory the export created is removed; in one that was
+        # there, no trace file is written
+        assert not (tmp_path / "new").exists()
+        assert list((tmp_path / "old").iterdir()) == []
+        assert [p.returncode for p in writers] == [-9, -9]
+        assert_reaped(writers)
+
+    @pytest.mark.parametrize("error", [SimulationError, KeyboardInterrupt])
+    def test_failed_run_leaves_no_trace(self, tmp_path, writers, error,
+                                        monkeypatch):
+        # a CFL violation at step 18 or an interrupt at step 10, after
+        # frames were sent: the writer is stopped and reaped, and the
+        # directory the export created is removed
+        model, grid, init = growing_speed()
+        h = grid.spacing[0]
+        steps = []
+
+        def interrupted(*args, **kwargs):
+            steps.append(1)
+            if len(steps) == 10:
+                raise KeyboardInterrupt
+            return step(*args, **kwargs)
+
+        if error is KeyboardInterrupt:
+            monkeypatch.setattr(sim, "step", interrupted)
+        with pytest.raises(error):
+            with sim._TraceExport(tmp_path / "out", grid,
+                                  model.n) as export:
+                trace = run(model, grid, 0.2 * h, 60 * 0.2 * h, init,
+                            output_every=4, on_frame=export.frame)
+                export.finish(trace)
+        assert not (tmp_path / "out").exists()
+        assert_reaped(writers)
 
     def test_point_arrays_shapes(self):
         model = membrane(mu=1.0, gamma=0.2)
