@@ -28,14 +28,11 @@ from .hamiltonian import (hamiltonian_value, hdw_residual, legendre_inverse,
 from .inverse import (PdeSpec, build_lagrangian, membrane_spec,
                       render_lagrangian, roundtrip_check)
 from .jet import PhasePoint, evaluate_jet, random_phase_point, stack_points
-from .models import MODEL_NAMES, build_model
+from .models import MODEL_NAMES, MODEL_PARAMS, MODELS, build_model
 from .sim import (SCHEMA_VERSION, Grid, SimState, _trace_slabs,
                   _TraceExport, load_trace, run, trace_el_residual)
 from .symmetry import (builtin_symmetry_field, check_contact_symmetry,
                        dissipated_quantity, dissipation_law_check)
-
-MODEL_PARAM_FLAGS = ("mu", "gamma", "rho", "tau", "lam", "B", "eps",
-                     "omega", "n", "k")
 
 
 def _number(tok: str) -> float:
@@ -51,15 +48,15 @@ def parse_point(text: str, n: int, k: int) -> PhasePoint:
     """Parse 'q=...;v=...;s=...' with comma-separated entries; the v
     entries are row-major over the (field, direction) pairs."""
     parts = {}
-    for chunk in text.split(";"):
-        if "=" not in chunk:
-            raise ConfigError(f"bad point chunk '{chunk}'")
-        key, val = chunk.split("=", 1)
-        parts[key.strip()] = [_number(x) for x in val.split(",")]
-    extra = set(parts) - {"q", "v", "s"}
-    if extra:
-        raise ConfigError(f"unknown point coordinates: {sorted(extra)}")
     try:
+        for chunk in text.split(";"):
+            if "=" not in chunk:
+                raise ConfigError(f"bad point chunk '{chunk}'")
+            key, val = chunk.split("=", 1)
+            parts[key.strip()] = [_number(x) for x in val.split(",")]
+        extra = set(parts) - {"q", "v", "s"}
+        if extra:
+            raise ConfigError(f"unknown point coordinates: {sorted(extra)}")
         return PhasePoint(
             q=np.array(parts.get("q", [0.0] * n)),
             v=np.array(parts.get("v", [0.0] * (n * k))).reshape(n, k),
@@ -71,14 +68,13 @@ def parse_point(text: str, n: int, k: int) -> PhasePoint:
 def parse_grid(text: str, bc: str) -> Grid:
     """Parse 'lo,hi,count;lo,hi,count;...' (the token pi is accepted)."""
     bounds, counts = [], []
-    if text.strip():
-        for chunk in text.split(";"):
+    try:
+        for chunk in text.split(";") if text.strip() else ():
             fields = chunk.split(",")
             if len(fields) != 3:
                 raise ConfigError(f"bad grid chunk '{chunk}'")
             bounds.append((_number(fields[0]), _number(fields[1])))
             counts.append(int(fields[2]))
-    try:
         return Grid(bounds=tuple(bounds), counts=tuple(counts), bc=bc)
     except ValueError as exc:
         raise ConfigError(f"bad grid '{text}': {exc}")
@@ -171,11 +167,8 @@ def _merge_config(args, parser):
 def _model_from_args(args) -> "LagrangianModel":
     if not args.model:
         raise ConfigError("a model name is required")
-    params = {}
-    for flag in MODEL_PARAM_FLAGS:
-        val = getattr(args, flag, None)
-        if val is not None:
-            params[flag] = val
+    params = {key: getattr(args, key) for key in MODEL_PARAMS
+              if getattr(args, key, None) is not None}
     if args.model == "inverse":
         if not getattr(args, "spec", None):
             raise ConfigError("inverse model requires --spec FILE")
@@ -245,14 +238,11 @@ def _initial_state(model, grid: Grid, kind: str, amplitude: float
                    ) -> SimState:
     S = grid.shape
     phi = np.zeros((model.n,) + S)
-    if kind == "mode":
+    if kind == "mode":  # else "zero", the only other --init choice
         bump = amplitude
-        for a, (lo, hi) in enumerate(grid.bounds):
-            x = grid.mesh()[a]
+        for (lo, hi), x in zip(grid.bounds, grid.mesh()):
             bump = bump * np.sin(math.pi * (x - lo) / (hi - lo))
         phi[0] = bump
-    elif kind != "zero":
-        raise ConfigError(f"unknown initial data '{kind}'")
     return SimState(phi=phi, phidot=np.zeros((model.n,) + S),
                     s1=np.zeros(S), t=0.0)
 
@@ -277,9 +267,7 @@ def cmd_simulate(args) -> int:
             model, dissipated_quantity(
                 model, builtin_symmetry_field(model, "du")), trace)))),
     }
-    with open(Path(args.output) / "manifest.json", "w") as fh:
-        json.dump(_jsonable(manifest), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _emit(manifest, Path(args.output) / "manifest.json")
     sys.stdout.write(f"trace written to {args.output} "
                      f"({trace.t.size} frames)\n")
     return 0
@@ -409,7 +397,10 @@ def _suite_inverse_roundtrip(args, tol) -> dict:
     if args.spec:
         spec = PdeSpec.from_dict(_load_config(args.spec))
     else:
-        spec = membrane_spec(mu=args.mu or 1.0, gamma=args.gamma or 0.2)
+        # the membrane with the flags of its parameters that are set
+        spec = membrane_spec(**build_model("membrane", {
+            key: getattr(args, key) for key in MODELS["membrane"][1]
+            if getattr(args, key) is not None}).params)
     worst = roundtrip_check(spec, n_samples=args.num_points,
                             rng=np.random.default_rng(args.seed))
     return {"suite": "inverse-roundtrip", "residual": worst,
@@ -446,9 +437,7 @@ def cmd_verify(args) -> int:
         return (load(path) for path in args.trace)
 
     results = []
-    for name in args.suite:
-        if name not in SUITE_DEFAULT_TOL:
-            raise ConfigError(f"unknown suite '{name}'")
+    for name in args.suite:  # --suite choices: the keys of both tables
         tol = SUITE_DEFAULT_TOL[name] if args.tol is None else args.tol
         if name in POINT_SUITES:
             results.append(POINT_SUITES[name](args, tol))
@@ -487,8 +476,7 @@ def cmd_inverse(args) -> int:
 def _add_model_flags(p):
     p.add_argument("--model", choices=MODEL_NAMES)
     p.add_argument("--spec", help="PDE spec JSON (inverse model)")
-    for flag in MODEL_PARAM_FLAGS:
-        kind = int if flag in ("n", "k") else float
+    for flag, kind in MODEL_PARAMS.items():
         p.add_argument(f"--{flag}", type=kind)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NotRegularError
 from .jet import (Jet2, LagrangianModel, MomentumPoint, PhasePoint,
-                  evaluate_jet, evaluate_jet_batch)
+                  evaluate_jet)
 
 RANK_TOL = 1e-10
 
@@ -160,13 +160,3 @@ def reeb_derivative_of_energy(jet: Jet2, z: PhasePoint,
                               rf: ReebFields) -> np.ndarray:
     """Directional derivative of the energy along each Reeb field."""
     return _energy_along_reeb(jet, z.v, rf.vcomp)
-
-
-def reeb_energy_derivative_batch(model: LagrangianModel, q, v, s
-                                 ) -> np.ndarray:
-    """Batched Reeb derivative of the energy; shape (k, *batch).
-
-    Raises NotRegularError if the Hessian is singular at any point.
-    """
-    jet = evaluate_jet_batch(model, q, v, s)
-    return _energy_along_reeb(jet, v, _reeb_vcomp(jet))

@@ -117,22 +117,11 @@ def el_residual_batch(model: LagrangianModel, q, v, s, a, dsdt, jet=None):
     return _el_operator(jet, v, a, dsdt), _divergence_residual(jet, dsdt)
 
 
-def evolution_rhs(model: LagrangianModel, sj: SecondJet) -> np.ndarray:
-    """Solve the field equations for the time-time second derivatives.
-
-    The spatial and mixed entries of `sj.a` and the spatial derivatives
-    dsdt[x, 0] of s^1 are inputs; a[:, 0, 0] and dsdt[0, 0] are ignored
-    (see `evolution_rhs_batch`).  Requires an invertible time-time
-    Hessian block.
-    """
-    z = sj.z
-    model.check_point(z)
-    return evolution_rhs_batch(model, z.q, z.v, z.s, sj.a, sj.dsdt)[0]
-
-
 def evolution_rhs_batch(model: LagrangianModel, q, v, s, a, dsdt,
                         jet=None):
-    """Batched evolution solve; returns (accel, L) with batch trailing.
+    """Solve the field equations for the time-time second derivatives;
+    returns (accel, L) with batch axes trailing.  Raises NotRegularError
+    where the time-time Hessian block is singular.
 
     The Euler-Lagrange operator is linear in the time-time entries
     a[:, 0, 0], so they solve W11 accel = -rEL with rEL evaluated at

@@ -14,11 +14,10 @@ from typing import Callable
 
 import numpy as np
 
+from .contact import RANK_TOL
 from .dynamics import SecondJet, el_residual_batch
 from .errors import ConfigError
 from .jet import LagrangianModel, PhasePoint, stack_points
-
-RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -39,9 +38,10 @@ class PdeSpec:
     def __post_init__(self):
         object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
         object.__setattr__(self, "D", np.asarray(self.D, dtype=float))
-        k = self.A.shape[0]
-        if self.A.shape != (k, k) or self.D.shape != (k,):
+        if self.D.ndim != 1 or self.A.shape != 2 * self.D.shape:
             raise ValueError("A must be k x k and D length k")
+        if not (np.isfinite(self.A).all() and np.isfinite(self.D).all()):
+            raise ValueError("A and D must be finite")
         if np.max(np.abs(self.A - self.A.T)) > 1e-12 * max(
                 1.0, np.max(np.abs(self.A))):
             raise ValueError("A must be symmetric")
@@ -55,38 +55,44 @@ class PdeSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "PdeSpec":
         """Load from the CLI config format: {'A': [[...]], 'D': [...],
-        'G': {'poly': [c0, c1, ...]} optional polynomial coefficients}."""
-        data = dict(data)
-        A = data.pop("A")
-        D = data.pop("D")
-        gspec = data.pop("G", None)
-        if data:
-            raise ConfigError(f"unknown PDE spec keys: {sorted(data)}")
-        G = gbar = None
-        if gspec is not None:
-            if not (isinstance(gspec, dict) and "poly" in gspec):
-                raise ConfigError("G must be {'poly': [c0, c1, ...]}")
-            coeffs = [float(c) for c in gspec["poly"]]
+        'G': {'poly': [c0, c1, ...]} optional polynomial coefficients}.
+        Raises ConfigError for a malformed spec."""
+        if not isinstance(data, dict):
+            raise ConfigError("a PDE spec must be a JSON object")
+        unknown = set(data) - {"A", "D", "G"}
+        if unknown:
+            raise ConfigError(f"unknown PDE spec keys: {sorted(unknown)}")
+        gspec = data.get("G")
+        G = gbar = coeffs = None
+        try:
+            if gspec is not None:
+                if not (isinstance(gspec, dict)
+                        and isinstance(gspec.get("poly"), list)):
+                    raise ConfigError("G must be {'poly': [c0, c1, ...]}")
+                coeffs = tuple(float(c) for c in gspec["poly"])
 
-            def G(u, _c=coeffs):
-                out = 0.0
-                pw = 1.0
-                for c in _c:
-                    out = out + c * pw
-                    pw = pw * u
-                return out
+                def G(u, _c=coeffs):
+                    out = 0.0
+                    pw = 1.0
+                    for c in _c:
+                        out = out + c * pw
+                        pw = pw * u
+                    return out
 
-            def gbar(u, _c=coeffs):
-                out = 0.0
-                pw = u
-                for j, c in enumerate(_c):
-                    out = out + c / (j + 1) * pw
-                    pw = pw * u
-                return out
+                def gbar(u, _c=coeffs):
+                    out = 0.0
+                    pw = u
+                    for j, c in enumerate(_c):
+                        out = out + c / (j + 1) * pw
+                        pw = pw * u
+                    return out
 
-        return cls(A=np.asarray(A, dtype=float),
-                   D=np.asarray(D, dtype=float), G=G, gbar=gbar,
-                   g_poly=tuple(coeffs) if gspec is not None else None)
+            return cls(A=data["A"], D=data["D"], G=G, gbar=gbar,
+                       g_poly=coeffs)
+        except KeyError as exc:
+            raise ConfigError(f"PDE spec lacks the key {exc}")
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad PDE spec: {exc}")
 
 
 def build_lagrangian(spec: PdeSpec) -> LagrangianModel:
@@ -154,10 +160,6 @@ def roundtrip_check(spec: PdeSpec, n_samples: int = 100,
 _DIRECTION_NAMES = ("t", "x", "y", "z")
 
 
-def _fmt(c: float) -> str:
-    return repr(float(c))
-
-
 def render_lagrangian(spec: PdeSpec) -> str:
     """Human-readable L with the spec's numbers substituted."""
     k = spec.k
@@ -168,16 +170,16 @@ def render_lagrangian(spec: PdeSpec) -> str:
         for b in range(a, k):
             coeff = 0.5 * spec.A[a, b] if a == b else spec.A[a, b]
             if coeff != 0.0:
-                terms.append(f"{_fmt(coeff)}*u_{names[a]}*u_{names[b]}")
+                terms.append(f"{float(coeff)!r}*u_{names[a]}*u_{names[b]}")
     c = np.linalg.solve(spec.A, spec.D)
     for a in range(k):
         if c[a] != 0.0:
-            terms.append(f"{_fmt(-c[a])}*s_{names[a]}")
+            terms.append(f"{float(-c[a])!r}*s_{names[a]}")
     if spec.g_poly is not None:
         for j, coeff in enumerate(spec.g_poly):
             if coeff != 0.0:
                 pw = "u" if j == 0 else f"u^{j + 1}"
-                terms.append(f"{_fmt(-coeff / (j + 1))}*{pw}")
+                terms.append(f"{float(-coeff / (j + 1))!r}*{pw}")
     elif spec.G is not None:
         terms.append("-gbar(u)")
     if not terms:

@@ -167,9 +167,9 @@ class Jet2:
 
     `layout` is the shared, cached, read-only `JetLayout` of the kernel's
     stored rows; jets of densities that store the same rows hold the
-    same layout object.  Its masks, read through `mask_vv` (n,k,n,k) for
+    same layout object.  The layout's masks `mask_vv` (n,k,n,k) for
     d2Ldvdv, `mask_vq` (n,k,n) for d2Ldvdq and `mask_vs` (n,k,k) for
-    d2Ldvds, mark the entries the kernel stored over the blocks' lead
+    d2Ldvds mark the entries the kernel stored over the blocks' lead
     axes.  They are read off the kernel's row keys, not the values, so
     they are the same at every point and for every batch shape; an
     unmarked entry is an exact zero, a marked one may be zero at some
@@ -184,10 +184,6 @@ class Jet2:
     d2Ldvdq: np.ndarray
     d2Ldvds: np.ndarray
     layout: JetLayout
-
-    mask_vv = property(lambda self: self.layout.mask_vv)
-    mask_vq = property(lambda self: self.layout.mask_vq)
-    mask_vs = property(lambda self: self.layout.mask_vs)
 
     def check(self):
         """Validate finiteness and v-v symmetry of d2Ldvdv (rtol 1e-12)."""

@@ -107,44 +107,39 @@ def builtin_models():
     ]
 
 
+# name -> (factory, {parameter: type}) of every built-in model with
+# numeric parameters; their defaults are the factories'
+MODELS = {
+    "free": (free, {"n": int, "k": int}),
+    "membrane": (membrane, {"mu": float, "gamma": float}),
+    "string": (string, {"rho": float, "tau": float, "lam": float,
+                        "gamma": float, "B": float}),
+    "svcoupling": (sv_coupling, {"eps": float}),
+    "oscillator": (damped_oscillator, {"gamma": float, "omega": float}),
+}
+MODEL_NAMES = (*MODELS, "inverse")  # inverse: built from a PDE spec
+MODEL_PARAMS = {param: kind for _, kinds in MODELS.values()
+                for param, kind in kinds.items()}
+
+
 def build_model(name: str, params: dict) -> LagrangianModel:
-    """Model registry used by the CLI.  Raises ConfigError on bad input."""
+    """Model registry used by the CLI: the MODELS entry `name` with the
+    given parameters, or "inverse" built from the PDE spec dict
+    params["spec"] (see `PdeSpec.from_dict`).  Raises ConfigError on bad
+    input."""
     params = dict(params)
-    model = None
-    try:
-        if name == "free":
-            model = free(n=int(params.pop("n", 1)),
-                         k=int(params.pop("k", 2)))
-        elif name == "membrane":
-            model = membrane(mu=float(params.pop("mu", 1.0)),
-                             gamma=float(params.pop("gamma", 0.2)))
-        elif name == "string":
-            model = string(rho=float(params.pop("rho", 1.0)),
-                           tau=float(params.pop("tau", 1.0)),
-                           lam=float(params.pop("lam", 0.0)),
-                           gamma=float(params.pop("gamma", 0.0)),
-                           B=float(params.pop("B", 0.0)))
-        elif name == "svcoupling":
-            model = sv_coupling(eps=float(params.pop("eps", 0.1)))
-        elif name == "oscillator":
-            model = damped_oscillator(gamma=float(params.pop("gamma", 0.1)),
-                                      omega=float(params.pop("omega", 1.0)))
-        elif name == "inverse":
-            spec = params.pop("spec", None)
-            if spec is None:
-                raise ConfigError("inverse model requires a 'spec'")
-            if not isinstance(spec, PdeSpec):
-                spec = PdeSpec.from_dict(spec)
-            model = build_lagrangian(spec)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad parameters for model '{name}': {exc}")
-    if model is None:
+    if name == "inverse":
+        model = build_lagrangian(PdeSpec.from_dict(params.pop("spec", None)))
+    elif name in MODELS:
+        factory, kinds = MODELS[name]
+        try:
+            model = factory(**{key: kinds[key](params.pop(key))
+                               for key in list(params) if key in kinds})
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad parameters for model '{name}': {exc}")
+    else:
         raise ConfigError(f"unknown model '{name}'")
     if params:
         raise ConfigError(
             f"unknown parameters for model '{name}': {sorted(params)}")
     return model
-
-
-MODEL_NAMES = ("free", "membrane", "string", "svcoupling", "oscillator",
-               "inverse")

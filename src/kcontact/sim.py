@@ -51,8 +51,8 @@ class Grid:
         for (lo, hi), c in zip(self.bounds, self.counts):
             if c < 8:
                 raise ValueError("grids need at least 8 points per direction")
-            if hi <= lo:
-                raise ValueError("empty grid extent")
+            if not -math.inf < lo < hi < math.inf:
+                raise ValueError("empty or non-finite grid extent")
 
     @property
     def ndim(self) -> int:
@@ -79,8 +79,6 @@ class Grid:
         return out
 
     def mesh(self):
-        if self.ndim == 0:
-            return ()
         return np.meshgrid(*self.axes(), indexing="ij")
 
 
@@ -121,13 +119,6 @@ class SimTrace:
     def state(self, idx: int) -> SimState:
         return SimState(phi=self.phi[idx], phidot=self.phidot[idx],
                         s1=self.s1[idx], t=float(self.t[idx]))
-
-
-def zero_state(model: LagrangianModel, grid: Grid) -> SimState:
-    S = grid.shape
-    return SimState(phi=np.zeros((model.n,) + S),
-                    phidot=np.zeros((model.n,) + S),
-                    s1=np.zeros(S), t=0.0)
 
 
 # -- stencils -----------------------------------------------------------
@@ -230,29 +221,19 @@ def _second_jet(grid, phi, v, s1, jet):
     return a, dsdt
 
 
-def _boundary_mask(grid: Grid):
-    if grid.bc != "dirichlet" or grid.ndim == 0:
-        return None
-    mask = np.zeros(grid.shape, dtype=bool)
-    for a in range(grid.ndim):
-        idx = [slice(None)] * grid.ndim
-        idx[a] = 0
-        mask[tuple(idx)] = True
-        idx[a] = -1
-        mask[tuple(idx)] = True
-    return mask
-
-
-def _state_rhs(model, grid, phi, phidot, s1, mask):
-    """Time derivatives (dphi, accel, L) of the state, then the jet at it."""
+def _state_rhs(model, grid, phi, phidot, s1):
+    """Time derivatives (dphi, accel, L) of the state, then the jet at it;
+    on a Dirichlet grid both derivatives vanish on the boundary."""
     v, s = _point_arrays(model, grid, phi, phidot, s1)
     jet = evaluate_jet_batch(model, phi, v, s)
     a, dsdt = _second_jet(grid, phi, v, s1, jet)
     accel, L = evolution_rhs_batch(model, phi, v, s, a, dsdt, jet=jet)
     dphi = phidot.copy()
-    if mask is not None:
-        accel[:, mask] = 0.0
-        dphi[:, mask] = 0.0
+    if grid.bc == "dirichlet":
+        for x in range(grid.ndim):
+            at = _along(accel, 1 + x)
+            accel[at(None, 1)] = accel[at(-1, None)] = 0.0
+            dphi[at(None, 1)] = dphi[at(-1, None)] = 0.0
     return dphi, accel, L, jet
 
 
@@ -270,11 +251,8 @@ def char_speeds(jet, grid: Grid) -> np.ndarray:
     """Characteristic speed estimate per spatial direction from the
     Hessian blocks of `jet`, the jet at every grid point of a state (as
     `_state_rhs` evaluates it): the maximum over those points."""
-    d = grid.ndim
-    if d == 0:
-        return np.zeros(0)
-    speeds = np.zeros(d)
-    for a in range(d):
+    speeds = np.zeros(grid.ndim)
+    for a in range(grid.ndim):
         X = solve_batch(jet.d2Ldvdv[:, 0, :, 0],
                         jet.d2Ldvdv[:, 1 + a, :, 1 + a],
                         "not hyperbolic-evolvable in direction t")
@@ -296,14 +274,13 @@ def check_cfl(jet, grid: Grid, dt: float, t: float):
 
 
 def step(model: LagrangianModel, state: SimState, grid: Grid,
-         dt: float, _mask=None) -> SimState:
+         dt: float) -> SimState:
     """One classical RK4 step of (phi, phidot, s1).  The state it steps
     from is checked for the CFL condition with the jet of stage 1."""
-    mask = _boundary_mask(grid) if _mask is None else _mask
     y = (state.phi, state.phidot, state.s1)
 
     def f(phi, phidot, s1):
-        return _state_rhs(model, grid, phi, phidot, s1, mask)
+        return _state_rhs(model, grid, phi, phidot, s1)
 
     *k1, jet = f(*y)
     check_cfl(jet, grid, dt, state.t)
@@ -337,12 +314,11 @@ def run(model: LagrangianModel, grid: Grid, dt: float, t_end: float,
     steps = max(1, int(round(t_end / dt)))
     if steps % output_every:
         steps += output_every - steps % output_every
-    mask = _boundary_mask(grid)
     state = initial.check_finite()
     frames = []
     for j in range(steps + 1):
         if j:
-            state = step(model, state, grid, dt, _mask=mask).check_finite()
+            state = step(model, state, grid, dt).check_finite()
         if j % output_every == 0:
             frames.append(state)
             if on_frame is not None:
@@ -454,11 +430,6 @@ def energy_monitor(model: LagrangianModel, state: SimState,
     n, k = model.n, model.k
     d = grid.ndim
     phi, phidot = state.phi, state.phidot
-    if d == 0:
-        v = np.zeros((n, k))
-        v[:, 0] = phidot
-        jet = evaluate_jet_batch(model, phi, v, np.zeros(k))
-        return float(np.sum(phidot * jet.dLdv[:, 0]) - jet.L)
     grads = []
     for a in range(d):
         ext = phi
@@ -502,43 +473,6 @@ def s_accumulation_check(trace: SimTrace, model: LagrangianModel) -> float:
     L = trace_lagrangian(model, trace)
     integral = np.trapezoid(L, x=trace.t, axis=0)
     return float(np.max(np.abs(trace.s1[-1] - trace.s1[0] - integral)))
-
-
-def el_convergence(model: LagrangianModel, exact, grids, t_end: float,
-                   dt_factor: float = 0.25, exact_dt=None,
-                   output_every: int = 10 ** 9):
-    """Observed convergence order against an exact solution.
-
-    `exact(t, mesh)` returns the fields (n, *S) on the grid mesh;
-    `exact_dt` returns their time derivative (finite-differenced from
-    `exact` when omitted).  Each grid is run with dt = dt_factor * h.
-    Returns a report with per-grid errors and the least-squares order.
-    """
-    if len(grids) < 2:
-        raise ValueError("need at least two grids")
-    hs, errs = [], []
-    for grid in grids:
-        mesh = grid.mesh()
-        h = min(grid.spacing)
-        dt = dt_factor * h
-        phi0 = np.asarray(exact(0.0, mesh), dtype=float)
-        if exact_dt is not None:
-            dot0 = np.asarray(exact_dt(0.0, mesh), dtype=float)
-        else:
-            eps = 1e-6
-            dot0 = (np.asarray(exact(eps, mesh), dtype=float)
-                    - np.asarray(exact(-eps, mesh), dtype=float)) / (2 * eps)
-        initial = SimState(phi=phi0, phidot=dot0,
-                           s1=np.zeros(grid.shape), t=0.0)
-        every = min(output_every, max(1, int(round(t_end / dt))))
-        tr = run(model, grid, dt, t_end, initial, output_every=every)
-        ref = np.asarray(exact(float(tr.t[-1]), mesh), dtype=float)
-        errs.append(float(np.max(np.abs(tr.phi[-1] - ref))))
-        hs.append(h)
-    if min(errs) == 0.0:
-        return {"hs": hs, "errors": errs, "order": None}
-    order = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
-    return {"hs": hs, "errors": errs, "order": order}
 
 
 # -- trace export/import -----------------------------------------------
@@ -717,7 +651,8 @@ def load_trace(directory) -> SimTrace:
         if (manifest["kind"] != "trace"
                 or manifest["schema_version"] != SCHEMA_VERSION):
             raise ValueError(f"not a schema-{SCHEMA_VERSION} trace manifest")
-        grid = Grid(bounds=tuple(map(tuple, manifest["grid"]["bounds"])),
+        grid = Grid(bounds=tuple(tuple(map(float, b))
+                                 for b in manifest["grid"]["bounds"]),
                     counts=tuple(map(operator.index,
                                      manifest["grid"]["counts"])),
                     bc=manifest["grid"]["bc"])

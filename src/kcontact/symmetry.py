@@ -134,16 +134,13 @@ class DissipatedQuantity:
     model: LagrangianModel
     Y: SymmetryField
 
-    def batch(self, q, v, s) -> np.ndarray:
-        return self._at(evaluate_jet_batch(self.model, q, v, s), q, v, s)
-
     def _at(self, jet, q, v, s) -> np.ndarray:
         """F at the points (q, v, s) of `jet`."""
         Yq, _, Ys = self.Y.components(q, v, s)
         return np.einsum("ia...,i...->a...", jet.dLdv, Yq) - Ys
 
     def __call__(self, z: PhasePoint) -> np.ndarray:
-        return self.batch(z.q, z.v, z.s)
+        return self._at(evaluate_jet(self.model, z), z.q, z.v, z.s)
 
 
 def dissipated_quantity(model: LagrangianModel,

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from kcontact import cli, jet, sim
-from kcontact.cli import REFINEMENT_BAND, main, parse_grid, parse_point
+from kcontact.cli import (REFINEMENT_BAND, build_parser, main, parse_grid,
+                          parse_point)
 from kcontact.errors import ConfigError
+from kcontact.models import MODEL_NAMES, MODEL_PARAMS, MODELS, build_model
 from kcontact.sim import run, step
 from conftest import assert_reaped
 from test_sim import growing_speed
@@ -289,6 +291,9 @@ HOSTILE_TRACES = {
                            "manifest.json"),
     "manifest-wrong-kind": (rewrite_manifest(lambda m: m.update(kind="x")),
                             "manifest.json"),
+    "manifest-text-bounds": (
+        rewrite_manifest(lambda m: m["grid"].update(bounds=[["a", "b"]] * 2)),
+        "manifest.json"),
     "manifest-wrong-schema": (
         rewrite_manifest(lambda m: m.update(schema_version=2)),
         "manifest.json"),
@@ -578,3 +583,107 @@ class TestParsers:
     def test_bad_grid_chunk(self):
         with pytest.raises(ConfigError):
             parse_grid("0,pi", "dirichlet")
+
+
+# PDE specs that are not a spec: each is refused with exit 2
+SPEC_A = [[1.0, 0.0], [0.0, -1.0]]
+HOSTILE_SPECS = {
+    "no-A": {"D": [0.0, 0.4]},
+    "text-A": {"A": "abc", "D": [0.0, 0.4]},
+    "null-in-A": {"A": [[1.0, None], [None, -1.0]], "D": [0.0, 0.4]},
+    "ragged-A": {"A": [[1.0, 0.0], [0.0]], "D": [0.0, 0.4]},
+    "short-D": {"A": SPEC_A, "D": [0.0]},
+    "scalar-D": {"A": SPEC_A, "D": 0.4},
+    "poly-5": {"A": SPEC_A, "D": [0.0, 0.4], "G": {"poly": 5}},
+    "text-in-poly": {"A": SPEC_A, "D": [0.0, 0.4], "G": {"poly": ["x"]}},
+}
+SPEC_COMMANDS = {
+    "inverse": ("inverse",),
+    "derive": ("derive", "--model", "inverse"),
+    "verify": ("verify", "--suite", "inverse-roundtrip"),
+}
+
+
+def assert_refused(capsys, argv):
+    """`argv` exits 2 with an error line and no traceback."""
+    code = main(list(argv))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+class TestHostileText:
+    @pytest.mark.parametrize("grid", ["0,1,abc;0,1,9", "0,x,9;0,1,9",
+                                      "0,1,9.5;0,1,9", "0,nan,9;0,1,9",
+                                      "0,inf,9;0,1,9"])
+    def test_bad_grid_exits_2(self, capsys, tmp_path, grid):
+        assert_refused(capsys, ["simulate", "--model", "membrane",
+                                "--grid", grid, "--dt", "0.01",
+                                "--output", str(tmp_path / "x")])
+        assert not (tmp_path / "x").exists()
+
+    def test_bad_point_number_exits_2(self, capsys):
+        assert_refused(capsys, ["derive", "--model", "membrane",
+                                "--point", "q=abc"])
+
+    @pytest.mark.parametrize("command", SPEC_COMMANDS)
+    @pytest.mark.parametrize("case", HOSTILE_SPECS)
+    def test_bad_spec_exits_2(self, capsys, tmp_path, command, case):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(HOSTILE_SPECS[case]))
+        assert_refused(capsys, [*SPEC_COMMANDS[command],
+                                "--spec", str(spec)])
+
+
+class TestModelRegistry:
+    @pytest.mark.parametrize("name", MODELS)
+    def test_defaults_are_the_factories(self, name):
+        factory, _ = MODELS[name]
+        assert build_model(name, {}).params == factory().params
+
+    def test_model_flags_parse_to_the_table_types(self):
+        parser = build_parser()
+        for flag, kind in MODEL_PARAMS.items():
+            args = parser.parse_args(["derive", f"--{flag}", "2"])
+            assert type(getattr(args, flag)) is kind, flag
+        assert {kind for _, kinds in MODELS.values()
+                for kind in kinds.values()} == {int, float}
+
+    def test_choices_and_flags_unchanged(self):
+        assert MODEL_NAMES == ("free", "membrane", "string", "svcoupling",
+                               "oscillator", "inverse")
+        assert set(MODEL_PARAMS) == {"mu", "gamma", "rho", "tau", "lam",
+                                     "B", "eps", "omega", "n", "k"}
+        commands = next(action for action in build_parser()._actions
+                        if action.dest == "cmd")
+        for command in ("derive", "simulate", "verify"):
+            options = {action.dest: action
+                       for action in commands.choices[command]._actions}
+            assert tuple(options["model"].choices) == MODEL_NAMES
+            assert set(MODEL_PARAMS) <= set(options)
+
+    @pytest.mark.parametrize("params", [{"eps": 0.1}, {"mu": "abc"},
+                                        {"gamma": [1.0]}],
+                             ids=["unknown", "text", "list"])
+    def test_bad_parameter_refused(self, params):
+        with pytest.raises(ConfigError, match="parameters for model"):
+            build_model("membrane", params)
+
+    @pytest.mark.parametrize("params", [{}, {"spec": None}, {"spec": 5}],
+                             ids=["missing", "null", "number"])
+    def test_inverse_needs_a_spec_object(self, params):
+        with pytest.raises(ConfigError, match="PDE spec"):
+            build_model("inverse", params)
+
+    @pytest.mark.parametrize("argv", [("--eps", "0.1"), ("--mu", "abc"),
+                                      ("--n", "1.5")],
+                             ids=["unknown", "text", "float-for-int"])
+    def test_bad_parameter_flag_exits_2(self, capsys, argv):
+        model = "free" if argv[0] == "--n" else "membrane"
+        try:
+            code = main(["derive", "--model", model, *argv,
+                         "--point", "q=0"])
+        except SystemExit as exc:  # argparse refuses a mistyped flag
+            code = exc.code
+        assert code == 2
+        assert "error:" in capsys.readouterr().err

@@ -8,7 +8,7 @@ from kcontact import (LagrangianModel, NotRegularError, PhasePoint,
                       free, hessian, legendre, membrane, random_phase_point,
                       reeb, reeb_derivative_of_energy, stack_points, string,
                       sv_coupling, verify_reeb)
-from kcontact.contact import reeb_energy_derivative_batch, solve_batch
+from kcontact.contact import solve_batch
 from kcontact.taylor import cos
 
 
@@ -106,7 +106,9 @@ class TestReeb:
             rng = np.random.default_rng(5)
             pts = [random_phase_point(model, rng) for _ in range(6)]
             zs = stack_points(pts)
-            batch = reeb_energy_derivative_batch(model, zs.q, zs.v, zs.s)
+            jets = evaluate_jet(model, zs)
+            batch = reeb_derivative_of_energy(jets, zs,
+                                              reeb(jets, hessian(jets)))
             for idx, z in enumerate(pts):
                 jet = evaluate_jet(model, z)
                 rf = reeb(jet, hessian(jet))

@@ -9,13 +9,12 @@ from kcontact import (Jet2, LagrangianModel, NotRegularError, PhasePoint,
                       SecondJet, SopdeData, assemble_sopde,
                       builtin_models, builtin_symmetry_field,
                       check_contact_symmetry, damped_oscillator,
-                      el_residual, energy, evaluate_jet, evolution_rhs,
-                      hamiltonian_value, hessian, legendre,
-                      legendre_inverse, membrane, random_phase_point, reeb,
+                      el_residual, energy, evaluate_jet, hamiltonian_value,
+                      hessian, legendre, legendre_inverse, membrane,
+                      random_phase_point, reeb,
                       reeb_bracket_check, reeb_derivative_of_energy,
                       stack_points, string, sv_coupling, verify_reeb,
                       verify_sopde)
-from kcontact.contact import reeb_energy_derivative_batch
 from kcontact.dynamics import (_el_operator, el_residual_batch,
                                evolution_rhs_batch, gauge_s_velocities)
 from test_contact import coupled_quartic
@@ -80,6 +79,14 @@ def evolution_jet(z, spatial, mixed):
     return SecondJet(z=z, a=a, dsdt=np.zeros((k, k)))
 
 
+def accelerations(model, sj):
+    """The time-time second derivatives that solve the field equations
+    at the single-point second jet `sj` (its time-time entries and
+    dsdt[0, 0] are ignored)."""
+    z = sj.z
+    return evolution_rhs_batch(model, z.q, z.v, z.s, sj.a, sj.dsdt)[0]
+
+
 class TestEvolutionRhs:
     def test_membrane_acceleration(self):
         mu, gamma = 1.5, 0.3
@@ -87,7 +94,7 @@ class TestEvolutionRhs:
         z = PhasePoint(q=[0.1], v=[[0.7, -0.2, 0.4]], s=[0.05, 0.0, 0.0])
         spatial = np.array([[[-0.6, 0.1], [0.1, 0.3]]])
         mixed = np.array([[0.2, -0.1]])
-        acc = evolution_rhs(model, evolution_jet(z, spatial, mixed))
+        acc = accelerations(model, evolution_jet(z, spatial, mixed))
         expect = mu ** 2 * (spatial[0, 0, 0] + spatial[0, 1, 1]) \
             - gamma * z.v[0, 0]
         assert acc[0] == pytest.approx(expect, abs=1e-13)
@@ -99,7 +106,7 @@ class TestEvolutionRhs:
                        s=[0.0, 0.0])
         spatial = np.array([[[0.5]], [[-0.7]]])
         mixed = np.zeros((2, 1))
-        acc = evolution_rhs(model, evolution_jet(z, spatial, mixed))
+        acc = accelerations(model, evolution_jet(z, spatial, mixed))
         # rho*x_tt = tau*x_zz + lam*B*y_t, rho*y_tt = tau*y_zz - lam*B*x_t
         assert acc[0] == pytest.approx((0.5 + 0.5 * (-0.3)) / 2.0, abs=1e-13)
         assert acc[1] == pytest.approx((-0.7 - 0.5 * 0.4) / 2.0, abs=1e-13)
@@ -114,7 +121,7 @@ class TestEvolutionRhs:
         for _ in range(20):
             z = random_phase_point(model, rng)
             a = np.zeros((1, 1, 1))
-            a[0, 0, 0] = evolution_rhs(model, SecondJet(
+            a[0, 0, 0] = accelerations(model, SecondJet(
                 z=z, a=a, dsdt=np.zeros((1, 1))))[0]
             dsdt = gauge_s_velocities(evaluate_jet(model, z).L, 1)
             rEL, rS = el_residual(model, SecondJet(z=z, a=a, dsdt=dsdt))
@@ -126,7 +133,7 @@ class TestEvolutionRhs:
             lagrangian=lambda q, v, s: 0.5 * v[0][1] * v[0][1])
         z = PhasePoint(q=[0.0], v=[[1.0, 1.0]], s=[0.0, 0.0])
         with pytest.raises(NotRegularError, match="direction t"):
-            evolution_rhs(model, SecondJet(z=z, a=np.zeros((1, 2, 2)),
+            accelerations(model, SecondJet(z=z, a=np.zeros((1, 2, 2)),
                                            dsdt=np.zeros((2, 2))))
 
 
@@ -179,12 +186,9 @@ class TestSopde:
        seed=st.integers(0, 2 ** 32 - 1))
 def test_single_point_paths_agree_bitwise(index, seed):
     """el_residual, el_residual_batch and verify_sopde evaluate the same
-    Euler-Lagrange operator, and evolution_rhs and
-    reeb_derivative_of_energy run the batched velocity-Hessian solves of
-    evolution_rhs_batch and reeb_energy_derivative_batch: equal bit for
-    bit at single points.  Every pointwise quantity at a single point
-    equals its slice of a stacked batch bit for bit, except the SOPDE
-    Gamma."""
+    Euler-Lagrange operator: equal bit for bit at single points.  Every
+    pointwise quantity at a single point equals its slice of a stacked
+    batch bit for bit, except the SOPDE Gamma."""
     model = MODELS[index]
     n, k = model.n, model.k
     rng = np.random.default_rng(seed)
@@ -201,13 +205,7 @@ def test_single_point_paths_agree_bitwise(index, seed):
         assert verify_sopde(model, z, sopde) == max(np.max(np.abs(rEL)),
                                                     abs(rS))
     jet = evaluate_jet(model, z)
-    dE = reeb_derivative_of_energy(jet, z, reeb(jet, hessian(jet)))
-    assert np.array_equal(
-        dE, reeb_energy_derivative_batch(model, z.q, z.v, z.s))
-    acc, L = evolution_rhs_batch(model, z.q, z.v, z.s, a, dsdt)
-    assert np.array_equal(
-        evolution_rhs(model, SecondJet(z=z, a=a, dsdt=dsdt)), acc)
-    assert L == jet.L
+    assert evolution_rhs_batch(model, z.q, z.v, z.s, a, dsdt)[1] == jet.L
 
     # the same bodies over a stack: the single point is slice 0
     points = [z] + [random_phase_point(model, rng) for _ in range(3)]
@@ -223,7 +221,10 @@ def test_single_point_paths_agree_bitwise(index, seed):
     hw, hws = hessian(jet), hessian(jets)
     assert np.array_equal(hw.W, hws.W[..., 0])
     assert hw.regular == hws.regular[0] and hw.cond == hws.cond[0]
-    assert np.array_equal(reeb(jet, hw).vcomp, reeb(jets, hws).vcomp[..., 0])
+    rf, rfs = reeb(jet, hw), reeb(jets, hws)
+    assert np.array_equal(rf.vcomp, rfs.vcomp[..., 0])
+    assert np.array_equal(reeb_derivative_of_energy(jet, z, rf),
+                          reeb_derivative_of_energy(jets, zs, rfs)[..., 0])
     one, many = verify_reeb(model, z), verify_reeb(model, zs)
     assert all(one[key] == many[key][0] for key in one)
     one, many = assemble_sopde(model, z), assemble_sopde(model, zs)

@@ -1,6 +1,6 @@
 """Source hygiene: every module-level import of the package is used, no
-function imports locally, and every module-level private function is
-referenced."""
+function imports locally, every module-level private function is
+referenced, and the package exports exactly what it imports."""
 
 import ast
 from pathlib import Path
@@ -68,3 +68,13 @@ def test_no_function_local_imports(path):
              for node in ast.walk(fn)
              if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert local == []
+
+
+def test_all_is_exactly_the_imported_names():
+    # a name deleted from a module cannot linger in __all__
+    tree = ast.parse(Path(kcontact.__file__).read_text())
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert len(kcontact.__all__) == len(set(kcontact.__all__))
+    assert set(kcontact.__all__) == imported

@@ -68,24 +68,25 @@ def test_membrane_masks():
     # and no second derivative pairs a velocity with q or s
     jet = evaluate_jet(membrane(), random_phase_point(
         membrane(), np.random.default_rng(0)))
-    assert np.array_equal(jet.mask_vv[0, :, 0, :], np.eye(3, dtype=bool))
-    assert jet.mask_vv.shape == (1, 3, 1, 3)
-    assert jet.mask_vq.shape == (1, 3, 1) and not jet.mask_vq.any()
-    assert jet.mask_vs.shape == (1, 3, 3) and not jet.mask_vs.any()
+    layout = jet.layout
+    assert np.array_equal(layout.mask_vv[0, :, 0, :], np.eye(3, dtype=bool))
+    assert layout.mask_vv.shape == (1, 3, 1, 3)
+    assert layout.mask_vq.shape == (1, 3, 1) and not layout.mask_vq.any()
+    assert layout.mask_vs.shape == (1, 3, 3) and not layout.mask_vs.any()
 
 
 def test_born_infeld_stores_every_velocity_entry():
     jet = evaluate_jet(born_infeld(), random_phase_point(
         born_infeld(), np.random.default_rng(0), scale=0.5))
-    assert jet.mask_vv.all()
-    assert not jet.mask_vq.any() and not jet.mask_vs.any()
+    assert jet.layout.mask_vv.all()
+    assert not jet.layout.mask_vq.any() and not jet.layout.mask_vs.any()
 
 
 def test_sv_coupling_stores_one_s_entry():
     # L = v^2/2 + eps s v: d2L/dv ds is the single entry [0, 0, 0]
     jet = evaluate_jet(sv_coupling(), random_phase_point(
         sv_coupling(), np.random.default_rng(0)))
-    assert np.argwhere(jet.mask_vs).tolist() == [[0, 0, 0]]
+    assert np.argwhere(jet.layout.mask_vs).tolist() == [[0, 0, 0]]
 
 
 @pytest.mark.parametrize("model", builtin_models() + [born_infeld(),
@@ -102,11 +103,11 @@ def test_masks_cover_every_nonzero_entry(model):
     single = evaluate_jet(model, random_phase_point(model, rng))
     for block, mask in (("d2Ldvdv", "mask_vv"), ("d2Ldvdq", "mask_vq"),
                         ("d2Ldvds", "mask_vs")):
-        values, marks = getattr(jet, block), getattr(jet, mask)
+        values, marks = getattr(jet, block), getattr(jet.layout, mask)
         assert marks.dtype == bool and marks.shape == values.shape[:-1]
         nonzero = np.any(values != 0, axis=-1)
         assert not np.any(nonzero & ~marks), (block, np.argwhere(nonzero))
-        assert np.array_equal(marks, getattr(single, mask))
+        assert np.array_equal(marks, getattr(single.layout, mask))
 
 
 def test_layout_keyed_on_stored_entries():
@@ -128,9 +129,9 @@ def test_layout_keyed_on_stored_entries():
     cross[0] = True
     off = evaluate_jet(model, z)
     assert again.layout is diag.layout and off.layout is not diag.layout
-    assert np.argwhere(diag.mask_vv).tolist() == [[0, 0, 0, 0],
+    assert np.argwhere(diag.layout.mask_vv).tolist() == [[0, 0, 0, 0],
                                                   [0, 1, 0, 1]]
-    assert np.argwhere(off.mask_vv).tolist() == [[0, 0, 0, 1],
+    assert np.argwhere(off.layout.mask_vv).tolist() == [[0, 0, 0, 1],
                                                  [0, 1, 0, 0]]
     assert diag.layout.vv == ((0, 0, 0, 0), (0, 1, 0, 1))
     assert diag.layout.vv_evolution == ((0, 1, 0, 1),)
@@ -147,9 +148,9 @@ def test_shared_arrays_are_read_only():
                                                  np.random.default_rng(1)))
     seeds = variables(TaylorContext(1, 3), np.zeros((1, 4)),
                       np.zeros((1, 3, 4)), np.zeros((3, 4)))
-    shared = [jet.mask_vv, jet.mask_vq, jet.mask_vs, jet.layout.need_a,
-              jet.layout.need_s, jet.dLdq, seeds[0][0].grad[0],
-              seeds[1][0][2].grad[3]]
+    shared = [jet.layout.mask_vv, jet.layout.mask_vq, jet.layout.mask_vs,
+              jet.layout.need_a, jet.layout.need_s, jet.dLdq,
+              seeds[0][0].grad[0], seeds[1][0][2].grad[3]]
     assert seeds[0][0].grad[0] is seeds[2][1].grad[5]  # one row per rank
     for arr in shared:
         with pytest.raises(ValueError, match="read-only"):

@@ -11,18 +11,23 @@ import pytest
 
 from kcontact import (ConfigError, Grid, LagrangianModel, PdeSpec, SimState,
                       SimTrace, SimulationError, build_lagrangian,
-                      damped_oscillator,
-                      el_convergence, energy_monitor, load_trace, membrane,
+                      damped_oscillator, energy_monitor, load_trace, membrane,
                       run, s_accumulation_check, save_trace, step, string,
                       trace_el_residual, trace_point_arrays)
 from kcontact import sim
 from kcontact.jet import evaluate_jet_batch
-from kcontact.sim import (CFL_FACTOR, _boundary_mask, _d1, _d2, _eigvals,
-                          _point_arrays, _state_rhs, char_speeds, check_cfl,
-                          zero_state)
+from kcontact.sim import (CFL_FACTOR, _d1, _d2, _eigvals, _point_arrays,
+                          _state_rhs, char_speeds, check_cfl)
 from kcontact.taylor import cos, exp, sqrt
 from conftest import assert_reaped
 from test_jet import born_infeld
+
+
+def zero_state(model, grid):
+    """Fields and s^1 zero at every grid point, t = 0."""
+    S = grid.shape
+    return SimState(phi=np.zeros((model.n,) + S),
+                    phidot=np.zeros((model.n,) + S), s1=np.zeros(S))
 
 
 def jet_at(model, grid, state):
@@ -288,24 +293,6 @@ class TestAccuracy:
                     output_every=5)
         err = np.max(np.abs(trace.phi[-1] - exact(trace.t[-1], mesh)))
         assert err < 3e-3
-
-    def test_el_convergence_order(self):
-        mu, gamma = 1.0, 0.2
-        model = membrane(mu=mu, gamma=gamma)
-        grids = [Grid(bounds=((0, np.pi), (0, np.pi)), counts=(N, N))
-                 for N in (9, 17, 33)]
-        rep = el_convergence(model, membrane_exact(mu, gamma), grids,
-                             t_end=0.5, dt_factor=0.4)
-        assert rep["order"] == pytest.approx(2.0, abs=0.2)
-        assert rep["errors"][0] > rep["errors"][-1]
-
-    def test_el_convergence_zero_error_reported(self):
-        model = membrane(mu=1.0, gamma=0.0)
-        grids = [Grid(bounds=((0, np.pi), (0, np.pi)), counts=(N, N))
-                 for N in (9, 17)]
-        rep = el_convergence(model, lambda t, mesh: np.zeros(
-            (1,) + mesh[0].shape), grids, t_end=0.2)
-        assert rep["order"] is None
 
     def test_periodic_translating_wave(self):
         spec = PdeSpec(A=np.diag([1.0, -1.0]), D=np.zeros(2))
@@ -753,6 +740,5 @@ def test_membrane_rhs_stencils_only_what_the_jet_multiplies(monkeypatch):
     grid = Grid(bounds=((0, np.pi), (0, np.pi)), counts=(21, 21))
     X, Y = grid.mesh()
     phi = (np.sin(X) * np.sin(Y))[None]
-    _state_rhs(model, grid, phi, 0.5 * phi, 0.1 * phi[0],
-               _boundary_mask(grid))
+    _state_rhs(model, grid, phi, 0.5 * phi, 0.1 * phi[0])
     assert calls == {"_d1": 2, "_d2": 2}
