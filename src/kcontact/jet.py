@@ -358,11 +358,18 @@ def fd_check(model: LagrangianModel, z: PhasePoint, h: float = 1e-4) -> float:
                      rel(hess_fd, hess_ad).max()))
 
 
-def random_phase_point(model: LagrangianModel, rng, scale: float = 1.0
-                       ) -> PhasePoint:
-    """Uniform random point in [-scale, scale] per coordinate."""
-    return PhasePoint(
-        q=rng.uniform(-scale, scale, size=model.n),
-        v=rng.uniform(-scale, scale, size=(model.n, model.k)),
-        s=rng.uniform(-scale, scale, size=model.k),
-    )
+def _from_rows(x, n: int, k: int) -> PhasePoint:
+    """The point of the coordinate row x = (q | v | s), v row-major, or
+    the stack of the rows of x (N, m), as C-contiguous arrays."""
+    cols = np.ascontiguousarray(x.T)
+    return PhasePoint(q=cols[:n], v=cols[n:n + n * k].reshape(
+        (n, k) + cols.shape[1:]), s=cols[n + n * k:])
+
+
+def random_phase_point(model: LagrangianModel, rng, scale: float = 1.0,
+                       size=None) -> PhasePoint:
+    """Uniform random point in [-scale, scale] per coordinate, or `size`
+    of them stacked: one draw, ordered as `size` draws of q, v and s."""
+    m = model.n * (model.k + 1) + model.k
+    return _from_rows(rng.uniform(-scale, scale, m if size is None
+                                  else (size, m)), model.n, model.k)

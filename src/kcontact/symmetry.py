@@ -154,6 +154,17 @@ def lie_derivative_eta(model: LagrangianModel, Y: SymmetryField, q, v, s):
     Returns (coef_dq (k, n, *B), coef_dv (k, n, k, *B),
     coef_ds (k, k, *B)).
     """
+    return _symmetry_terms(model, Y, q, v, s)[0]
+
+
+def apply_to_energy(model: LagrangianModel, Y: SymmetryField, q, v, s):
+    """Y(E_L) at batched points."""
+    return _symmetry_terms(model, Y, q, v, s)[1]
+
+
+def _symmetry_terms(model: LagrangianModel, Y: SymmetryField, q, v, s):
+    """(`lie_derivative_eta`, `apply_to_energy`) from one jet and one
+    evaluation of the components of Y."""
     n, k = model.n, model.k
     jet = evaluate_jet_batch(model, q, v, s)
     Yq, Yv, Ys = Y.components(q, v, s)
@@ -174,28 +185,22 @@ def lie_derivative_eta(model: LagrangianModel, Y: SymmetryField, q, v, s):
                - np.einsum("ia...,ij...->aj...", p, dYq_q))
     coef_dv = dYs_v - np.einsum("ia...,ijb...->ajb...", p, dYq_v)
     coef_ds = dYs_s - np.einsum("ia...,ib...->ab...", p, dYq_s)
-    return coef_dq, coef_dv, coef_ds
-
-
-def apply_to_energy(model: LagrangianModel, Y: SymmetryField, q, v, s):
-    """Y(E_L) at batched points."""
-    jet = evaluate_jet_batch(model, q, v, s)
-    Yq, Yv, Ys = Y.components(q, v, s)
+    # Y(E_L)
     dEdq = (np.einsum("ia...,iaj...->j...", v, jet.d2Ldvdq) - jet.dLdq)
     dEds, dEdv = _energy_gradients(jet, v)
-    return (np.einsum("j...,j...->...", Yq, dEdq)
-            + np.einsum("ib...,ib...->...", Yv, dEdv)
-            + np.einsum("b...,b...->...", Ys, dEds))
+    return (coef_dq, coef_dv, coef_ds), (
+        np.einsum("j...,j...->...", Yq, dEdq)
+        + np.einsum("ib...,ib...->...", Yv, dEdv)
+        + np.einsum("b...,b...->...", Ys, dEds))
 
 
 def check_contact_symmetry(model: LagrangianModel, Y: SymmetryField,
                            z: PhasePoint, tol: float = 1e-9) -> dict:
     """Evaluate L_Y eta^a and Y(E_L) at the sample points stacked in z
-    (see `stack_points`).  Returns a report with the overall max residual
-    and the verdict max <= tol.
+    (see `stack_points`), from one jet.  Returns a report with the
+    overall max residual and the verdict max <= tol.
     """
-    cdq, cdv, cds = lie_derivative_eta(model, Y, z.q, z.v, z.s)
-    YE = apply_to_energy(model, Y, z.q, z.v, z.s)
+    (cdq, cdv, cds), YE = _symmetry_terms(model, Y, z.q, z.v, z.s)
     res_eta = max(np.max(np.abs(cdq)), np.max(np.abs(cdv)),
                   np.max(np.abs(cds)))
     res_E = float(np.max(np.abs(YE)))

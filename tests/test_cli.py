@@ -84,6 +84,24 @@ class TestDerive:
         assert "u_t*u_t" in rep["lagrangian"]
         assert "s_x" in rep["lagrangian"]
 
+    def test_inverse_spec_read_once(self, capsys, tmp_path, monkeypatch):
+        # the spec that builds the model also renders the Lagrangian
+        spec = tmp_path / "telegraph.json"
+        spec.write_text(json.dumps({
+            "A": [[1.0, 0.0], [0.0, -1.0]], "D": [0.0, 0.4],
+            "G": {"poly": [0.0, 0.25]}}))
+        reads, original = [], cli._load_config
+
+        def counting(path):
+            reads.append(path)
+            return original(path)
+
+        monkeypatch.setattr(cli, "_load_config", counting)
+        code, rep = report_of(capsys, "derive", "--model", "inverse",
+                              "--spec", str(spec), "--num-points", "3")
+        assert code == 0 and "u_t*u_t" in rep["lagrangian"]
+        assert reads == [str(spec)]
+
     def test_irregular_point_reported_not_fatal(self, capsys, tmp_path):
         spec = tmp_path / "odd.json"
         # G makes no difference; A invertible so build succeeds, then
@@ -381,6 +399,16 @@ class TestVerify:
             counts.append(len(calls))
         assert counts[0] == counts[1]
 
+    @pytest.mark.parametrize("suite", ["reeb", "symmetry"])
+    def test_point_suite_evaluates_one_jet(self, capsys, monkeypatch,
+                                           suite):
+        calls = count_jets(monkeypatch)
+        code, _ = run_cli(capsys, "verify", "--suite", suite, "--model",
+                          "string", "--lam", "0.5", "--B", "1",
+                          "--field", "paperY", "--num-points", "50")
+        assert code == 0
+        assert len(calls) == 1
+
     def test_bad_dissipation_field_exits_2(self, capsys,
                                            membrane_trace_pair):
         code = main(["verify", "--suite", "dissipation", "--symmetry",
@@ -625,6 +653,20 @@ class TestHostileText:
     def test_bad_point_number_exits_2(self, capsys):
         assert_refused(capsys, ["derive", "--model", "membrane",
                                 "--point", "q=abc"])
+
+    # the membrane has one field and three directions
+    @pytest.mark.parametrize("text", [
+        "q=1,2", "q=", "v=1,2", "v=1,2,3,4", "v=1", "s=0,0", "s=1,,2",
+        "q=nan", "v=1,inf,0", "s=0,0,1e999", "q=0;w=1", "q=0;", "q0.5",
+        "q=0.5;v=1,2,3;s=0,0,0;x=1", "q=pi;v=1,2*pi,x*pi"])
+    def test_bad_point_text_exits_2(self, capsys, text):
+        good = "q=0.5;v=1,2,-1;s=0.1,0,0"
+        code = main(["derive", "--model", "membrane", "--point", good,
+                     "--point", text])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"error: bad point '{text}': ")
+        assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("command", SPEC_COMMANDS)
     @pytest.mark.parametrize("case", HOSTILE_SPECS)

@@ -269,3 +269,33 @@ def test_fd_check_rejects_bad_step():
     z = random_phase_point(model, np.random.default_rng(1))
     with pytest.raises(ValueError):
         fd_check(model, z, h=0.0)
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.5])
+@pytest.mark.parametrize("model", builtin_models(),
+                         ids=lambda m: f"{m.name}-n{m.n}k{m.k}")
+def test_batched_draw_is_the_single_draws_stacked(model, scale):
+    z = random_phase_point(model, np.random.default_rng(5), scale=scale,
+                           size=9)
+    rng = np.random.default_rng(5)
+    ref = stack_points([random_phase_point(model, rng, scale=scale)
+                        for _ in range(9)])
+    for x in "qvs":
+        got, want = getattr(z, x), getattr(ref, x)
+        assert got.shape == want.shape and got.dtype == np.float64
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("model", builtin_models(),
+                         ids=lambda m: f"{m.name}-n{m.n}k{m.k}")
+def test_single_draw_is_three_uniform_calls(model):
+    # the three draws random_phase_point made before it drew once
+    rng = np.random.default_rng(8)
+    q = rng.uniform(-0.5, 0.5, size=model.n)
+    v = rng.uniform(-0.5, 0.5, size=(model.n, model.k))
+    s = rng.uniform(-0.5, 0.5, size=model.k)
+    z = random_phase_point(model, np.random.default_rng(8), scale=0.5)
+    for got, want in ((z.q, q), (z.v, v), (z.s, s)):
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
