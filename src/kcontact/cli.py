@@ -104,8 +104,10 @@ def _template(shape, depth, ends="[]") -> str:
 
 def _to_json(x, depth=0) -> str:
     """`x` as json.dumps(x, indent=2, sort_keys=True) writes it, with
-    ndarrays and numpy scalars written as their tolist(); a float64
-    array fills the cached template of its shape."""
+    ndarrays and numpy scalars written as their tolist(), a `_Columns` as
+    its entries; a float64 array fills the cached template of its shape."""
+    if isinstance(x, _Columns):
+        return _columns_json(x, depth)
     if isinstance(x, np.ndarray) and x.dtype == float:
         vals = x.ravel().tolist()
         fmt = float.__repr__ if all(map(math.isfinite, vals)) else json.dumps
@@ -123,6 +125,40 @@ def _to_json(x, depth=0) -> str:
         return float.__repr__(x)
     # NaN, Infinity, str, int, None: json's text, or its TypeError
     return "true" if x is True else "false" if x is False else json.dumps(x)
+
+
+class _Columns(tuple):
+    """A list of report entries held by column: (indices, tree) parts,
+    each tree a dict of arrays whose last axis runs over the entries at
+    those indices.  Together the parts hold every entry once."""
+
+
+def _gather(tree, blocks, depth) -> str:
+    """The %-template of one entry of a tree of columns.  The leaves are
+    appended to `blocks` in json's key order as (entries, size) blocks."""
+    if isinstance(tree, dict):
+        return _template((len(tree),), depth, "{}") % tuple(
+            encode_basestring_ascii(key) + ": "
+            + _gather(tree[key], blocks, depth + 1) for key in sorted(tree))
+    tree = np.asarray(tree)
+    blocks.append(np.moveaxis(tree, -1, 0).reshape(
+        tree.shape[-1], math.prod(tree.shape[:-1])))
+    return _template(tree.shape[:-1], depth)
+
+
+def _columns_json(parts, depth) -> str:
+    """The text of a `_Columns` list.  Each part fills its entry template
+    from all its leaves at once, with one float repr pass per leaf."""
+    texts = [None] * sum(len(at) for at, _ in parts)
+    for at, tree in parts:
+        blocks = []
+        entry = _gather(tree, blocks, depth + 1)
+        rows = np.concatenate([np.frompyfunc(
+            float.__repr__ if b.dtype == float and np.isfinite(b).all()
+            else _to_json, 1, 1)(b) for b in blocks], axis=1)
+        for i, row in zip(at.tolist(), rows.tolist()):
+            texts[i] = entry % tuple(row)
+    return _template((len(texts),), depth) % tuple(texts)
 
 
 def _emit(report: dict, output):
@@ -222,13 +258,11 @@ def _report_header(command: str) -> dict:
 
 # -- derive --------------------------------------------------------------
 
-def _per_point(tree):
-    """Split arrays whose last axis runs over points, nested in dicts,
-    into one such tree per point."""
+def _take(tree, at):
+    """The tree with the last axis of each leaf indexed by `at`."""
     if isinstance(tree, dict):
-        return [dict(zip(tree, row))
-                for row in zip(*map(_per_point, tree.values()))]
-    return list(np.moveaxis(np.asarray(tree), -1, 0))
+        return {key: _take(val, at) for key, val in tree.items()}
+    return np.asarray(tree)[..., at]
 
 
 def cmd_derive(args) -> int:
@@ -237,11 +271,12 @@ def cmd_derive(args) -> int:
          else _sample_points(model, args))
     jet = evaluate_jet(model, z)
     hw = hessian(jet)
-    entries = _per_point({
+    entries = {
         "point": {"q": z.q, "v": z.v, "s": z.s}, "L": jet.L,
         "energy": energy(jet, z), "p": jet.dLdv, "W": hw.W,
         "regular": hw.regular,
-        "hessian_cond": np.where(np.isfinite(hw.cond), hw.cond, None)})
+        "hessian_cond": np.where(np.isfinite(hw.cond), hw.cond, None)}
+    points = [(np.flatnonzero(~hw.regular), _take(entries, ~hw.regular))]
     if np.any(hw.regular):
         # Reeb and SOPDE data exist at the regular points only
         z = PhasePoint(q=z.q[:, hw.regular], v=z.v[:, :, hw.regular],
@@ -249,17 +284,15 @@ def cmd_derive(args) -> int:
         jet = evaluate_jet(model, z)
         rf = reeb(jet, hessian(jet))
         sopde = assemble_sopde(model, z)
-        extra = _per_point({
-            "reeb": rf.vcomp,
+        points.append((np.flatnonzero(hw.regular), {
+            **_take(entries, hw.regular), "reeb": rf.vcomp,
             "reeb_energy_derivative": reeb_derivative_of_energy(jet, z, rf),
             "sopde": {"Gamma": sopde.Gamma, "g": sopde.g,
                       "residual": verify_sopde(model, z, sopde)},
-            "verify_reeb": verify_reeb(model, z)})
-        for i, more in zip(np.flatnonzero(hw.regular), extra):
-            entries[i].update(more)
+            "verify_reeb": verify_reeb(model, z)}))
     report = _report_header("derive")
     report.update({"model": model.name, "params": model.params,
-                   "n": model.n, "k": model.k, "points": entries})
+                   "n": model.n, "k": model.k, "points": _Columns(points)})
     if spec is not None:
         report["lagrangian"] = render_lagrangian(PdeSpec.from_dict(spec))
     _emit(report, args.output)
@@ -501,67 +534,65 @@ def cmd_inverse(args) -> int:
 
 # -- argument plumbing ---------------------------------------------------
 
-def _add_model_flags(p):
-    p.add_argument("--model", choices=MODEL_NAMES)
-    p.add_argument("--spec", help="PDE spec JSON (inverse model)")
-    for flag, kind in MODEL_PARAMS.items():
-        p.add_argument(f"--{flag}", type=kind)
-
-
-def _add_common_flags(p):
+def _add_options(p, cmd):
+    """The options of subcommand `cmd`, added to its parser `p`."""
+    if cmd != "inverse":
+        p.add_argument("--model", choices=MODEL_NAMES)
+        p.add_argument("--spec", help="PDE spec JSON (inverse model)")
+        for flag, kind in MODEL_PARAMS.items():
+            p.add_argument(f"--{flag}", type=kind)
     p.add_argument("--config", help="JSON config; flags override it")
     p.add_argument("--output", help="report destination (default stdout)")
     p.add_argument("--seed", type=int)
     p.add_argument("--num-points", type=int)
+    if cmd == "derive":
+        p.add_argument("--point", action="append",
+                       help='e.g. "q=0.5;v=1,2,-1;s=0.1,0,0" (repeatable)')
+    elif cmd == "simulate":
+        p.add_argument("--grid",
+                       help='"lo,hi,count;..." per spatial direction')
+        p.add_argument("--bc", choices=("dirichlet", "periodic"))
+        p.add_argument("--dt", type=float)
+        p.add_argument("--t-end", type=float)
+        p.add_argument("--output-every", type=int)
+        p.add_argument("--init", choices=("zero", "mode"))
+        p.add_argument("--amplitude", type=float)
+    elif cmd == "verify":
+        p.add_argument("--suite", action="append", choices=sorted(
+            POINT_SUITES.keys() | TRACE_SUITES.keys()))
+        p.add_argument("--trace", action="append",
+                       help="trace directory (repeat for refinement ratios)")
+        p.add_argument("--symmetry", help="symmetry field name")
+        p.add_argument("--field", help="alias for --symmetry")
+        p.add_argument("--tol", type=float)
+    else:
+        p.add_argument("--spec")
+        p.add_argument("--tol", type=float)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(cmd=None) -> argparse.ArgumentParser:
+    """The CLI's parser.  It lists every subcommand, but with `cmd` set
+    only that subcommand gets its options."""
     parser = argparse.ArgumentParser(
         prog="kcontact",
         description="k-contact Lagrangian field theory toolkit")
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("derive", help="pointwise geometry report")
-    _add_model_flags(p)
-    _add_common_flags(p)
-    p.add_argument("--point", action="append",
-                   help='e.g. "q=0.5;v=1,2,-1;s=0.1,0,0" (repeatable)')
-    p.set_defaults(func=cmd_derive)
-
-    p = sub.add_parser("simulate", help="method-of-lines run")
-    _add_model_flags(p)
-    _add_common_flags(p)
-    p.add_argument("--grid", help='"lo,hi,count;..." per spatial direction')
-    p.add_argument("--bc", choices=("dirichlet", "periodic"))
-    p.add_argument("--dt", type=float)
-    p.add_argument("--t-end", type=float)
-    p.add_argument("--output-every", type=int)
-    p.add_argument("--init", choices=("zero", "mode"))
-    p.add_argument("--amplitude", type=float)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("verify", help="verification suites")
-    _add_model_flags(p)
-    _add_common_flags(p)
-    p.add_argument("--suite", action="append",
-                   choices=sorted(POINT_SUITES.keys() | TRACE_SUITES.keys()))
-    p.add_argument("--trace", action="append",
-                   help="trace directory (repeat for refinement ratios)")
-    p.add_argument("--symmetry", help="symmetry field name")
-    p.add_argument("--field", help="alias for --symmetry")
-    p.add_argument("--tol", type=float)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("inverse", help="build L from a PDE spec")
-    _add_common_flags(p)
-    p.add_argument("--spec")
-    p.add_argument("--tol", type=float)
-    p.set_defaults(func=cmd_inverse)
+    for name, text, func in (
+            ("derive", "pointwise geometry report", cmd_derive),
+            ("simulate", "method-of-lines run", cmd_simulate),
+            ("verify", "verification suites", cmd_verify),
+            ("inverse", "build L from a PDE spec", cmd_inverse)):
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(func=func)
+        if cmd in (None, name):
+            _add_options(p, name)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # the top level takes no option value, so this names the subcommand
+    parser = build_parser(next((a for a in argv if a[:1] != "-"), ""))
     args = parser.parse_args(argv)
     try:
         _merge_config(args, parser)

@@ -63,8 +63,10 @@ def _el_operator(jet, v, a, dsdt, evolution=False):
     above.  That is how einsum sums batched C-ordered operands, and a
     skipped entry would only add a +-0 product to a sum that is never -0,
     so on such operands the result equals the dense einsums bit for bit.
-    (At a single point einsum orders its sums differently, and a skipped
-    entry does not turn an inf operand into NaN.)
+    So is skipping dLdq, or dLds.dLdv, where no q, or no s, row is stored:
+    rEL - (+0.0) is rEL, and a broadcast +0 block contracts to +0.  (At a
+    single point einsum orders its sums differently, and a skipped entry
+    or term does not turn an inf operand into NaN.)
 
     With `evolution`, a[:, 0, 0] reads as 0 and dsdt[0, 0] as L, whatever
     the arrays hold; nothing is written into them.
@@ -87,8 +89,10 @@ def _el_operator(jet, v, a, dsdt, evolution=False):
             for i, *idx in entries:
                 part[i] += block[(i, *idx)] * operand(*idx)
             rEL += part
-    rEL -= jet.dLdq
-    rEL -= np.einsum("a...,ia...->i...", jet.dLds, jet.dLdv)
+    if layout.rows[0][1]:
+        rEL -= jet.dLdq
+    if layout.rows[2][1]:
+        rEL -= np.einsum("a...,ia...->i...", jet.dLds, jet.dLdv)
     return rEL
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .contact import RANK_TOL
 from .dynamics import SecondJet, el_residual_batch
 from .errors import ConfigError
-from .jet import LagrangianModel, PhasePoint, stack_points
+from .jet import LagrangianModel
 
 
 @dataclass(frozen=True)
@@ -125,35 +125,38 @@ def build_lagrangian(spec: PdeSpec) -> LagrangianModel:
 
 def direct_residual(spec: PdeSpec, sj: SecondJet) -> float:
     """Direct evaluation of the target PDE at a second jet (the oracle)."""
-    u = float(sj.z.q[0])
+    return _pde_residual(spec, float(sj.z.q[0]), sj.z.v[0], sj.a[0])
+
+
+def _pde_residual(spec: PdeSpec, u: float, du, d2u) -> float:
+    """A^{ab} d2u[a, b] + D^a du[a] + G(u) for one field."""
     G = spec.G(u) if spec.G is not None else 0.0
-    return float(np.einsum("ab,ab->", spec.A, sj.a[0])
-                 + spec.D @ sj.z.v[0] + G)
+    return float(np.einsum("ab,ab->", spec.A, d2u) + spec.D @ du + G)
 
 
 def roundtrip_check(spec: PdeSpec, n_samples: int = 100,
                     rng=None) -> float:
     """Max discrepancy between the built model's Euler-Lagrange residual
     and the prescribed PDE over random second jets, every entry uniform
-    in [-1, 1].  The model side is evaluated once over all samples; the
-    oracle, one sample at a time."""
+    in [-1, 1].  One draw gives each sample's row q | v | s | a | dsdt,
+    in the stream order of per-sample draws.  The model side is
+    evaluated once over all samples; the oracle, one sample at a time."""
     rng = np.random.default_rng(0) if rng is None else rng
     model = build_lagrangian(spec)
     k = spec.k
-    jets = []
-    for _ in range(n_samples):
-        z = PhasePoint(q=rng.uniform(-1.0, 1.0, 1),
-                       v=rng.uniform(-1.0, 1.0, (1, k)),
-                       s=rng.uniform(-1.0, 1.0, k))
-        a = rng.uniform(-1.0, 1.0, (1, k, k))
-        a = 0.5 * (a + np.swapaxes(a, 1, 2))
-        jets.append(SecondJet(z=z, a=a,
-                              dsdt=rng.uniform(-1.0, 1.0, (k, k))))
-    direct = [direct_residual(spec, sj) for sj in jets]
-    z = stack_points([sj.z for sj in jets])
+    x = rng.uniform(-1.0, 1.0, (n_samples, 1 + 2 * k + 2 * k * k))
+    at = slice(1 + 2 * k, 1 + 2 * k + k * k)
+    a = x[:, at].reshape(n_samples, k, k)
+    a = 0.5 * (a + np.swapaxes(a, 1, 2))
+    x[:, at] = a.reshape(n_samples, k * k)
+    direct = [_pde_residual(spec, u, du, d2u)
+              for u, du, d2u in zip(x[:, 0].tolist(), x[:, 1:1 + k], a)]
+    # batch-last C-contiguous columns, as stacking the samples lays them
+    cols = np.ascontiguousarray(x.T)
     rEL, _ = el_residual_batch(
-        model, z.q, z.v, z.s, np.stack([sj.a for sj in jets], axis=-1),
-        np.stack([sj.dsdt for sj in jets], axis=-1))
+        model, cols[:1], cols[1:1 + k].reshape(1, k, n_samples),
+        cols[1 + k:1 + 2 * k], cols[at].reshape(1, k, k, n_samples),
+        cols[at.stop:].reshape(k, k, n_samples))
     return float(np.max(np.abs(rEL[0] - direct)))
 
 

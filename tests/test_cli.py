@@ -557,6 +557,21 @@ class TestConfigAndDeterminism:
         code, _ = run_cli(capsys, "derive", "--config", str(cfg))
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["derive", "simulate", "verify",
+                                         "inverse"])
+    @pytest.mark.parametrize("key", ["banana", "grid", "point"])
+    def test_key_of_no_option_of_the_command_exits_2(self, capsys, tmp_path,
+                                                     command, key):
+        # "grid" and "point" are options of one other subcommand each,
+        # whose options `main` does not build
+        if key == {"simulate": "grid", "derive": "point"}.get(command):
+            key = "banana"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 1}))
+        assert main([command, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: unknown config keys: ['{key}']\n"
+
     def test_config_key_of_no_option_exits_2(self, capsys, tmp_path):
         # the parser's own attributes are not options of the subcommand
         cfg = tmp_path / "cfg.json"
@@ -589,6 +604,49 @@ class TestConfigAndDeterminism:
         rep1.pop("timestamp"), rep2.pop("timestamp")
         assert json.dumps(rep1, sort_keys=True) == \
             json.dumps(rep2, sort_keys=True)
+
+
+def parse_outcome(capsys, call, argv):
+    """(exit code, stdout, stderr) of `call(argv)`."""
+    try:
+        code = call(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+class TestSubcommandParser:
+    """`main` gives options only to the subcommand that runs, and every
+    help and error text is that of the fully built parser."""
+
+    @pytest.mark.parametrize("argv", [
+        ["derive", "--help"], ["simulate", "--help"], ["verify", "-h"],
+        ["inverse", "--help"], [], ["-h"], ["--help"], ["derivee"],
+        ["derive", "--bogus"], ["-x", "verify"], ["verify", "--suite", "x"],
+        ["inverse", "--tol", "x"], ["simulate", "--grid"], ["--", "derive"]])
+    def test_texts_are_the_full_parsers(self, capsys, argv):
+        full = parse_outcome(capsys, build_parser().parse_args, argv)
+        assert full[0] == (0 if {"-h", "--help"} & set(argv) else 2)
+        assert parse_outcome(capsys, main, argv) == full
+
+    @pytest.mark.parametrize("command", ["derive", "simulate", "verify",
+                                         "inverse"])
+    def test_only_the_running_subcommand_has_options(self, capsys,
+                                                     monkeypatch, command):
+        parsers = []
+
+        def recording(*args):
+            parsers.append(build_parser(*args))
+            return parsers[-1]
+
+        monkeypatch.setattr(cli, "build_parser", recording)
+        assert main([command]) == 2
+        capsys.readouterr()
+        commands = next(action for action in parsers[0]._actions
+                        if action.dest == "cmd")
+        options = {name: len(sub._actions) > 1
+                   for name, sub in commands.choices.items()}
+        assert options == {name: name == command for name in options}
 
 
 class TestParsers:

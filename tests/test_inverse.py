@@ -9,7 +9,9 @@ from kcontact import (ConfigError, PdeSpec, PhasePoint, SecondJet,
                       build_lagrangian, direct_residual, el_residual,
                       evaluate_jet, membrane_spec, roundtrip_check,
                       telegraph_spec)
+from kcontact.dynamics import el_residual_batch
 from kcontact.inverse import render_lagrangian
+from kcontact.jet import stack_points
 
 
 def random_invertible_spec(rng, k):
@@ -62,6 +64,59 @@ class TestRoundtrip:
             r2, _ = el_residual(m2, sj)
             assert r2[0] == pytest.approx(3.0 * r1[0], rel=1e-9,
                                           abs=1e-12)
+
+
+def per_sample_roundtrip(spec, n_samples, rng):
+    """`roundtrip_check` drawing and validating one sample at a time: the
+    reference of its one-draw form."""
+    model = build_lagrangian(spec)
+    k = spec.k
+    jets = []
+    for _ in range(n_samples):
+        z = PhasePoint(q=rng.uniform(-1.0, 1.0, 1),
+                       v=rng.uniform(-1.0, 1.0, (1, k)),
+                       s=rng.uniform(-1.0, 1.0, k))
+        a = rng.uniform(-1.0, 1.0, (1, k, k))
+        a = 0.5 * (a + np.swapaxes(a, 1, 2))
+        jets.append(SecondJet(z=z, a=a,
+                              dsdt=rng.uniform(-1.0, 1.0, (k, k))))
+    direct = [direct_residual(spec, sj) for sj in jets]
+    z = stack_points([sj.z for sj in jets])
+    rEL, _ = el_residual_batch(
+        model, z.q, z.v, z.s, np.stack([sj.a for sj in jets], axis=-1),
+        np.stack([sj.dsdt for sj in jets], axis=-1))
+    return float(np.max(np.abs(rEL[0] - direct)))
+
+
+class TestOneDraw:
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_columns_are_the_per_sample_draws(self, k):
+        for seed in (0, 7, 123):
+            rows = np.random.default_rng(seed).uniform(
+                -1.0, 1.0, (9, 1 + 2 * k + 2 * k * k))
+            rng = np.random.default_rng(seed)
+            for row in rows:
+                draws = [rng.uniform(-1.0, 1.0, 1),
+                         rng.uniform(-1.0, 1.0, (1, k)),
+                         rng.uniform(-1.0, 1.0, k),
+                         rng.uniform(-1.0, 1.0, (1, k, k)),
+                         rng.uniform(-1.0, 1.0, (k, k))]
+                assert np.array_equal(
+                    row, np.concatenate([d.ravel() for d in draws]))
+
+    @pytest.mark.parametrize("spec", [
+        membrane_spec(mu=1.0, gamma=0.2), telegraph_spec(c=0.4, m=0.25),
+        random_invertible_spec(np.random.default_rng(3), 3),
+        random_invertible_spec(np.random.default_rng(4), 4)],
+        ids=["membrane", "telegraph", "k3", "k4"])
+    @pytest.mark.parametrize("n_samples", [1, 7, 100])
+    def test_same_float_as_per_sample_draws(self, spec, n_samples):
+        for seed in range(4):
+            rng, ref = (np.random.default_rng(seed) for _ in range(2))
+            assert roundtrip_check(spec, n_samples, rng) == \
+                per_sample_roundtrip(spec, n_samples, ref)
+            # both leave the stream at the same place
+            assert rng.uniform() == ref.uniform()
 
 
 class TestConstruction:

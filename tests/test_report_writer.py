@@ -14,14 +14,29 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from kcontact import cli
+from kcontact import LagrangianModel, cli
 from kcontact.models import MODELS
 from test_cli import membrane_trace_pair  # noqa: F401  (a fixture)
 
 
+def per_point(tree):
+    """Split arrays whose last axis runs over points, nested in dicts,
+    into one such tree per point."""
+    if isinstance(tree, dict):
+        return [dict(zip(tree, row))
+                for row in zip(*map(per_point, tree.values()))]
+    return list(np.moveaxis(np.asarray(tree), -1, 0))
+
+
 def plain(x):
-    """The tree with every ndarray as its tolist() and every numpy
-    scalar as its item()."""
+    """The tree with every ndarray as its tolist(), every numpy scalar as
+    its item() and a column-held list of entries split point by point."""
+    if isinstance(x, cli._Columns):
+        entries = {}
+        for at, tree in x:
+            entries.update(zip(at.tolist(), per_point(tree)))
+        assert sorted(entries) == list(range(len(entries)))
+        return [plain(entries[i]) for i in range(len(entries))]
     if isinstance(x, np.ndarray):
         return x.tolist()
     if isinstance(x, np.generic):
@@ -68,6 +83,8 @@ def report_commands(spec, traces):
                 for name in MODELS)
     yield ["derive", "--model", "membrane", "--point",
            "q=0.5;v=1,2,-1;s=0.1,0,0", "--point", "v=pi,-2*pi,1e-300"]
+    yield ["derive", "--model", "string", "--point", "q=1,2;v=0.5,1,2,-1"]
+    yield ["derive", "--model", "string", "--rho", "0", "--num-points", "5"]
     yield ["derive", "--model", "inverse", "--spec", spec,
            "--num-points", "4"]
     for suite in ("reeb", "legendre", "sopde", "symmetry"):
@@ -84,21 +101,50 @@ def report_commands(spec, traces):
     yield ["inverse", "--spec", spec, "--num-points", "12"]
 
 
-def test_every_report_kind(capsys, tmp_path, emitted, membrane_trace_pair):
+def cubic(q, v, s):
+    """W = diag(v_t, v_x): singular where a velocity vanishes, with an
+    infinite condition number where its smallest singular value is 0."""
+    vt, vx = v[0]
+    return (vt * vt * vt + vx * vx * vx) / 6.0 + 0.1 * s[0] + 0.0 * q[0]
+
+
+CUBIC = ["derive", "--model", "free", "--point", "v=1,2", "--point", "v=0,1",
+         "--point", "v=1e-20,1", "--point", "v=-1,0.5", "--point", "v=0,0",
+         "--point", "v=3,-1"]
+
+
+def test_every_report_kind(capsys, tmp_path, emitted, membrane_trace_pair,
+                           monkeypatch):
     spec = tmp_path / "telegraph.json"
     spec.write_text(json.dumps(SPEC))
     argvs = list(report_commands(str(spec), membrane_trace_pair))
+    # derive of the cubic density: regular and singular points, some
+    # with a null hessian_cond; no point regular; sampled points
+    cubic_argvs = [CUBIC, CUBIC[:3] + CUBIC[5:7] + CUBIC[11:13],
+                   ["derive", "--model", "free", "--num-points", "9"]]
+    argvs += cubic_argvs
     argvs.append(["simulate", "--model", "membrane", "--grid",
                   "0,pi,9;0,pi,9", "--dt", "0.1", "--t-end", "0.5",
                   "--output", str(tmp_path / "trace")])
     for argv in argvs:
-        assert cli.main(argv) in (0, 3), argv
+        with monkeypatch.context() as patch:
+            if argv in cubic_argvs:
+                patch.setattr(cli, "build_model", lambda name, params: (
+                    LagrangianModel(n=1, k=2, name="cubic",
+                                    lagrangian=cubic)))
+            assert cli.main(argv) in (0, 3), argv
         out = capsys.readouterr().out
         report, output = emitted[-1]
         text = Path(output).read_text() if output else out
         assert text == reference(report), argv
     assert len(emitted) == len(argvs)
     assert emitted[-1][1].name == "manifest.json"
+    cubic_points = [plain(report["points"]) for report, _ in emitted[-4:-1]]
+    assert [[entry["regular"] for entry in points]
+            for points in cubic_points] == [
+        [True, False, False, True, False, True], [False, False], [True] * 9]
+    assert [entry["hessian_cond"] is None for entry in cubic_points[0]] == [
+        False, True, False, False, True, False]
 
 
 leaves = st.one_of(
