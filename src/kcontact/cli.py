@@ -70,12 +70,6 @@ def parse_points(texts, n: int, k: int) -> PhasePoint:
     return _from_rows(rows, n, k)
 
 
-def parse_point(text: str, n: int, k: int) -> PhasePoint:
-    """The one point of `parse_points([text], n, k)`."""
-    z = parse_points([text], n, k)
-    return PhasePoint(q=z.q[:, 0], v=z.v[..., 0], s=z.s[:, 0])
-
-
 def parse_grid(text: str, bc: str) -> Grid:
     """Parse 'lo,hi,count;lo,hi,count;...' (the token pi is accepted)."""
     bounds, counts = [], []
@@ -279,17 +273,18 @@ def cmd_derive(args) -> int:
     points = [(np.flatnonzero(~hw.regular), _take(entries, ~hw.regular))]
     if np.any(hw.regular):
         # Reeb and SOPDE data exist at the regular points only
-        z = PhasePoint(q=z.q[:, hw.regular], v=z.v[:, :, hw.regular],
-                       s=z.s[:, hw.regular])
-        jet = evaluate_jet(model, z)
+        if not np.all(hw.regular):
+            z = PhasePoint(q=z.q[:, hw.regular], v=z.v[:, :, hw.regular],
+                           s=z.s[:, hw.regular])
+            jet = evaluate_jet(model, z)
         rf = reeb(jet, hessian(jet))
-        sopde = assemble_sopde(model, z)
+        sopde = assemble_sopde(jet, z)
         points.append((np.flatnonzero(hw.regular), {
             **_take(entries, hw.regular), "reeb": rf.vcomp,
             "reeb_energy_derivative": reeb_derivative_of_energy(jet, z, rf),
             "sopde": {"Gamma": sopde.Gamma, "g": sopde.g,
-                      "residual": verify_sopde(model, z, sopde)},
-            "verify_reeb": verify_reeb(model, z)}))
+                      "residual": verify_sopde(jet, z, sopde)},
+            "verify_reeb": verify_reeb(jet)}))
     report = _report_header("derive")
     report.update({"model": model.name, "params": model.params,
                    "n": model.n, "k": model.k, "points": _Columns(points)})
@@ -331,8 +326,8 @@ def cmd_simulate(args) -> int:
     manifest["max_s_residual"] = rS
     manifest["dissipated_quantity_residuals"] = {
         "du": float(np.max(np.abs(dissipation_law_check(
-            model, dissipated_quantity(
-                model, builtin_symmetry_field(model, "du")), trace)))),
+            model, dissipated_quantity(builtin_symmetry_field(model, "du")),
+            trace)))),
     }
     _emit(manifest, Path(args.output) / "manifest.json")
     sys.stdout.write(f"trace written to {args.output} "
@@ -350,7 +345,7 @@ def _sample_points(model, args) -> PhasePoint:
 
 def _suite_reeb(args, tol) -> dict:
     model = _model_from_args(args)
-    res = verify_reeb(model, _sample_points(model, args))
+    res = verify_reeb(evaluate_jet(model, _sample_points(model, args)))
     worst = float(max(np.max(res["eta"]), np.max(res["deta"])))
     return {"suite": "reeb", "model": model.name, "residual": worst,
             "tolerance": tol, "pass": worst <= tol}
@@ -372,7 +367,8 @@ def _suite_legendre(args, tol) -> dict:
 def _suite_sopde(args, tol) -> dict:
     model = _model_from_args(args)
     z = _sample_points(model, args)
-    worst = float(np.max(verify_sopde(model, z, assemble_sopde(model, z))))
+    jet = evaluate_jet(model, z)
+    worst = float(np.max(verify_sopde(jet, z, assemble_sopde(jet, z))))
     return {"suite": "sopde", "model": model.name, "residual": worst,
             "tolerance": tol, "pass": worst <= tol}
 
@@ -393,8 +389,8 @@ def _symmetry_field(model, args):
 def _suite_symmetry(args, tol) -> dict:
     model = _model_from_args(args)
     Y = _symmetry_field(model, args)
-    res = check_contact_symmetry(model, Y, _sample_points(model, args),
-                                 tol=tol)
+    z = _sample_points(model, args)
+    res = check_contact_symmetry(evaluate_jet(model, z), Y, z, tol=tol)
     # paperY is reported, not asserted: the closed-form symmetry status of
     # this field is an open question, so its residual is informational
     asserted = Y.name != "paperY"
@@ -431,8 +427,7 @@ def _suite_dissipation(args, tol, traces) -> dict:
     residuals = []
     for trace, model in traces():
         Y = _symmetry_field(model, args)
-        res = dissipation_law_check(model, dissipated_quantity(model, Y),
-                                    trace)
+        res = dissipation_law_check(model, dissipated_quantity(Y), trace)
         residuals.append(float(np.max(np.abs(res))))
     return {"suite": "dissipation", "field": Y.name,
             **_trace_verdict(residuals, tol)}
@@ -448,7 +443,7 @@ def _suite_hdw(args, tol, traces) -> dict:
         # carries two more; v is the Legendre preimage of the path's
         # momenta, so the jet that gives them also starts the Newton solve
         for q, v, s, spacings, jet in _trace_slabs(model, trace, halo=2):
-            path = momentum_path_from_arrays(model, q, v, s, spacings, jet)
+            path = momentum_path_from_arrays(jet, q, s, spacings)
             maxima.append(hdw_residual(model, path, v0=v, jet=jet).max())
         residuals.append(float(np.max(maxima)))
     return {"suite": "hdw", **_trace_verdict(residuals, tol)}

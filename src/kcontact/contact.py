@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotRegularError
-from .jet import (Jet2, LagrangianModel, MomentumPoint, PhasePoint,
-                  evaluate_jet)
+from .jet import Jet2, MomentumPoint, PhasePoint
 
 RANK_TOL = 1e-10
 
@@ -125,14 +124,14 @@ def reeb(jet: Jet2, hess: HessianW) -> ReebFields:
         vcomp, vcomp.shape[:3] + jet.dLdv.shape[2:]))
 
 
-def verify_reeb(model: LagrangianModel, z: PhasePoint):
-    """Residuals of the defining Reeb relations at z, one per point.
+def verify_reeb(jet: Jet2):
+    """Residuals of the defining Reeb relations at the points of `jet`,
+    one per point.
 
     i(R_b) eta^a - delta^a_b is algebraically zero (Reeb fields have no
     d/dq component); i(R_b) d(eta^a) is contracted from the Jet2 blocks
     of the momenta, with no numerical differentiation.
     """
-    jet = evaluate_jet(model, z)
     rf = reeb(jet, hessian(jet))
     # i(R_b) d(eta^a) = -[dp^a_i(R_b)] dq^i with
     # dp^a_i(R_b) = d2Ldvds[i,a,b] + sum_{j,g} d2Ldvdv[i,a,j,g] vcomp[b,j,g]

@@ -18,7 +18,7 @@ import numpy as np
 
 from .contact import hessian, solve_batch
 from .errors import NotRegularError
-from .jet import LagrangianModel, PhasePoint, evaluate_jet, evaluate_jet_batch
+from .jet import Jet2, LagrangianModel, PhasePoint, evaluate_jet
 
 
 @dataclass(frozen=True)
@@ -108,24 +108,22 @@ def el_residual(model: LagrangianModel, sj: SecondJet):
     divergence condition residual trace(dsdt) - L.  Both vanish exactly
     on solutions.
     """
-    jet = evaluate_jet(model, sj.z)
-    return (_el_operator(jet, sj.z.v, sj.a, sj.dsdt),
-            float(_divergence_residual(jet, sj.dsdt)))
+    rEL, rS = el_residual_batch(evaluate_jet(model, sj.z), sj.z.v, sj.a,
+                                sj.dsdt)
+    return rEL, float(rS)
 
 
-def el_residual_batch(model: LagrangianModel, q, v, s, a, dsdt, jet=None):
-    """Batched `el_residual`; batch axes trail every array.  `jet`, if
-    given, is the jet at (q, v, s), which is then not evaluated again."""
-    if jet is None:
-        jet = evaluate_jet_batch(model, q, v, s)
+def el_residual_batch(jet: Jet2, v, a, dsdt):
+    """Batched `el_residual` over `jet`, the jet at the points whose
+    velocities are v; batch axes trail every array."""
     return _el_operator(jet, v, a, dsdt), _divergence_residual(jet, dsdt)
 
 
-def evolution_rhs_batch(model: LagrangianModel, q, v, s, a, dsdt,
-                        jet=None):
-    """Solve the field equations for the time-time second derivatives;
-    returns (accel, L) with batch axes trailing.  Raises NotRegularError
-    where the time-time Hessian block is singular.
+def evolution_rhs_batch(jet: Jet2, v, a, dsdt):
+    """Solve the field equations for the time-time second derivatives
+    over `jet`, the jet at the points whose velocities are v; returns
+    (accel, L) with batch axes trailing.  Raises NotRegularError where
+    the time-time Hessian block is singular.
 
     The Euler-Lagrange operator is linear in the time-time entries
     a[:, 0, 0], so they solve W11 accel = -rEL with rEL evaluated at
@@ -133,13 +131,9 @@ def evolution_rhs_batch(model: LagrangianModel, q, v, s, a, dsdt,
     divergence condition into dsdt[0, 0] = L.  Both entries of the
     given arrays are ignored, and the arrays are not written.  Only the
     entries of a and dsdt that a stored entry of the jet multiplies are
-    read (see `_el_operator`).  `jet`, if given, is the jet at (q, v, s),
-    which is then not evaluated again.  accel has shape (n, *B); L is
-    returned because the simulator needs the density for the s^1
-    equation and the jet is already in hand.
+    read (see `_el_operator`).  accel has shape (n, *B); L is returned
+    because the simulator needs the density for the s^1 equation.
     """
-    if jet is None:
-        jet = evaluate_jet_batch(model, q, v, s)
     rEL = _el_operator(jet, v, a, dsdt, evolution=True)
     accel = solve_batch(jet.d2Ldvdv[:, 0, :, 0], -rEL[:, None],
                         "not hyperbolic-evolvable in direction t")
@@ -163,8 +157,9 @@ def _symmetric_basis(k: int):
     return basis
 
 
-def assemble_sopde(model: LagrangianModel, z: PhasePoint) -> SopdeData:
-    """Coefficients of an Euler-Lagrange k-vector field at z.
+def assemble_sopde(jet: Jet2, z: PhasePoint) -> SopdeData:
+    """Coefficients of an Euler-Lagrange k-vector field at z, whose jet
+    is `jet`.
 
     The SOPDE condition fixes the q-components to the velocities; the
     dissipation velocities follow the evolution-concentrated gauge; the
@@ -172,10 +167,9 @@ def assemble_sopde(model: LagrangianModel, z: PhasePoint) -> SopdeData:
     Frobenius norm (the system is underdetermined for k > 1), through
     the pseudo-inverse of the system at each point.
     """
-    jet = evaluate_jet(model, z)
     if not np.all(hessian(jet).regular):
         raise NotRegularError("Lagrangian not regular")
-    n, k = model.n, model.k
+    n, k = z.n, z.k
     batch = z.q.shape[1:]
     g = gauge_s_velocities(jet.L, k)
     b = -_el_operator(jet, z.v, np.zeros((n, k, k) + batch),
@@ -190,17 +184,15 @@ def assemble_sopde(model: LagrangianModel, z: PhasePoint) -> SopdeData:
     return SopdeData(Gamma=Gamma, g=g)
 
 
-def verify_sopde(model: LagrangianModel, z: PhasePoint,
-                 sopde: SopdeData) -> float:
+def verify_sopde(jet: Jet2, z: PhasePoint, sopde: SopdeData):
     """Max residual of the k-vector-field equations for given
-    coefficients, one per point.
+    coefficients at z, whose jet is `jet`, one per point.
 
     Under the SOPDE condition the velocity-difference equations hold
     identically; what remains are the contracted second-order equations
     and the trace condition on the dissipation velocities, i.e. the
     Euler-Lagrange operator at a = Gamma, dsdt = g^T.
     """
-    jet = evaluate_jet(model, z)
     dsdt = sopde.g.swapaxes(0, 1)
     rEL = _el_operator(jet, z.v, sopde.Gamma, dsdt)
     rS = _divergence_residual(jet, dsdt)

@@ -14,8 +14,8 @@ import numpy as np
 
 from .contact import energy, solve_batch
 from .errors import NewtonError
-from .jet import (LagrangianModel, MomentumPoint, PhasePoint, evaluate_jet,
-                  evaluate_jet_batch)
+from .jet import (Jet2, LagrangianModel, MomentumPoint, PhasePoint,
+                  evaluate_jet, evaluate_jet_batch)
 from .sim import _trace_d1, _trace_div, _trace_trim
 
 NEWTON_TOL = 1e-10
@@ -102,12 +102,9 @@ class MomentumPath:
     spacings: np.ndarray
 
 
-def momentum_path_from_arrays(model: LagrangianModel, q, v, s,
-                              spacings, jet=None) -> MomentumPath:
-    """Push a (batched) velocity path through the Legendre map; `jet`,
-    the jet at (q, v, s), is evaluated unless given."""
-    if jet is None:
-        jet = evaluate_jet_batch(model, q, v, s)
+def momentum_path_from_arrays(jet: Jet2, q, s, spacings) -> MomentumPath:
+    """Push a (batched) velocity path through the Legendre map; `jet` is
+    the jet along the path, whose coordinates are q and s."""
     return MomentumPath(q=np.asarray(q, dtype=float), p=np.array(jet.dLdv),
                         s=np.asarray(s, dtype=float),
                         spacings=np.asarray(spacings, dtype=float))

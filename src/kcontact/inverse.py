@@ -17,7 +17,7 @@ import numpy as np
 from .contact import RANK_TOL
 from .dynamics import SecondJet, el_residual_batch
 from .errors import ConfigError
-from .jet import LagrangianModel
+from .jet import LagrangianModel, evaluate_jet_batch
 
 
 @dataclass(frozen=True)
@@ -153,9 +153,10 @@ def roundtrip_check(spec: PdeSpec, n_samples: int = 100,
               for u, du, d2u in zip(x[:, 0].tolist(), x[:, 1:1 + k], a)]
     # batch-last C-contiguous columns, as stacking the samples lays them
     cols = np.ascontiguousarray(x.T)
+    v = cols[1:1 + k].reshape(1, k, n_samples)
     rEL, _ = el_residual_batch(
-        model, cols[:1], cols[1:1 + k].reshape(1, k, n_samples),
-        cols[1 + k:1 + 2 * k], cols[at].reshape(1, k, k, n_samples),
+        evaluate_jet_batch(model, cols[:1], v, cols[1 + k:1 + 2 * k]), v,
+        cols[at].reshape(1, k, k, n_samples),
         cols[at.stop:].reshape(k, k, n_samples))
     return float(np.max(np.abs(rEL[0] - direct)))
 

@@ -15,6 +15,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import KContactError
 from .taylor import T2, TaylorContext, variables
 
 
@@ -186,12 +187,13 @@ class Jet2:
     layout: JetLayout
 
     def check(self):
-        """Validate finiteness and v-v symmetry of d2Ldvdv (rtol 1e-12)."""
+        """Validate finiteness (KContactError) and v-v symmetry of
+        d2Ldvdv (ValueError, rtol 1e-12)."""
         for name in self.__dataclass_fields__:
             if name == "layout":
                 continue
             if not np.isfinite(getattr(self, name)).all():
-                raise ValueError(f"non-finite entries in jet block {name}")
+                raise KContactError(f"non-finite entries in jet block {name}")
         W = self.d2Ldvdv
         Wt = np.moveaxis(W, (0, 1, 2, 3), (2, 3, 0, 1))
         scale = max(np.max(np.abs(W)), 1.0)

@@ -227,7 +227,7 @@ def _state_rhs(model, grid, phi, phidot, s1):
     v, s = _point_arrays(model, grid, phi, phidot, s1)
     jet = evaluate_jet_batch(model, phi, v, s)
     a, dsdt = _second_jet(grid, phi, v, s1, jet)
-    accel, L = evolution_rhs_batch(model, phi, v, s, a, dsdt, jet=jet)
+    accel, L = evolution_rhs_batch(jet, v, a, dsdt)
     dphi = phidot.copy()
     if grid.bc == "dirichlet":
         for x in range(grid.ndim):
@@ -414,7 +414,7 @@ def trace_el_residual(model: LagrangianModel, trace: SimTrace):
         a, dsdt = _second_jet(trace.grid, q, v, s[0], jet)
         a[:, 0, 0] = _trace_d1(v[:, 0], spacings, 0)
         dsdt[0, 0] = _trace_d1(s[0], spacings, 0)
-        rEL, rS = el_residual_batch(model, q, v, s, a, dsdt, jet=jet)
+        rEL, rS = el_residual_batch(jet, v, a, dsdt)
         maxima.append([np.max(np.abs(_trace_trim(r, model.k, 1)))
                        for r in (rEL, rS)])
     return tuple(float(x) for x in np.max(maxima, axis=0))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .contact import (_energy_along_reeb, _energy_gradients, _reeb_vcomp,
                       hessian, reeb)
-from .jet import LagrangianModel, PhasePoint, evaluate_jet, evaluate_jet_batch
+from .jet import Jet2, LagrangianModel, PhasePoint, evaluate_jet
 from .sim import _trace_div, _trace_slabs, _trace_trim
 from .taylor import T2, TaylorContext, variables
 
@@ -131,42 +131,27 @@ def builtin_symmetry_field(model: LagrangianModel,
 class DissipatedQuantity:
     """The current F^a = -i(Y) eta^a = p^a_i Yq^i - Ys^a of a field Y."""
 
-    model: LagrangianModel
     Y: SymmetryField
 
-    def _at(self, jet, q, v, s) -> np.ndarray:
-        """F at the points (q, v, s) of `jet`."""
+    def __call__(self, jet: Jet2, q, v, s) -> np.ndarray:
+        """F at the points (q, v, s), whose jet is `jet`."""
         Yq, _, Ys = self.Y.components(q, v, s)
         return np.einsum("ia...,i...->a...", jet.dLdv, Yq) - Ys
 
-    def __call__(self, z: PhasePoint) -> np.ndarray:
-        return self._at(evaluate_jet(self.model, z), z.q, z.v, z.s)
+
+def dissipated_quantity(Y: SymmetryField) -> DissipatedQuantity:
+    return DissipatedQuantity(Y=Y)
 
 
-def dissipated_quantity(model: LagrangianModel,
-                        Y: SymmetryField) -> DissipatedQuantity:
-    return DissipatedQuantity(model=model, Y=Y)
+def lie_derivative_eta(jet: Jet2, Y: SymmetryField, q, v, s):
+    """Coordinate components of L_Y eta^a, and Y(E_L), at the batched
+    points (q, v, s), whose jet is `jet`, from one evaluation of the
+    components of Y.
 
-
-def lie_derivative_eta(model: LagrangianModel, Y: SymmetryField, q, v, s):
-    """Coordinate components of L_Y eta^a at batched points.
-
-    Returns (coef_dq (k, n, *B), coef_dv (k, n, k, *B),
-    coef_ds (k, k, *B)).
+    Returns ((coef_dq (k, n, *B), coef_dv (k, n, k, *B),
+    coef_ds (k, k, *B)), Y(E_L) (*B,)).
     """
-    return _symmetry_terms(model, Y, q, v, s)[0]
-
-
-def apply_to_energy(model: LagrangianModel, Y: SymmetryField, q, v, s):
-    """Y(E_L) at batched points."""
-    return _symmetry_terms(model, Y, q, v, s)[1]
-
-
-def _symmetry_terms(model: LagrangianModel, Y: SymmetryField, q, v, s):
-    """(`lie_derivative_eta`, `apply_to_energy`) from one jet and one
-    evaluation of the components of Y."""
-    n, k = model.n, model.k
-    jet = evaluate_jet_batch(model, q, v, s)
+    n, k = jet.dLdv.shape[:2]
     Yq, Yv, Ys = Y.components(q, v, s)
     jac = Y.jacobian_blocks(q, v, s)
     p = jet.dLdv  # (n, k, *B)
@@ -194,13 +179,13 @@ def _symmetry_terms(model: LagrangianModel, Y: SymmetryField, q, v, s):
         + np.einsum("b...,b...->...", Ys, dEds))
 
 
-def check_contact_symmetry(model: LagrangianModel, Y: SymmetryField,
-                           z: PhasePoint, tol: float = 1e-9) -> dict:
+def check_contact_symmetry(jet: Jet2, Y: SymmetryField, z: PhasePoint,
+                           tol: float = 1e-9) -> dict:
     """Evaluate L_Y eta^a and Y(E_L) at the sample points stacked in z
-    (see `stack_points`), from one jet.  Returns a report with the
+    (see `stack_points`), whose jet is `jet`.  Returns a report with the
     overall max residual and the verdict max <= tol.
     """
-    (cdq, cdv, cds), YE = _symmetry_terms(model, Y, z.q, z.v, z.s)
+    (cdq, cdv, cds), YE = lie_derivative_eta(jet, Y, z.q, z.v, z.s)
     res_eta = max(np.max(np.abs(cdq)), np.max(np.abs(cdv)),
                   np.max(np.abs(cds)))
     res_E = float(np.max(np.abs(YE)))
@@ -270,7 +255,7 @@ def dissipation_law_check(model: LagrangianModel, F: DissipatedQuantity,
     slabs' residuals are joined along the time axis."""
     res = []
     for q, v, s, spacings, jet in _trace_slabs(model, trace):
-        Fvals = F._at(jet, q, v, s)  # (k, T, *S)
+        Fvals = F(jet, q, v, s)  # (k, T, *S)
         rE = _energy_along_reeb(jet, v, _reeb_vcomp(jet))
         r = (_trace_div(Fvals, spacings)
              + np.einsum("a...,a...->...", rE, Fvals))

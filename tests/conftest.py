@@ -29,6 +29,14 @@ def membrane_exact(t, mesh):
     return (amp * np.sin(X) * np.sin(Y))[None]
 
 
+def cubic(q, v, s):
+    """L = (v_t^3 + v_x^3)/6 + s/10 over one field and two directions:
+    W = diag(v_t, v_x) is singular where a velocity vanishes, with an
+    infinite condition number where its smallest singular value is 0."""
+    vt, vx = v[0]
+    return (vt * vt * vt + vx * vx * vx) / 6.0 + 0.1 * s[0] + 0.0 * q[0]
+
+
 def _membrane_run(model, N, output_every, t_end=T_END):
     grid = Grid(bounds=((0, np.pi), (0, np.pi)), counts=(N, N))
     mesh = grid.mesh()

@@ -18,7 +18,8 @@ from kcontact import (Grid, PdeSpec, SimState, assemble_sopde,
                       builtin_models, builtin_symmetry_field,
                       check_contact_symmetry, damped_oscillator,
                       dissipated_quantity, dissipation_law_check,
-                      energy, energy_monitor, evaluate_jet, free,
+                      energy, energy_monitor, evaluate_jet,
+                      evaluate_jet_batch, free,
                       hamiltonian_value, hdw_residual, legendre,
                       legendre_inverse, membrane, membrane_spec,
                       momentum_path_from_arrays, random_phase_point,
@@ -68,7 +69,7 @@ def test_criterion_01_membrane_reproduction(report, membrane_run_101,
 def test_criterion_02_dissipation_law(report, membrane_model, membrane_run_51,
                                       membrane_run_101):
     Y = builtin_symmetry_field(membrane_model, "du")
-    F = dissipated_quantity(membrane_model, Y)
+    F = dissipated_quantity(Y)
     res = [float(np.max(np.abs(dissipation_law_check(membrane_model, F,
                                                      trace))))
            for _, trace, _ in (membrane_run_51, membrane_run_101)]
@@ -83,11 +84,11 @@ def test_criterion_03_symmetry_checker(report, membrane_model):
     rng = np.random.default_rng(101)
     pts = stack_points([random_phase_point(membrane_model, rng)
                         for _ in range(100)])
+    jet = evaluate_jet(membrane_model, pts)
     good = check_contact_symmetry(
-        membrane_model, builtin_symmetry_field(membrane_model, "du"), pts)
+        jet, builtin_symmetry_field(membrane_model, "du"), pts)
     bad = check_contact_symmetry(
-        membrane_model, builtin_symmetry_field(membrane_model, "scaling"),
-        pts)
+        jet, builtin_symmetry_field(membrane_model, "scaling"), pts)
     ok = (good["is_symmetry"] and good["max_residual"] <= 1e-9
           and not bad["is_symmetry"] and bad["max_residual"] > 1e-3)
     report(3, ok, "d/du is a contact symmetry, u d/du is not",
@@ -103,7 +104,8 @@ def test_criterion_04_reeb_relations(report):
     worst = 0.0
     for model in models:
         for _ in range(100):
-            res = verify_reeb(model, random_phase_point(model, rng))
+            res = verify_reeb(evaluate_jet(model,
+                                           random_phase_point(model, rng)))
             worst = max(worst, res["eta"], res["deta"])
     ok = worst <= 1e-9
     report(4, ok, "Reeb contraction identities, 100 points x 4 models",
@@ -155,14 +157,15 @@ def test_criterion_07_sopde_assembly(report):
     for model in builtin_models():
         for _ in range(20):
             z = random_phase_point(model, rng)
-            worst = max(worst, verify_sopde(model, z,
-                                            assemble_sopde(model, z)))
+            jet = evaluate_jet(model, z)
+            worst = max(worst, verify_sopde(jet, z, assemble_sopde(jet, z)))
     # k=1 exactness: pure damping has Gamma = -gamma v and g = L
     gamma = 0.2
     model = damped_oscillator(gamma=gamma, omega=0.0)
     z = random_phase_point(model, rng)
-    data = assemble_sopde(model, z)
-    L = evaluate_jet(model, z).L
+    jet = evaluate_jet(model, z)
+    data = assemble_sopde(jet, z)
+    L = jet.L
     exact = (np.array_equal(data.Gamma, -gamma * z.v[..., None])
              and data.g[0, 0] == L)
     ok = worst <= 1e-9 and exact
@@ -176,7 +179,8 @@ def test_criterion_08_hdw_consistency(report, membrane_model, membrane_run_51,
     res = []
     for _, trace, _ in (membrane_run_51, membrane_run_101):
         q, v, s, spacings = trace_point_arrays(membrane_model, trace)
-        path = momentum_path_from_arrays(membrane_model, q, v, s, spacings)
+        path = momentum_path_from_arrays(
+            evaluate_jet_batch(membrane_model, q, v, s), q, s, spacings)
         res.append(hdw_residual(membrane_model, path).max())
     ratio = res[0] / res[1]
     ok = LO <= ratio <= HI

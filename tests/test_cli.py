@@ -12,11 +12,12 @@ import pytest
 
 from kcontact import cli, jet, sim
 from kcontact.cli import (REFINEMENT_BAND, build_parser, main, parse_grid,
-                          parse_point)
+                          parse_points)
 from kcontact.errors import ConfigError
 from kcontact.models import MODEL_NAMES, MODEL_PARAMS, MODELS, build_model
 from kcontact.sim import run, step
-from conftest import assert_reaped
+from kcontact.jet import LagrangianModel
+from conftest import assert_reaped, cubic
 from test_sim import growing_speed
 
 
@@ -111,6 +112,24 @@ class TestDerive:
         code, _ = run_cli(capsys, "derive", "--model", "inverse",
                           "--spec", str(spec))
         assert code == 2
+
+    @pytest.mark.parametrize("argv, jets", [
+        (("--model", "string", "--num-points", "100"), 1),
+        (("--model", "string", "--rho", "0"), 1),
+        # the cubic density, at regular and singular points
+        (("--model", "free", "--point", "v=1,2", "--point", "v=0,1",
+          "--point", "v=-1,0.5"), 2)])
+    def test_jets_evaluated(self, capsys, monkeypatch, argv, jets):
+        """One jet serves every quantity of the report; where some point
+        is singular, the Reeb and SOPDE data take a second jet at the
+        regular points."""
+        if "--point" in argv:
+            monkeypatch.setattr(cli, "build_model", lambda name, params: (
+                LagrangianModel(n=1, k=2, name="cubic", lagrangian=cubic)))
+        calls = count_jets(monkeypatch)
+        code, _ = run_cli(capsys, "derive", *argv)
+        assert code == 0
+        assert len(calls) == jets
 
     def test_unknown_model_exits_2(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -399,7 +418,7 @@ class TestVerify:
             counts.append(len(calls))
         assert counts[0] == counts[1]
 
-    @pytest.mark.parametrize("suite", ["reeb", "symmetry"])
+    @pytest.mark.parametrize("suite", ["reeb", "sopde", "symmetry"])
     def test_point_suite_evaluates_one_jet(self, capsys, monkeypatch,
                                            suite):
         calls = count_jets(monkeypatch)
@@ -651,13 +670,13 @@ class TestSubcommandParser:
 
 class TestParsers:
     def test_point_parser(self):
-        z = parse_point("q=0.5;v=1,2,-1;s=0.1,0,0", 1, 3)
-        assert z.q[0] == 0.5
-        assert np.allclose(z.v, [[1.0, 2.0, -1.0]])
-        assert z.s[0] == 0.1
+        z = parse_points(["q=0.5;v=1,2,-1;s=0.1,0,0"], 1, 3)
+        assert z.q[0, 0] == 0.5
+        assert np.allclose(z.v[..., 0], [[1.0, 2.0, -1.0]])
+        assert z.s[0, 0] == 0.1
 
     def test_point_defaults_to_zero(self):
-        z = parse_point("v=1,0", 1, 2)
+        z = parse_points(["v=1,0"], 1, 2)
         assert np.all(z.q == 0.0) and np.all(z.s == 0.0)
 
     def test_grid_parser_accepts_pi(self):
@@ -724,6 +743,17 @@ class TestHostileText:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err.startswith(f"error: bad point '{text}': ")
+        assert "Traceback" not in captured.err
+
+    # finite points at which the density overflows
+    @pytest.mark.parametrize("model, point", [
+        ("oscillator", "q=1e300;v=1e300;s=-1e300"),
+        ("membrane", "v=1e300,0,0")])
+    def test_non_finite_jet_exits_3(self, capsys, model, point):
+        code = main(["derive", "--model", model, "--point", point])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("error: non-finite entries in jet")
         assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("command", SPEC_COMMANDS)

@@ -70,7 +70,7 @@ class TestReeb:
         rng = np.random.default_rng(2)
         for _ in range(100):
             z = random_phase_point(model, rng)
-            res = verify_reeb(model, z)
+            res = verify_reeb(evaluate_jet(model, z))
             assert res["eta"] <= 1e-9
             assert res["deta"] <= 1e-9
 

@@ -83,8 +83,8 @@ def accelerations(model, sj):
     """The time-time second derivatives that solve the field equations
     at the single-point second jet `sj` (its time-time entries and
     dsdt[0, 0] are ignored)."""
-    z = sj.z
-    return evolution_rhs_batch(model, z.q, z.v, z.s, sj.a, sj.dsdt)[0]
+    return evolution_rhs_batch(evaluate_jet(model, sj.z), sj.z.v, sj.a,
+                               sj.dsdt)[0]
 
 
 class TestEvolutionRhs:
@@ -144,8 +144,9 @@ class TestSopde:
         rng = np.random.default_rng(9)
         for _ in range(20):
             z = random_phase_point(model, rng)
-            sopde = assemble_sopde(model, z)
-            assert verify_sopde(model, z, sopde) <= 1e-9
+            jet = evaluate_jet(model, z)
+            sopde = assemble_sopde(jet, z)
+            assert verify_sopde(jet, z, sopde) <= 1e-9
             assert np.allclose(sopde.Gamma,
                                np.swapaxes(sopde.Gamma, 1, 2))
 
@@ -154,7 +155,7 @@ class TestSopde:
         gamma, omega = 0.3, 1.4
         model = damped_oscillator(gamma=gamma, omega=omega)
         z = PhasePoint(q=[0.6], v=[[-0.8]], s=[0.2])
-        sopde = assemble_sopde(model, z)
+        sopde = assemble_sopde(evaluate_jet(model, z), z)
         assert sopde.Gamma.reshape(()) == pytest.approx(
             -omega ** 2 * 0.6 - gamma * (-0.8), abs=1e-13)
         L = 0.5 * 0.64 - 0.5 * omega ** 2 * 0.36 - gamma * 0.2
@@ -164,7 +165,7 @@ class TestSopde:
         # without the spring term, Gamma = -gamma*v exactly
         model = damped_oscillator(gamma=0.25, omega=0.0)
         z = PhasePoint(q=[1.1], v=[[0.4]], s=[-0.3])
-        sopde = assemble_sopde(model, z)
+        sopde = assemble_sopde(evaluate_jet(model, z), z)
         assert sopde.Gamma.reshape(()) == pytest.approx(-0.25 * 0.4,
                                                         abs=1e-14)
 
@@ -178,7 +179,7 @@ class TestSopde:
                                 lagrangian=lambda q, v, s: v[0][0])
         z = PhasePoint(q=[0.0], v=[[1.0]], s=[0.0])
         with pytest.raises(NotRegularError):
-            assemble_sopde(model, z)
+            assemble_sopde(evaluate_jet(model, z), z)
 
 
 @settings(max_examples=60, deadline=None)
@@ -196,16 +197,16 @@ def test_single_point_paths_agree_bitwise(index, seed):
     a = rng.uniform(-1, 1, (n, k, k))
     a = a + np.swapaxes(a, 1, 2)
     dsdt = rng.uniform(-1, 1, (k, k))
+    jet = evaluate_jet(model, z)
     rEL, rS = el_residual(model, SecondJet(z=z, a=a, dsdt=dsdt))
-    bEL, bS = el_residual_batch(model, z.q, z.v, z.s, a, dsdt)
+    bEL, bS = el_residual_batch(jet, z.v, a, dsdt)
     assert np.array_equal(rEL, bEL) and rS == bS
-    for sopde in (SopdeData(Gamma=a, g=dsdt.T), assemble_sopde(model, z)):
+    for sopde in (SopdeData(Gamma=a, g=dsdt.T), assemble_sopde(jet, z)):
         rEL, rS = el_residual(model, SecondJet(z=z, a=sopde.Gamma,
                                                dsdt=sopde.g.T))
-        assert verify_sopde(model, z, sopde) == max(np.max(np.abs(rEL)),
-                                                    abs(rS))
-    jet = evaluate_jet(model, z)
-    assert evolution_rhs_batch(model, z.q, z.v, z.s, a, dsdt)[1] == jet.L
+        assert verify_sopde(jet, z, sopde) == max(np.max(np.abs(rEL)),
+                                                  abs(rS))
+    assert evolution_rhs_batch(jet, z.v, a, dsdt)[1] == jet.L
 
     # the same bodies over a stack: the single point is slice 0
     points = [z] + [random_phase_point(model, rng) for _ in range(3)]
@@ -225,14 +226,14 @@ def test_single_point_paths_agree_bitwise(index, seed):
     assert np.array_equal(rf.vcomp, rfs.vcomp[..., 0])
     assert np.array_equal(reeb_derivative_of_energy(jet, z, rf),
                           reeb_derivative_of_energy(jets, zs, rfs)[..., 0])
-    one, many = verify_reeb(model, z), verify_reeb(model, zs)
+    one, many = verify_reeb(jet), verify_reeb(jets)
     assert all(one[key] == many[key][0] for key in one)
-    one, many = assemble_sopde(model, z), assemble_sopde(model, zs)
+    one, many = assemble_sopde(jet, z), assemble_sopde(jets, zs)
     # pinv of one matrix and of a stack may round differently
     assert np.max(np.abs(one.Gamma - many.Gamma[..., 0])) <= 1e-15
     assert np.array_equal(one.g, many.g[..., 0])
     sliced = SopdeData(Gamma=many.Gamma[..., 0], g=many.g[..., 0])
-    assert verify_sopde(model, z, sliced) == verify_sopde(model, zs, many)[0]
+    assert verify_sopde(jet, z, sliced) == verify_sopde(jets, zs, many)[0]
     mp, mps = legendre(jet, z), legendre(jets, zs)
     assert np.array_equal(legendre_inverse(model, mp).v,
                           legendre_inverse(model, mps).v[..., 0])
@@ -240,8 +241,9 @@ def test_single_point_paths_agree_bitwise(index, seed):
     # checks that reduce over their points: the stack gives the largest
     # single-point result
     Y = builtin_symmetry_field(model, "du")
-    assert check_contact_symmetry(model, Y, zs)["max_residual"] == max(
-        check_contact_symmetry(model, Y, p)["max_residual"] for p in points)
+    assert check_contact_symmetry(jets, Y, zs)["max_residual"] == max(
+        check_contact_symmetry(evaluate_jet(model, p), Y, p)["max_residual"]
+        for p in points)
     assert reeb_bracket_check(model, Y, zs) == max(
         reeb_bracket_check(model, Y, p) for p in points)
 
@@ -291,8 +293,6 @@ def test_evolution_rhs_batch_leaves_its_inputs_alone():
     dsdt = rng.standard_normal((2, 2, 5))
     a0, dsdt0 = a.copy(), dsdt.copy()
     jet = evaluate_jet(model, z)
-    for given in (None, jet):
-        acc, L = evolution_rhs_batch(model, z.q, z.v, z.s, a, dsdt,
-                                     jet=given)
-        assert np.array_equal(a, a0) and np.array_equal(dsdt, dsdt0)
+    acc, L = evolution_rhs_batch(jet, z.v, a, dsdt)
+    assert np.array_equal(a, a0) and np.array_equal(dsdt, dsdt0)
     assert np.array_equal(L, jet.L)

@@ -5,7 +5,8 @@ import pytest
 
 from kcontact import (LagrangianModel, MomentumPoint, NewtonError, NotRegularError,
                       PhasePoint, builtin_models, damped_oscillator,
-                      energy, evaluate_jet, hamiltonian_value, hdw_residual,
+                      energy, evaluate_jet, evaluate_jet_batch,
+                      hamiltonian_value, hdw_residual,
                       legendre, legendre_inverse, membrane,
                       momentum_path_from_arrays, random_phase_point,
                       stack_points)
@@ -123,8 +124,8 @@ class TestHdw:
         maxima = []
         for num in (1001, 2001):
             t, q, v, s = oscillator_path(gamma, omega, 5.0, num)
-            path = momentum_path_from_arrays(model, q, v, s,
-                                             [t[1] - t[0]])
+            path = momentum_path_from_arrays(
+                evaluate_jet_batch(model, q, v, s), q, s, [t[1] - t[0]])
             maxima.append(hdw_residual(model, path, v0=v).max())
         assert maxima[-1] < 1e-4
         assert 3.0 < maxima[0] / maxima[1] < 5.0
@@ -137,15 +138,17 @@ class TestHdw:
         q = np.zeros((1,) + shape)
         v = np.zeros((1, 3) + shape)
         s = np.zeros((3,) + shape)
-        path = momentum_path_from_arrays(model, q, v, s, [0.1, 0.1, 0.1])
+        path = momentum_path_from_arrays(evaluate_jet_batch(model, q, v, s),
+                                         q, s, [0.1, 0.1, 0.1])
         res = hdw_residual(model, path)
         assert res.max() == 0.0
 
     def test_spacings_validated(self):
         model = damped_oscillator()
         t, q, v, s = oscillator_path(0.1, 1.0, 1.0, 101)
-        path = momentum_path_from_arrays(model, q, v, s, [0.01])
-        bad = momentum_path_from_arrays(model, q, v, s, [0.01, 0.01])
+        jet = evaluate_jet_batch(model, q, v, s)
+        path = momentum_path_from_arrays(jet, q, s, [0.01])
+        bad = momentum_path_from_arrays(jet, q, s, [0.01, 0.01])
         hdw_residual(model, path)  # fine
         with pytest.raises(ValueError):
             hdw_residual(model, bad)

@@ -1,6 +1,7 @@
 """Source hygiene: every module-level import of the package is used, no
 function imports locally, every module-level private function is
-referenced, and the package exports exactly what it imports."""
+referenced, every public function or class is exported or referenced,
+and the package exports exactly what it imports."""
 
 import ast
 from pathlib import Path
@@ -47,16 +48,28 @@ def names_used(tree):
                if isinstance(node, ast.Attribute)})
 
 
-def test_no_orphan_private_functions():
+def orphans(kinds, public):
+    """Module-level definitions of `kinds`, public or private, whose name
+    no module of the package reads."""
     trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
     used = set().union(*map(names_used, trees.values()))
-    orphans = [f"{name}: {node.name}" for name, tree in trees.items()
-               for node in tree.body
-               if isinstance(node, ast.FunctionDef)
-               and node.name.startswith("_")
-               and not node.name.startswith("__")
-               and node.name not in used]
-    assert orphans == []
+    return [f"{name}: {node.name}" for name, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, kinds)
+            and node.name.startswith("_") != public
+            and not node.name.startswith("__")
+            and node.name not in used]
+
+
+def test_no_orphan_private_functions():
+    assert orphans(ast.FunctionDef, public=False) == []
+
+
+def test_no_orphan_public_names():
+    # a public function or class is exported or used in the package
+    assert [name for name in orphans((ast.FunctionDef, ast.ClassDef),
+                                     public=True)
+            if name.split(": ")[1] not in kcontact.__all__] == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

@@ -83,7 +83,7 @@ def per_sample_roundtrip(spec, n_samples, rng):
     direct = [direct_residual(spec, sj) for sj in jets]
     z = stack_points([sj.z for sj in jets])
     rEL, _ = el_residual_batch(
-        model, z.q, z.v, z.s, np.stack([sj.a for sj in jets], axis=-1),
+        evaluate_jet(model, z), z.v, np.stack([sj.a for sj in jets], axis=-1),
         np.stack([sj.dsdt for sj in jets], axis=-1))
     return float(np.max(np.abs(rEL[0] - direct)))
 

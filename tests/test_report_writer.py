@@ -16,6 +16,7 @@ from hypothesis.extra import numpy as hnp
 
 from kcontact import LagrangianModel, cli
 from kcontact.models import MODELS
+from conftest import cubic
 from test_cli import membrane_trace_pair  # noqa: F401  (a fixture)
 
 
@@ -99,13 +100,6 @@ def report_commands(spec, traces):
            "--symmetry", "du", "--trace", traces[0], "--trace", traces[1]]
     yield ["verify", "--suite", "hdw", "--trace", traces[0]]
     yield ["inverse", "--spec", spec, "--num-points", "12"]
-
-
-def cubic(q, v, s):
-    """W = diag(v_t, v_x): singular where a velocity vanishes, with an
-    infinite condition number where its smallest singular value is 0."""
-    vt, vx = v[0]
-    return (vt * vt * vt + vx * vx * vx) / 6.0 + 0.1 * s[0] + 0.0 * q[0]
 
 
 CUBIC = ["derive", "--model", "free", "--point", "v=1,2", "--point", "v=0,1",

@@ -5,8 +5,8 @@ import pytest
 
 from kcontact import (Grid, SimState, builtin_symmetry_field,
                       check_contact_symmetry, constant_field,
-                      dissipated_quantity, dissipation_law_check, free,
-                      lie_derivative_eta, membrane,
+                      dissipated_quantity, dissipation_law_check,
+                      evaluate_jet, free, lie_derivative_eta, membrane,
                       momentum_dissipation_check, random_phase_point,
                       reeb_bracket_check, run, stack_points, string)
 from kcontact.symmetry import SymmetryField, SymmetryJacobian
@@ -80,15 +80,15 @@ class TestSymmetryCheck:
     def test_field_translation_is_symmetry(self, membrane_model,
                                            membrane_points):
         Y = builtin_symmetry_field(membrane_model, "du")
-        res = check_contact_symmetry(membrane_model, Y,
-                                     stack_points(membrane_points))
+        z = stack_points(membrane_points)
+        res = check_contact_symmetry(evaluate_jet(membrane_model, z), Y, z)
         assert res["is_symmetry"]
         assert res["max_residual"] <= 1e-9
 
     def test_scaling_is_not_symmetry(self, membrane_model, membrane_points):
         Y = builtin_symmetry_field(membrane_model, "scaling")
-        res = check_contact_symmetry(membrane_model, Y,
-                                     stack_points(membrane_points))
+        z = stack_points(membrane_points)
+        res = check_contact_symmetry(evaluate_jet(membrane_model, z), Y, z)
         assert not res["is_symmetry"]
         assert res["max_residual"] > 1e-3
 
@@ -97,7 +97,8 @@ class TestSymmetryCheck:
         rng = np.random.default_rng(7)
         pts = [random_phase_point(model, rng) for _ in range(100)]
         Y = builtin_symmetry_field(model, "paperY")
-        res = check_contact_symmetry(model, Y, stack_points(pts))
+        z = stack_points(pts)
+        res = check_contact_symmetry(evaluate_jet(model, z), Y, z)
         assert res["max_residual"] <= 1e-9
 
     def test_nonlinear_field_matches_central_differences(self):
@@ -114,8 +115,9 @@ class TestSymmetryCheck:
             a, b = getattr(exact, name), getattr(approx, name)
             assert a.shape == b.shape
             assert np.max(np.abs(a - b)) < 1e-8
-        for a, b in zip(lie_derivative_eta(model, Y, q, v, s),
-                        lie_derivative_eta(model, fd, q, v, s)):
+        jet = evaluate_jet(model, z)
+        for a, b in zip(lie_derivative_eta(jet, Y, q, v, s)[0],
+                        lie_derivative_eta(jet, fd, q, v, s)[0]):
             assert np.max(np.abs(a - b)) < 1e-8
 
     def test_constant_components_stay_broadcast_views(self, membrane_model):
@@ -152,18 +154,19 @@ class TestDissipatedQuantity:
     def test_membrane_current_components(self, membrane_model):
         # F = -i(Y) eta for Y = d/du gives (u_t, -mu^2 u_x, -mu^2 u_y)
         Y = builtin_symmetry_field(membrane_model, "du")
-        F = dissipated_quantity(membrane_model, Y)
+        F = dissipated_quantity(Y)
         z = random_phase_point(membrane_model, np.random.default_rng(3))
-        vals = F(z)
+        vals = F(evaluate_jet(membrane_model, z), z.q, z.v, z.s)
         mu2 = membrane_model.params["mu"] ** 2
         assert np.allclose(vals, [z.v[0, 0], -mu2 * z.v[0, 1],
                                   -mu2 * z.v[0, 2]])
 
     def test_constant_field_with_s_component(self, membrane_model):
         Y = constant_field(membrane_model, Ys=[1.0, 0.0, 0.0])
-        F = dissipated_quantity(membrane_model, Y)
+        F = dissipated_quantity(Y)
         z = random_phase_point(membrane_model, np.random.default_rng(4))
-        assert np.allclose(F(z), [-1.0, 0.0, 0.0])
+        assert np.allclose(F(evaluate_jet(membrane_model, z), z.q, z.v, z.s),
+                           [-1.0, 0.0, 0.0])
 
 
 class TestDissipationLaw:
@@ -171,7 +174,7 @@ class TestDissipationLaw:
                                             membrane_trace):
         _, trace = membrane_trace
         Y = builtin_symmetry_field(membrane_model, "du")
-        F = dissipated_quantity(membrane_model, Y)
+        F = dissipated_quantity(Y)
         res = dissipation_law_check(membrane_model, F, trace)
         assert np.max(np.abs(res)) < 0.05  # O(h^2 + dt_out^2)
 
@@ -205,6 +208,6 @@ class TestDissipationLaw:
         # a very short time so nothing blows up, the law is pointwise
         trace = run(model, grid, 0.02, 0.2, init)
         Y = builtin_symmetry_field(model, "du")
-        F = dissipated_quantity(model, Y)
+        F = dissipated_quantity(Y)
         res = dissipation_law_check(model, F, trace)
         assert np.max(np.abs(res)) < 0.05

@@ -47,7 +47,7 @@ CASES = {
 
 def residuals(model, trace):
     """Every trace residual and L, as exactly comparable values."""
-    F = dissipated_quantity(model, builtin_symmetry_field(model, "du"))
+    F = dissipated_quantity(builtin_symmetry_field(model, "du"))
     out = {"el": trace_el_residual(model, trace),
            "lagrangian": trace_lagrangian(model, trace).tobytes(),
            "dissipation": dissipation_law_check(model, F, trace).tobytes(),
@@ -99,7 +99,7 @@ def test_memory_does_not_grow_with_the_frame_count(monkeypatch):
     # beyond what the dissipation law's returned array itself grows by
     model = membrane(mu=1.0, gamma=0.2)
     monkeypatch.setattr(sim, "TRACE_SLAB_SAMPLES", 4 * 33 * 33)
-    F = dissipated_quantity(model, builtin_symmetry_field(model, "du"))
+    F = dissipated_quantity(builtin_symmetry_field(model, "du"))
     peaks = {"dissipation": [], "hdw": [], "lagrangian": []}
     trace_bytes = []
     for frames in (24, 48):
