@@ -4,7 +4,7 @@ Hamilton-De Donder-Weyl checks, symmetries and dissipation laws, the
 inverse problem, and a method-of-lines simulator.
 """
 
-from .contact import (HessianW, ReebFields, energy, hessian, legendre, reeb,
+from .contact import (HessianW, energy, hessian, legendre, reeb,
                       reeb_derivative_of_energy, verify_reeb)
 from .dynamics import (SecondJet, SopdeData, assemble_sopde, el_residual,
                        verify_sopde)
@@ -35,7 +35,7 @@ __all__ = [
     "ConfigError", "DissipatedQuantity", "Grid", "HdwResiduals", "HessianW",
     "Jet2", "KContactError", "LagrangianModel", "MomentumPath",
     "MomentumPoint", "NewtonError", "NotRegularError", "PdeSpec",
-    "PhasePoint", "ReebFields", "SecondJet", "SimState", "SimTrace",
+    "PhasePoint", "SecondJet", "SimState", "SimTrace",
     "SimulationError", "SopdeData", "SymmetryField", "assemble_sopde",
     "build_lagrangian", "build_model", "builtin_models",
     "builtin_symmetry_field", "check_contact_symmetry", "constant_field",

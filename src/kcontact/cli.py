@@ -23,7 +23,7 @@ import numpy as np
 from .contact import (energy, hessian, legendre, reeb,
                       reeb_derivative_of_energy, verify_reeb)
 from .dynamics import assemble_sopde, verify_sopde
-from .errors import ConfigError, KContactError
+from .errors import ConfigError, KContactError, NotRegularError
 from .hamiltonian import (hamiltonian_value, hdw_residual, legendre_inverse,
                           momentum_path_from_arrays)
 from .inverse import (PdeSpec, build_lagrangian, membrane_spec,
@@ -277,14 +277,15 @@ def cmd_derive(args) -> int:
             z = PhasePoint(q=z.q[:, hw.regular], v=z.v[:, :, hw.regular],
                            s=z.s[:, hw.regular])
             jet = evaluate_jet(model, z)
-        rf = reeb(jet, hessian(jet))
+        vcomp = reeb(jet)
         sopde = assemble_sopde(jet, z)
         points.append((np.flatnonzero(hw.regular), {
-            **_take(entries, hw.regular), "reeb": rf.vcomp,
-            "reeb_energy_derivative": reeb_derivative_of_energy(jet, z, rf),
+            **_take(entries, hw.regular), "reeb": vcomp,
+            "reeb_energy_derivative": reeb_derivative_of_energy(
+                jet, z.v, vcomp),
             "sopde": {"Gamma": sopde.Gamma, "g": sopde.g,
                       "residual": verify_sopde(jet, z, sopde)},
-            "verify_reeb": verify_reeb(jet)}))
+            "verify_reeb": verify_reeb(jet, vcomp)}))
     report = _report_header("derive")
     report.update({"model": model.name, "params": model.params,
                    "n": model.n, "k": model.k, "points": _Columns(points)})
@@ -324,11 +325,13 @@ def cmd_simulate(args) -> int:
     rEL, rS = trace_el_residual(model, trace)
     manifest["max_el_residual"] = rEL
     manifest["max_s_residual"] = rS
-    manifest["dissipated_quantity_residuals"] = {
-        "du": float(np.max(np.abs(dissipation_law_check(
+    try:
+        du = float(np.max(np.abs(dissipation_law_check(
             model, dissipated_quantity(builtin_symmetry_field(model, "du")),
-            trace)))),
-    }
+            trace))))
+    except NotRegularError:  # no Reeb fields, so no dissipation law
+        du = None
+    manifest["dissipated_quantity_residuals"] = {"du": du}
     _emit(manifest, Path(args.output) / "manifest.json")
     sys.stdout.write(f"trace written to {args.output} "
                      f"({trace.t.size} frames)\n")
@@ -343,18 +346,16 @@ def _sample_points(model, args) -> PhasePoint:
                               size=args.num_points)
 
 
-def _suite_reeb(args, tol) -> dict:
-    model = _model_from_args(args)
-    res = verify_reeb(evaluate_jet(model, _sample_points(model, args)))
+def _suite_reeb(args, tol, sample) -> dict:
+    model, _, jet = sample()
+    res = verify_reeb(jet, reeb(jet))
     worst = float(max(np.max(res["eta"]), np.max(res["deta"])))
     return {"suite": "reeb", "model": model.name, "residual": worst,
             "tolerance": tol, "pass": worst <= tol}
 
 
-def _suite_legendre(args, tol) -> dict:
-    model = _model_from_args(args)
-    z = _sample_points(model, args)
-    jet = evaluate_jet(model, z)
+def _suite_legendre(args, tol, sample) -> dict:
+    model, z, jet = sample()
     mp = legendre(jet, z)
     back = legendre_inverse(model, mp, v0=z.v + 0.1)
     worst = float(max(np.max(np.abs(back.v - z.v)),
@@ -364,10 +365,8 @@ def _suite_legendre(args, tol) -> dict:
             "tolerance": tol, "pass": worst <= tol}
 
 
-def _suite_sopde(args, tol) -> dict:
-    model = _model_from_args(args)
-    z = _sample_points(model, args)
-    jet = evaluate_jet(model, z)
+def _suite_sopde(args, tol, sample) -> dict:
+    model, z, jet = sample()
     worst = float(np.max(verify_sopde(jet, z, assemble_sopde(jet, z))))
     return {"suite": "sopde", "model": model.name, "residual": worst,
             "tolerance": tol, "pass": worst <= tol}
@@ -386,11 +385,10 @@ def _symmetry_field(model, args):
         raise ConfigError(str(exc))
 
 
-def _suite_symmetry(args, tol) -> dict:
-    model = _model_from_args(args)
+def _suite_symmetry(args, tol, sample) -> dict:
+    model, z, jet = sample()
     Y = _symmetry_field(model, args)
-    z = _sample_points(model, args)
-    res = check_contact_symmetry(evaluate_jet(model, z), Y, z, tol=tol)
+    res = check_contact_symmetry(jet, Y, z, tol=tol)
     # paperY is reported, not asserted: the closed-form symmetry status of
     # this field is an open question, so its residual is informational
     asserted = Y.name != "paperY"
@@ -404,23 +402,27 @@ def _load_trace_and_model(path):
     return trace, build_model(trace.model_name, trace.params)
 
 
-# a trace suite over two or more traces passes when the residual ratio of
-# the first (coarsest) to the last (finest) trace lies in this band;
-# second-order discretisations under grid halving give ~4.  The
+# a trace suite over two or more traces, coarsest first, passes when the
+# residual ratio of each trace to the next lies in this band; a
+# second-order discretisation under one grid halving gives ~4.  The
 # acceptance criteria judge their refinement ratios by the same band.
 REFINEMENT_BAND = (3.5, 4.5)
 
 
 def _trace_verdict(residuals, tol) -> dict:
-    """One trace is judged against `tol`, several by their refinement
-    ratio."""
-    if len(residuals) >= 2:
-        ratio = residuals[0] / max(residuals[-1], 1e-300)
-        return {"residuals": residuals, "refinement_ratio": ratio,
-                "pass": bool(REFINEMENT_BAND[0] <= ratio
-                             <= REFINEMENT_BAND[1])}
-    return {"residuals": residuals, "tolerance": tol,
-            "pass": bool(residuals[0] <= tol)}
+    """One trace is judged against `tol`, several by the refinement
+    ratio of each consecutive pair: "refinement_ratio" for a pair,
+    "refinement_ratios" for more."""
+    if len(residuals) == 1:
+        return {"residuals": residuals, "tolerance": tol,
+                "pass": bool(residuals[0] <= tol)}
+    ratios = [coarse / max(fine, 1e-300)
+              for coarse, fine in zip(residuals, residuals[1:])]
+    key, val = (("refinement_ratio", ratios[0]) if len(ratios) == 1
+                else ("refinement_ratios", ratios))
+    lo, hi = REFINEMENT_BAND
+    return {"residuals": residuals, key: val,
+            "pass": all(lo <= r <= hi for r in ratios)}
 
 
 def _suite_dissipation(args, tol, traces) -> dict:
@@ -449,7 +451,7 @@ def _suite_hdw(args, tol, traces) -> dict:
     return {"suite": "hdw", **_trace_verdict(residuals, tol)}
 
 
-def _suite_inverse_roundtrip(args, tol) -> dict:
+def _suite_inverse_roundtrip(args, tol, _sample) -> dict:
     if args.spec:
         spec = PdeSpec.from_dict(_load_config(args.spec))
     else:
@@ -486,6 +488,15 @@ SUITE_DEFAULT_TOL = {
 def cmd_verify(args) -> int:
     if not args.suite:
         raise ConfigError("verify requires at least one --suite")
+
+    # the model, its sample points and their jet are built on first use
+    # and shared by every point suite
+    @functools.cache
+    def sample():
+        model = _model_from_args(args)
+        z = _sample_points(model, args)
+        return model, z, evaluate_jet(model, z)
+
     # each trace is read on first use and shared by every trace suite
     load = functools.cache(_load_trace_and_model)
 
@@ -496,7 +507,7 @@ def cmd_verify(args) -> int:
     for name in args.suite:  # --suite choices: the keys of both tables
         tol = SUITE_DEFAULT_TOL[name] if args.tol is None else args.tol
         if name in POINT_SUITES:
-            results.append(POINT_SUITES[name](args, tol))
+            results.append(POINT_SUITES[name](args, tol, sample))
         elif not args.trace:
             raise ConfigError(f"{name} suite requires --trace DIR")
         else:
@@ -517,7 +528,8 @@ def cmd_inverse(args) -> int:
     model = build_lagrangian(spec)
     worst = roundtrip_check(spec, n_samples=args.num_points,
                             rng=np.random.default_rng(args.seed))
-    tol = args.tol if args.tol is not None else 1e-9
+    tol = (SUITE_DEFAULT_TOL["inverse-roundtrip"] if args.tol is None
+           else args.tol)
     report = _report_header("inverse")
     report.update({"lagrangian": render_lagrangian(spec),
                    "n": model.n, "k": model.k,
@@ -556,7 +568,8 @@ def _add_options(p, cmd):
         p.add_argument("--suite", action="append", choices=sorted(
             POINT_SUITES.keys() | TRACE_SUITES.keys()))
         p.add_argument("--trace", action="append",
-                       help="trace directory (repeat for refinement ratios)")
+                       help="trace directory; repeat, coarsest first, for "
+                       "one refinement ratio per consecutive pair")
         p.add_argument("--symmetry", help="symmetry field name")
         p.add_argument("--field", help="alias for --symmetry")
         p.add_argument("--tol", type=float)

@@ -32,13 +32,6 @@ class HessianW:
     cond: np.ndarray     # (*B,)
 
 
-@dataclass(frozen=True)
-class ReebFields:
-    """(R_L)_a = d/ds^a + vcomp[a, i, b] d/dv^i_b."""
-
-    vcomp: np.ndarray  # (k, n, k, *B)
-
-
 def energy(jet: Jet2, z: PhasePoint):
     """Lagrangian energy: scaling of L along velocities minus L."""
     return np.sum(z.v * jet.dLdv, axis=(0, 1)) - jet.L
@@ -104,39 +97,34 @@ def solve_batch(W, b, what: str) -> np.ndarray:
     return x.transpose(1, 2, 0).reshape((r, c) + batch)
 
 
-def _reeb_vcomp(jet: Jet2) -> np.ndarray:
-    """vcomp[a, i, b, *BW] of the Reeb fields from W vcomp_a = -d2L/dvds^a;
-    the trailing axes are those of the Hessian blocks."""
+def reeb(jet: Jet2) -> np.ndarray:
+    """Reeb fields (R_L)_a = d/ds^a + vcomp[a, i, b] d/dv^i_b of a
+    regular Lagrangian: vcomp (k, n, k, *B), a read-only view broadcast
+    to the points, solves W vcomp_a = -d2L/dvds^a.  Raises
+    NotRegularError unless `hessian` finds every point regular."""
+    if not np.all(hessian(jet).regular):
+        raise NotRegularError("Lagrangian not regular")
     n, k = jet.dLdv.shape[:2]
     hb = jet.d2Ldvdv.shape[4:]
     X = solve_batch(jet.d2Ldvdv.reshape((n * k, n * k) + hb),
                     jet.d2Ldvds.reshape((n * k, k) + hb),
                     "Lagrangian not regular")
-    return -X.swapaxes(0, 1).reshape((k, n, k) + hb)
+    return np.broadcast_to(-X.swapaxes(0, 1).reshape((k, n, k) + hb),
+                           (k, n, k) + jet.dLdv.shape[2:])
 
 
-def reeb(jet: Jet2, hess: HessianW) -> ReebFields:
-    """Reeb fields of a regular Lagrangian from the explicit formula."""
-    if not np.all(hess.regular):
-        raise NotRegularError("Lagrangian not regular")
-    vcomp = _reeb_vcomp(jet)
-    return ReebFields(vcomp=np.broadcast_to(
-        vcomp, vcomp.shape[:3] + jet.dLdv.shape[2:]))
-
-
-def verify_reeb(jet: Jet2):
+def verify_reeb(jet: Jet2, vcomp):
     """Residuals of the defining Reeb relations at the points of `jet`,
-    one per point.
+    one per point, for the Reeb fields `vcomp` that `reeb` solved there.
 
     i(R_b) eta^a - delta^a_b is algebraically zero (Reeb fields have no
     d/dq component); i(R_b) d(eta^a) is contracted from the Jet2 blocks
     of the momenta, with no numerical differentiation.
     """
-    rf = reeb(jet, hessian(jet))
     # i(R_b) d(eta^a) = -[dp^a_i(R_b)] dq^i with
     # dp^a_i(R_b) = d2Ldvds[i,a,b] + sum_{j,g} d2Ldvdv[i,a,j,g] vcomp[b,j,g]
     res_deta = (jet.d2Ldvds
-                + np.einsum("iajg...,bjg...->iab...", jet.d2Ldvdv, rf.vcomp))
+                + np.einsum("iajg...,bjg...->iab...", jet.d2Ldvdv, vcomp))
     deta = np.max(np.abs(res_deta), axis=(0, 1, 2))
     # i(R_b) eta^a = delta^a_b - p[i, a] * (R_b)^{q,i} and (R_b)^q = 0
     return {"eta": np.zeros_like(deta), "deta": deta}
@@ -149,13 +137,9 @@ def _energy_gradients(jet: Jet2, v):
     return dEds, dEdv
 
 
-def _energy_along_reeb(jet: Jet2, v, vcomp) -> np.ndarray:
-    """R_a(E) = dE/ds^a + vcomp[a, i, b] dE/dv^i_b; batch axes trail."""
+def reeb_derivative_of_energy(jet: Jet2, v, vcomp) -> np.ndarray:
+    """R_a(E) = dE/ds^a + vcomp[a, i, b] dE/dv^i_b, the derivative of the
+    energy along each Reeb field `vcomp` at the points of `jet`, whose
+    velocities are v; batch axes trail."""
     dEds, dEdv = _energy_gradients(jet, v)
     return dEds + np.einsum("aib...,ib...->a...", vcomp, dEdv)
-
-
-def reeb_derivative_of_energy(jet: Jet2, z: PhasePoint,
-                              rf: ReebFields) -> np.ndarray:
-    """Directional derivative of the energy along each Reeb field."""
-    return _energy_along_reeb(jet, z.v, rf.vcomp)

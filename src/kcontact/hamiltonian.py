@@ -83,10 +83,9 @@ def legendre_inverse(model: LagrangianModel, mp: MomentumPoint,
     return PhasePoint(q=mp.q.copy(), v=v, s=mp.s.copy())
 
 
-def hamiltonian_value(model: LagrangianModel, mp: MomentumPoint,
-                      v0=None):
+def hamiltonian_value(model: LagrangianModel, mp: MomentumPoint):
     """H = Lagrangian energy at the Legendre preimage, one per point."""
-    z = legendre_inverse(model, mp, v0=v0)
+    z = legendre_inverse(model, mp)
     return energy(evaluate_jet(model, z), z)
 
 

@@ -308,9 +308,13 @@ def evaluate_jet_batch(model: LagrangianModel, q, v, s) -> Jet2:
 
 
 def evaluate_jet(model: LagrangianModel, z: PhasePoint) -> Jet2:
-    """Exact, validated Jet2 at a phase point (or a stack of them)."""
+    """Exact, validated Jet2 at a phase point (or a stack of them).  An
+    overflow or invalid operation in the density raises no numpy
+    warning: `Jet2.check` reports the non-finite block it leaves."""
     model.check_point(z)
-    return evaluate_jet_batch(model, z.q, z.v, z.s).check()
+    with np.errstate(all="ignore"):
+        jet = evaluate_jet_batch(model, z.q, z.v, z.s)
+    return jet.check()
 
 
 def fd_check(model: LagrangianModel, z: PhasePoint, h: float = 1e-4) -> float:

@@ -15,8 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .contact import (_energy_along_reeb, _energy_gradients, _reeb_vcomp,
-                      hessian, reeb)
+from .contact import _energy_gradients, reeb, reeb_derivative_of_energy
 from .jet import Jet2, LagrangianModel, PhasePoint, evaluate_jet
 from .sim import _trace_div, _trace_slabs, _trace_trim
 from .taylor import T2, TaylorContext, variables
@@ -201,16 +200,12 @@ def reeb_bracket_check(model: LagrangianModel, Y: SymmetryField,
     The derivative of the Reeb velocity components along Y is a central
     difference of the Reeb construction (it involves third derivatives
     of L, which the jet does not carry)."""
-    def vcomp_at(z):
-        jet = evaluate_jet(model, z)
-        return reeb(jet, hessian(jet)).vcomp
-
     n, k = model.n, model.k
     batch = z.q.shape[1:]
     # flat direction vectors direction[:, a] of (R_L)_a
     direction = np.zeros((n + n * k + k, k) + batch)
     direction[n:n + n * k] = np.moveaxis(
-        vcomp_at(z).reshape((k, n * k) + batch), 0, 1)
+        reeb(evaluate_jet(model, z)).reshape((k, n * k) + batch), 0, 1)
     direction[n + n * k:] = np.eye(k).reshape((k, k) + (1,) * len(batch))
     jac = Y.jacobian_blocks(z.q, z.v, z.s)
     dYq = np.einsum("im...,ma...->ai...", jac.dYq, direction)
@@ -220,7 +215,8 @@ def reeb_bracket_check(model: LagrangianModel, Y: SymmetryField,
     Yq, Yv, Ys = Y.components(z.q, z.v, z.s)
     zp = PhasePoint(q=z.q + h * Yq, v=z.v + h * Yv, s=z.s + h * Ys)
     zm = PhasePoint(q=z.q - h * Yq, v=z.v - h * Yv, s=z.s - h * Ys)
-    dv = (vcomp_at(zp) - vcomp_at(zm)) / (2 * h)
+    dv = (reeb(evaluate_jet(model, zp))
+          - reeb(evaluate_jet(model, zm))) / (2 * h)
     return float(max(np.max(np.abs(dYq)), np.max(np.abs(dYs)),
                      np.max(np.abs(dv - dYv))))
 
@@ -250,13 +246,14 @@ def dissipation_law_check(model: LagrangianModel, F: DissipatedQuantity,
                           trace) -> np.ndarray:
     """Pointwise residual of div(F o sigma) + (L_{R_a} E_L) F^a o sigma
     over the trace interior; F and the Reeb derivative of the energy
-    come from one jet of `model` along the trace.  The trace is walked
+    come from one jet of `model` along the trace, and `reeb` refuses a
+    Lagrangian that is not regular there.  The trace is walked
     slab by slab, in memory independent of the frame count, and the
     slabs' residuals are joined along the time axis."""
     res = []
     for q, v, s, spacings, jet in _trace_slabs(model, trace):
         Fvals = F(jet, q, v, s)  # (k, T, *S)
-        rE = _energy_along_reeb(jet, v, _reeb_vcomp(jet))
+        rE = reeb_derivative_of_energy(jet, v, reeb(jet))
         r = (_trace_div(Fvals, spacings)
              + np.einsum("a...,a...->...", rE, Fvals))
         res.append(_trace_trim(r, model.k, 1))

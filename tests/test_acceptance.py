@@ -22,7 +22,7 @@ from kcontact import (Grid, PdeSpec, SimState, assemble_sopde,
                       evaluate_jet_batch, free,
                       hamiltonian_value, hdw_residual, legendre,
                       legendre_inverse, membrane, membrane_spec,
-                      momentum_path_from_arrays, random_phase_point,
+                      momentum_path_from_arrays, random_phase_point, reeb,
                       roundtrip_check, run, s_accumulation_check,
                       stack_points, string, sv_coupling, telegraph_spec,
                       trace_el_residual, trace_lagrangian,
@@ -104,8 +104,8 @@ def test_criterion_04_reeb_relations(report):
     worst = 0.0
     for model in models:
         for _ in range(100):
-            res = verify_reeb(evaluate_jet(model,
-                                           random_phase_point(model, rng)))
+            jet = evaluate_jet(model, random_phase_point(model, rng))
+            res = verify_reeb(jet, reeb(jet))
             worst = max(worst, res["eta"], res["deta"])
     ok = worst <= 1e-9
     report(4, ok, "Reeb contraction identities, 100 points x 4 models",

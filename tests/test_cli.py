@@ -1,7 +1,9 @@
 """CLI contract: exit codes, report schemas, determinism."""
 
 import json
+import os
 import shutil
+import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
@@ -10,7 +12,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from kcontact import cli, jet, sim
+import kcontact
+from kcontact import cli, contact, jet, sim
 from kcontact.cli import (REFINEMENT_BAND, build_parser, main, parse_grid,
                           parse_points)
 from kcontact.errors import ConfigError
@@ -35,6 +38,19 @@ def run_cli(capsys, *argv):
 def report_of(capsys, *argv):
     code, out = run_cli(capsys, *argv)
     return code, json.loads(out)
+
+
+def count_calls(monkeypatch, module, name):
+    """Patch `module.name` with a wrapper that records one entry per
+    call; returns the record."""
+    original, calls = getattr(module, name), []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
 
 
 def count_jets(monkeypatch):
@@ -130,6 +146,28 @@ class TestDerive:
         code, _ = run_cli(capsys, "derive", *argv)
         assert code == 0
         assert len(calls) == jets
+
+    def test_one_reeb_solve(self, capsys, monkeypatch):
+        # the Reeb fields solved for the report also give R_a(E) and
+        # the Reeb relations
+        solves = count_calls(monkeypatch, contact, "solve_batch")
+        code, _ = run_cli(capsys, "derive", "--model", "string",
+                          "--num-points", "100")
+        assert code == 0
+        assert len(solves) == 1
+
+    def test_overflowing_point_writes_one_error_line(self):
+        # a warning printed by numpy would come before the error line;
+        # run apart from pytest, which captures warnings itself
+        src = str(Path(kcontact.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "kcontact.cli", "derive", "--model",
+             "membrane", "--point", "v=1e300,0,0"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "error: non-finite entries in jet block L"]
 
     def test_unknown_model_exits_2(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -428,6 +466,18 @@ class TestVerify:
         assert code == 0
         assert len(calls) == 1
 
+    def test_point_suites_share_one_model_draw_and_jet(self, capsys,
+                                                       monkeypatch):
+        counts = [count_calls(monkeypatch, cli, name) for name in (
+            "_model_from_args", "random_phase_point", "evaluate_jet")]
+        code, _ = run_cli(capsys, "verify", "--suite", "reeb", "--suite",
+                          "legendre", "--suite", "sopde", "--suite",
+                          "symmetry", "--model", "string", "--lam", "0.5",
+                          "--B", "1", "--field", "paperY",
+                          "--num-points", "50")
+        assert code == 0
+        assert [len(calls) for calls in counts] == [1, 1, 1]
+
     def test_bad_dissipation_field_exits_2(self, capsys,
                                            membrane_trace_pair):
         code = main(["verify", "--suite", "dissipation", "--symmetry",
@@ -490,6 +540,50 @@ class TestVerify:
         assert code == 0
         lo, hi = REFINEMENT_BAND
         assert lo <= rep["suites"][0]["refinement_ratio"] <= hi
+
+    def test_refinement_judged_per_consecutive_pair(self, capsys,
+                                                    tmp_path):
+        # three halvings of h: each pair's ratio is ~4, while the first
+        # residual over the last is ~16
+        paths = []
+        for N in (21, 41, 81):
+            paths += ["--trace", str(tmp_path / f"run{N}")]
+            assert main(["simulate", "--model", "membrane", "--mu", "1",
+                         "--gamma", "0.2", "--grid", f"0,pi,{N};0,pi,{N}",
+                         "--dt", repr(0.4 * np.pi / (N - 1)),
+                         "--t-end", "5", "--output-every", "8",
+                         "--output", paths[-1]]) == 0
+        capsys.readouterr()
+        code, rep = report_of(capsys, "verify", "--suite", "dissipation",
+                              "--suite", "hdw", *paths)
+        assert code == 0
+        jsonschema.validate(rep, load_schema("verify_report.schema.json"))
+        lo, hi = REFINEMENT_BAND
+        for suite in rep["suites"]:
+            assert "refinement_ratio" not in suite
+            ratios = suite["refinement_ratios"]
+            assert len(ratios) == 2
+            assert all(lo <= r <= hi for r in ratios)
+            first, *_, last = suite["residuals"]
+            assert first / last > hi
+
+    def test_singular_lagrangian_trace_exits_3(self, capsys, tmp_path):
+        # the string's tau = 1e-12 makes W singular by RANK_TOL; its
+        # time-time block is rho, so the run itself is fine
+        out = tmp_path / "string"
+        assert main(["simulate", "--model", "string", "--tau", "1e-12",
+                     "--grid", "0,pi,33", "--dt", "0.02", "--t-end", "1",
+                     "--output-every", "2", "--output", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["dissipated_quantity_residuals"] == {"du": None}
+        capsys.readouterr()
+        for argv in (("--model", "string", "--tau", "1e-12", "--suite",
+                      "reeb"),
+                     ("--trace", str(out), "--suite", "dissipation")):
+            code = main(["verify", *argv])
+            captured = capsys.readouterr()
+            assert code == 3 and captured.out == ""
+            assert captured.err == "error: Lagrangian not regular\n"
 
     def test_trace_suites_read_each_trace_once(self, capsys, monkeypatch,
                                                membrane_trace_pair):
