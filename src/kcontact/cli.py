@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import math
+import operator
 import sys
 import time
 from json.encoder import encode_basestring_ascii
@@ -409,6 +410,24 @@ def _load_trace_and_model(path):
 REFINEMENT_BAND = (3.5, 4.5)
 
 
+def _check_refinement(paths, traces):
+    """Refuse (ConfigError) consecutive traces that are not one refinement:
+    same model, parameters, bounds and bc, finer spacing and output step."""
+    pairs = list(zip(paths, traces))
+    for (p0, a), (p1, b) in zip(pairs, pairs[1:]):
+        dt0, dt1 = (x.t[1] - x.t[0] if x.t.size > 1 else math.nan
+                    for x in (a, b))
+        if ((a.model_name, a.params, a.grid.bounds, a.grid.bc)
+                != (b.model_name, b.params, b.grid.bounds, b.grid.bc)):
+            why = "model, parameters, grid bounds or boundary condition differ"
+        elif not (dt1 < dt0 and all(map(operator.lt, b.grid.spacing,
+                                         a.grid.spacing))):
+            why = "the grid spacing and the output step must both shrink"
+        else:
+            continue
+        raise ConfigError(f"--trace {p1} does not refine --trace {p0}: {why}")
+
+
 def _trace_verdict(residuals, tol) -> dict:
     """One trace is judged against `tol`, several by the refinement
     ratio of each consecutive pair: "refinement_ratio" for a pair,
@@ -501,7 +520,9 @@ def cmd_verify(args) -> int:
     load = functools.cache(_load_trace_and_model)
 
     def traces():
-        return (load(path) for path in args.trace)
+        loaded = [load(path) for path in args.trace]
+        _check_refinement(args.trace, [trace for trace, _ in loaded])
+        return loaded
 
     results = []
     for name in args.suite:  # --suite choices: the keys of both tables

@@ -72,13 +72,14 @@ def solve_batch(W, b, what: str) -> np.ndarray:
     when one LAPACK call would get a single right-hand side, by
     b * (1 / W) when it would get several."""
     r, c = b.shape[:2]
-    const = W[0, 0].size == 1
+    const = W.size == r * r
     if r == 1:
-        if (W == 0).any():
+        if np.count_nonzero(W) < W.size:
             raise NotRegularError(what)
-        nd = max(W.ndim, b.ndim)
-        W = W.reshape(W.shape[:2] + (1,) * (nd - W.ndim) + W.shape[2:])
-        b = b.reshape(b.shape[:2] + (1,) * (nd - b.ndim) + b.shape[2:])
+        if W.ndim < b.ndim:
+            W = W.reshape(W.shape[:2] + (1,) * (b.ndim - W.ndim) + W.shape[2:])
+        elif b.ndim < W.ndim:
+            b = b.reshape(b.shape[:2] + (1,) * (W.ndim - b.ndim) + b.shape[2:])
         return b * (1 / W) if (b[0].size if const else c) > 1 else b / W
     batch = np.broadcast_shapes(W.shape[2:], b.shape[2:])
     try:

@@ -77,7 +77,8 @@ def _el_operator(jet, v, a, dsdt, evolution=False):
     def dsdt_entry(c, b):
         return jet.L if evolution and b == c == 0 else dsdt[c, b]
 
-    rEL = np.zeros((n,) + jet.L.shape)
+    shape = (n,) + jet.L.shape
+    rEL = None  # +0.0 plus the first part is that part, never -0
     for block, entries, operand in (
             # a[:, 0, 0] = 0 drops the W[:, 0, :, 0] terms
             (jet.d2Ldvdv, layout.vv_evolution if evolution else layout.vv,
@@ -85,10 +86,12 @@ def _el_operator(jet, v, a, dsdt, evolution=False):
             (jet.d2Ldvdq, layout.vq, lambda c, j: v[j, c]),
             (jet.d2Ldvds, layout.vs, dsdt_entry)):
         if entries:
-            part = np.zeros(rEL.shape)  # sums from +0.0, never -0
+            part = np.zeros(shape)  # sums from +0.0, never -0
             for i, *idx in entries:
                 part[i] += block[(i, *idx)] * operand(*idx)
-            rEL += part
+            rEL = part if rEL is None else rEL + part
+    if rEL is None:
+        rEL = np.zeros(shape)
     if layout.rows[0][1]:
         rEL -= jet.dLdq
     if layout.rows[2][1]:
@@ -135,7 +138,8 @@ def evolution_rhs_batch(jet: Jet2, v, a, dsdt):
     because the simulator needs the density for the s^1 equation.
     """
     rEL = _el_operator(jet, v, a, dsdt, evolution=True)
-    accel = solve_batch(jet.d2Ldvdv[:, 0, :, 0], -rEL[:, None],
+    np.negative(rEL, out=rEL)
+    accel = solve_batch(jet.d2Ldvdv[:, 0, :, 0], rEL[:, None],
                         "not hyperbolic-evolvable in direction t")
     return accel[:, 0], jet.L
 

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contact import energy, solve_batch
-from .errors import NewtonError
+from .contact import energy, hessian, solve_batch
+from .errors import NewtonError, NotRegularError
 from .jet import (Jet2, LagrangianModel, MomentumPoint, PhasePoint,
                   evaluate_jet, evaluate_jet_batch)
 from .sim import _trace_d1, _trace_div, _trace_trim
@@ -29,8 +29,9 @@ def _newton_batch(model, q, p, s, v0, jet=None):
     jets and solve at the other points only, so every preimage is the
     one a single-point solve gives.  `jet`, if given, is the jet at
     (q, v0, s), which the first iteration then does not evaluate again.
-    Returns v, with the same shape as p, and the jet at (q, v, s), or
-    None where its last evaluation covered only some of the points."""
+    Each jet must be regular by `hessian`'s verdict (else NotRegularError).
+    Returns v, with the same shape as p, and the jet at (q, v, s), or None
+    where its last evaluation covered only some of the points."""
     n, k = model.n, model.k
     nk = n * k
     v = np.array(v0, dtype=float)
@@ -40,6 +41,9 @@ def _newton_batch(model, q, p, s, v0, jet=None):
         pick = (Ellipsis,) + at
         if jet is None:
             jet = evaluate_jet_batch(model, q[pick], v[pick], s[pick])
+        if not np.all(hessian(jet).regular):
+            raise NotRegularError(
+                "singular velocity Hessian during Legendre inversion")
         r = jet.dLdv - p[pick]
         err = np.max(np.abs(r), axis=(0, 1))
         last = float(np.max(err))

@@ -187,8 +187,8 @@ class Jet2:
     layout: JetLayout
 
     def check(self):
-        """Validate finiteness (KContactError) and v-v symmetry of
-        d2Ldvdv (ValueError, rtol 1e-12)."""
+        """Validate finiteness and v-v symmetry of d2Ldvdv (rtol 1e-12);
+        either failure raises KContactError."""
         for name in self.__dataclass_fields__:
             if name == "layout":
                 continue
@@ -198,7 +198,7 @@ class Jet2:
         Wt = np.moveaxis(W, (0, 1, 2, 3), (2, 3, 0, 1))
         scale = max(np.max(np.abs(W)), 1.0)
         if np.max(np.abs(W - Wt)) > 1e-12 * scale:
-            raise ValueError("velocity Hessian block is not symmetric")
+            raise KContactError("velocity Hessian block is not symmetric")
         return self
 
 
@@ -238,15 +238,17 @@ class LagrangianModel:
         return np.broadcast_to(np.asarray(out, dtype=float), shape)
 
 
-@lru_cache(maxsize=128)
+_context = lru_cache(maxsize=64)(TaylorContext)
+
+
 def _zeros(shape):
-    # the read-only broadcast zero of a block with no stored row
-    return np.broadcast_to(0.0, shape)
+    # the read-only zero of a block with no stored row, made per call: one
+    # cached during a run would pin the heap above its temporaries
+    return np.ndarray(shape, float, bytes(8), 0, (0,) * len(shape))
 
 
-def _common_shape(xs, ndim):
-    """The broadcast shape of the arrays `xs`, with at least `ndim` axes."""
-    shapes = {np.shape(x) for x in xs}
+def _common_shape(shapes, ndim):
+    """The broadcast shape of `shapes`, with at least `ndim` axes."""
     if len(shapes) == 1:
         (shape,) = shapes
         if len(shape) == ndim:
@@ -264,10 +266,14 @@ def _block(rows, layout_rows, lead, tail):
     if not stored:
         return _zeros(lead + tail)
     xs = [rows[key] for _, key in stored]
-    b = _common_shape(xs, len(tail))
-    block = np.zeros((size,) + b)
-    for (i, _), x in zip(stored, xs):
-        block[i] = x
+    shapes = {x.shape for x in xs}
+    b = _common_shape(shapes, len(tail))
+    if len(xs) == size and len(shapes) == 1:
+        block = np.array(xs)  # every row stored, all at one shape
+    else:
+        block = np.zeros((size,) + b)
+        for (i, _), x in zip(stored, xs):
+            block[i] = x
     block = block.reshape(lead + b)
     return block if b == tail else np.broadcast_to(block, lead + tail)
 
@@ -283,7 +289,7 @@ def evaluate_jet_batch(model: LagrangianModel, q, v, s) -> Jet2:
     v = np.asarray(v, dtype=float)
     s = np.asarray(s, dtype=float)
     batch = q.shape[1:]
-    ctx = TaylorContext(n, k)
+    ctx = _context(n, k)
     out = model.lagrangian(*variables(ctx, q, v, s))
     if not isinstance(out, T2):  # constant Lagrangian
         out = T2(ctx, out, {}, {})
@@ -291,7 +297,7 @@ def evaluate_jet_batch(model: LagrangianModel, q, v, s) -> Jet2:
     dq, dv, ds, hvv, hvq, hvs = layout.rows
     # the second-derivative blocks keep the stored entries' shape, which
     # broadcasts against the batch (size-1 axes where L is quadratic in v)
-    hb = _common_shape(out.hess.values(), len(batch))
+    hb = _common_shape({x.shape for x in out.hess.values()}, len(batch))
     # L may share memory with the coordinates: a read-only view either way
     L = np.asarray(out.val, dtype=float)
     L = _read_only(L.view()) if L.shape == batch else np.broadcast_to(L, batch)

@@ -12,6 +12,7 @@ selects which solution is computed.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import operator
@@ -21,6 +22,7 @@ import subprocess
 import sys
 import zipfile
 from dataclasses import dataclass
+from functools import cached_property, lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +60,7 @@ class Grid:
     def ndim(self) -> int:
         return len(self.counts)
 
-    @property
+    @cached_property
     def spacing(self) -> tuple:
         out = []
         for (lo, hi), c in zip(self.bounds, self.counts):
@@ -92,8 +94,8 @@ class SimState:
     t: float = 0.0
 
     def check_finite(self):
-        if not (np.isfinite(self.phi).all() and np.isfinite(self.phidot).all()
-                and np.isfinite(self.s1).all()):
+        if any(np.count_nonzero(np.isfinite(x)) < x.size
+               for x in (self.phi, self.phidot, self.s1)):
             raise SimulationError(f"blow-up detected at t={self.t:.6g}")
         return self
 
@@ -123,31 +125,37 @@ class SimTrace:
 
 # -- stencils -----------------------------------------------------------
 
-def _along(f, axis):
-    """Index builder for `f`: at(start, stop) selects start:stop along
-    `axis` and everything along the other axes."""
-    def at(start, stop):
-        idx = [slice(None)] * f.ndim
-        idx[axis] = slice(start, stop)
-        return tuple(idx)
-    return at
+@lru_cache(maxsize=None)
+def _at(axis, start, stop):
+    """The index that selects start:stop along `axis` and everything along
+    the other axes; a negative `axis` counts from the last, at any rank."""
+    if axis < 0:
+        return (Ellipsis, slice(start, stop)) + (slice(None),) * (-1 - axis)
+    return (slice(None),) * axis + (slice(start, stop),)
+
+
+# every index the stencils take, built at import: entries added during a
+# run would stay in the heap above its freed temporaries
+list(itertools.starmap(_at, itertools.product(
+    range(-4, 0), (None, -3, -2, -1, 1, 2), (None, -2, -1, 1, 2, 3))))
 
 
 def _wrap(f, axis):
     """`f` padded along `axis` with one periodic cell at each end."""
-    at = _along(f, axis)
-    return np.concatenate((f[at(-1, None)], f, f[at(None, 1)]), axis=axis)
+    return np.concatenate((f[_at(axis, -1, None)], f,
+                           f[_at(axis, None, 1)]), axis=axis)
 
 
-def _d1(f, h, axis, periodic):
-    """Central first difference along `axis`, wrapped if `periodic`, else
-    one-sided second-order at both ends with numpy's coefficients (it
-    equals numpy's `gradient` with edge_order=2 bit for bit); also the
-    trace stencil."""
-    at = _along(f, axis)
+def _d1(f, h, axis, periodic, wrapped=None):
+    """Central first difference along `axis`, wrapped if `periodic`
+    (`wrapped`, if given, is `_wrap(f, axis)`), else one-sided second-order
+    at both ends with numpy's coefficients (it equals numpy's `gradient`
+    with edge_order=2 bit for bit); also the trace stencil."""
     if periodic:
-        f = _wrap(f, axis)
-        return (f[at(2, None)] - f[at(None, -2)]) / (2 * h)
+        f = _wrap(f, axis) if wrapped is None else wrapped
+        return (f[_at(axis, 2, None)]
+                - f[_at(axis, None, -2)]) / (2 * h)
+    at = partial(_at, axis)
     out = np.empty_like(f)
     out[at(1, -1)] = (f[at(2, None)] - f[at(None, -2)]) / (2. * h)
     out[at(None, 1)] = (-1.5 / h * f[at(None, 1)] + 2. / h * f[at(1, 2)]
@@ -157,11 +165,14 @@ def _d1(f, h, axis, periodic):
     return out
 
 
-def _d2(f, h, axis, periodic):
-    at = _along(f, axis)
+def _d2(f, h, axis, periodic, wrapped=None):
+    """Central second difference along `axis`, wrapped as in `_d1`."""
     if periodic:
-        f = _wrap(f, axis)
-        return (f[at(2, None)] - 2 * f[at(1, -1)] + f[at(None, -2)]) / h ** 2
+        f = _wrap(f, axis) if wrapped is None else wrapped
+        return (f[_at(axis, 2, None)]
+                - 2 * f[_at(axis, 1, -1)]
+                + f[_at(axis, None, -2)]) / h ** 2
+    at = partial(_at, axis)
     out = np.empty_like(f)
     out[at(1, -1)] = (f[at(2, None)] - 2 * f[at(1, -1)]
                       + f[at(None, -2)]) / h ** 2
@@ -171,22 +182,23 @@ def _d2(f, h, axis, periodic):
     return out
 
 
-def _point_arrays(model, grid, phi, phidot, s1):
+def _point_arrays(model, grid, phi, phidot, s1, wrapped=None):
     """Velocity and dissipation coordinate arrays (v, s) for batched
     evaluation.  The spatial axes are the last grid.ndim axes of every
-    field, so phi (n, *S) and phi (n, T, *S) are both accepted."""
-    n, k = model.n, model.k
+    field, so phi (n, *S) and phi (n, T, *S) are both accepted.  On a
+    periodic grid `wrapped` may hold `_wrap(phi, axis)` per spatial axis."""
+    n, k, d = model.n, model.k, grid.ndim
     v = np.zeros((n, k) + phi.shape[1:])
     v[:, 0] = phidot
-    for x in range(grid.ndim):
-        v[:, 1 + x] = _d1(phi, grid.spacing[x], x - grid.ndim,
-                          grid.bc == "periodic")
+    for x in range(d):
+        v[:, 1 + x] = _d1(phi, grid.spacing[x], x - d,
+                          grid.bc == "periodic", wrapped and wrapped[x])
     s = np.zeros((k,) + phi.shape[1:])
     s[0] = s1
     return v, s
 
 
-def _second_jet(grid, phi, v, s1, jet):
+def _second_jet(grid, phi, v, s1, jet, wrapped=None):
     """Stencil entries of the second jet (a, dsdt) for the arrays of
     `_point_arrays` and their `jet`: the spatial and mixed entries of a
     and dsdt[x, 0] = d_x s^1, each computed only where a stored entry of
@@ -194,46 +206,50 @@ def _second_jet(grid, phi, v, s1, jet):
     meets d2Ldvdv[:, c, :, b] and dsdt[b, c] meets d2Ldvds[:, b, c]).
     Every other entry, a[:, 0, 0] and dsdt[0, 0] among them, stays in the
     untouched pages of np.zeros, for the caller to fill in or solve for.
-    """
+    `wrapped` is as in `_point_arrays`."""
     n, k = v.shape[:2]
     d = grid.ndim
     periodic = grid.bc == "periodic"
-    need_a, need_s = jet.layout.need_a, jet.layout.need_s
+    need_a, need_s = jet.layout.need_a.tolist(), jet.layout.need_s.tolist()
     a = np.zeros((n, k, k) + phi.shape[1:])
     dsdt = np.zeros((k, k) + phi.shape[1:])
 
-    def fill(positions, stencil, f, h, axis):
-        positions = [bc for bc in positions if need_a[bc]]
+    def fill(positions, stencil, f, h, axis, pad=None):
+        positions = [(b, c) for b, c in positions if need_a[b][c]]
         if positions:
-            val = stencil(f, h, axis, periodic)
+            val = stencil(f, h, axis, periodic, pad)
             for b, c in positions:
                 a[:, b, c] = val
 
     for x in range(d):
         h, ax = grid.spacing[x], x - d
         fill(((0, 1 + x), (1 + x, 0)), _d1, v[:, 0], h, ax)
-        fill(((1 + x, 1 + x),), _d2, phi, h, ax)
+        fill(((1 + x, 1 + x),), _d2, phi, h, ax, wrapped and wrapped[x])
         for y in range(x + 1, d):
             fill(((1 + x, 1 + y), (1 + y, 1 + x)), _d1, v[:, 1 + x],
                  grid.spacing[y], y - d)
-        if need_s[1 + x, 0]:
+        if need_s[1 + x][0]:
             dsdt[1 + x, 0] = _d1(s1, h, ax, periodic)
     return a, dsdt
 
 
 def _state_rhs(model, grid, phi, phidot, s1):
     """Time derivatives (dphi, accel, L) of the state, then the jet at it;
-    on a Dirichlet grid both derivatives vanish on the boundary."""
-    v, s = _point_arrays(model, grid, phi, phidot, s1)
+    on a Dirichlet grid both derivatives vanish on the boundary.  A periodic
+    phi is padded once per axis for both its stencils; dphi is phidot."""
+    d = grid.ndim
+    periodic = grid.bc == "periodic"
+    wrapped = [_wrap(phi, x - d) for x in range(d)] if periodic else None
+    v, s = _point_arrays(model, grid, phi, phidot, s1, wrapped)
     jet = evaluate_jet_batch(model, phi, v, s)
-    a, dsdt = _second_jet(grid, phi, v, s1, jet)
+    a, dsdt = _second_jet(grid, phi, v, s1, jet, wrapped)
     accel, L = evolution_rhs_batch(jet, v, a, dsdt)
+    if periodic:
+        return phidot, accel, L, jet
     dphi = phidot.copy()
-    if grid.bc == "dirichlet":
-        for x in range(grid.ndim):
-            at = _along(accel, 1 + x)
-            accel[at(None, 1)] = accel[at(-1, None)] = 0.0
-            dphi[at(None, 1)] = dphi[at(-1, None)] = 0.0
+    for x in range(d):
+        for end in (_at(x - d, None, 1), _at(x - d, -1, None)):
+            accel[end] = dphi[end] = 0.0
     return dphi, accel, L, jet
 
 
@@ -251,13 +267,13 @@ def char_speeds(jet, grid: Grid) -> np.ndarray:
     """Characteristic speed estimate per spatial direction from the
     Hessian blocks of `jet`, the jet at every grid point of a state (as
     `_state_rhs` evaluates it): the maximum over those points."""
-    speeds = np.zeros(grid.ndim)
+    W = jet.d2Ldvdv
+    speeds = np.empty(grid.ndim)
     for a in range(grid.ndim):
-        X = solve_batch(jet.d2Ldvdv[:, 0, :, 0],
-                        jet.d2Ldvdv[:, 1 + a, :, 1 + a],
+        X = solve_batch(W[:, 0, :, 0], W[:, 1 + a, :, 1 + a],
                         "not hyperbolic-evolvable in direction t")
-        speeds[a] = np.sqrt(np.max(np.abs(_eigvals(X))))
-    return speeds
+        speeds[a] = np.maximum.reduce(np.abs(_eigvals(X)), axis=None)
+    return np.sqrt(speeds, out=speeds)
 
 
 def check_cfl(jet, grid: Grid, dt: float, t: float):
@@ -265,12 +281,12 @@ def check_cfl(jet, grid: Grid, dt: float, t: float):
     state at time `t` whose jet is `jet` (see `char_speeds`)."""
     if dt <= 0:
         raise SimulationError("nonpositive step")
-    speeds = char_speeds(jet, grid)
-    for a, c in enumerate(speeds):
-        if c > 0 and dt > CFL_FACTOR * grid.spacing[a] / c * (1 + 1e-9):
+    for a, (c, h) in enumerate(zip(char_speeds(jet, grid).tolist(),
+                                   grid.spacing)):
+        if c > 0 and dt > CFL_FACTOR * h / c * (1 + 1e-9):
             raise SimulationError(
                 f"CFL violation in direction {a + 1} at t={t:.6g}: "
-                f"dt={dt:.4g} > {CFL_FACTOR * grid.spacing[a] / c:.4g}")
+                f"dt={dt:.4g} > {CFL_FACTOR * h / c:.4g}")
 
 
 def step(model: LagrangianModel, state: SimState, grid: Grid,
@@ -382,9 +398,9 @@ def trace_point_arrays(model: LagrangianModel, trace: SimTrace):
     return _frame_arrays(model, trace, slice(None))
 
 
-def _trace_slabs(model, trace, halo=1, ends=2):
+def _trace_slabs(model, trace, halo=1, ends=2, weight=1):
     """The frames [ends, T-ends) of `trace` in slabs of
-    max(1, TRACE_SLAB_SAMPLES // prod(S)) frames.  Yields
+    max(1, TRACE_SLAB_SAMPLES // (weight * prod(S))) frames.  Yields
     (q, v, s, spacings, jet) per slab, as `trace_point_arrays` and
     `evaluate_jet_batch` give them over the slab's frames and `halo`
     more at both ends, which `_trace_trim(..., halo)` strips again.
@@ -395,7 +411,7 @@ def _trace_slabs(model, trace, halo=1, ends=2):
         raise SimulationError(
             f"trace residuals need at least {2 * ends + 1} frames, "
             f"the trace has {T}")
-    per = max(1, TRACE_SLAB_SAMPLES // math.prod(trace.grid.shape))
+    per = max(1, TRACE_SLAB_SAMPLES // (weight * math.prod(trace.grid.shape)))
     for lo in range(ends, T - ends, per):
         q, v, s, spacings = _frame_arrays(
             model, trace, slice(lo - halo, min(lo + per, T - ends) + halo))
@@ -410,7 +426,9 @@ def trace_el_residual(model: LagrangianModel, trace: SimTrace):
     every direction, including time).  The trace is walked slab by slab,
     in memory independent of the frame count."""
     maxima = []
-    for q, v, s, spacings, jet in _trace_slabs(model, trace):
+    # a and dsdt hold k^2 entries per sample, so k^2 times smaller slabs
+    for q, v, s, spacings, jet in _trace_slabs(model, trace,
+                                               weight=model.k ** 2):
         a, dsdt = _second_jet(trace.grid, q, v, s[0], jet)
         a[:, 0, 0] = _trace_d1(v[:, 0], spacings, 0)
         dsdt[0, 0] = _trace_d1(s[0], spacings, 0)
@@ -434,7 +452,7 @@ def energy_monitor(model: LagrangianModel, state: SimState,
     for a in range(d):
         ext = phi
         if grid.bc == "periodic":  # the last cell differences to the first
-            ext = np.concatenate((phi, phi[_along(phi, 1 + a)(None, 1)]),
+            ext = np.concatenate((phi, phi[_at(a - d, None, 1)]),
                                  axis=1 + a)
         grads.append(np.diff(ext, axis=1 + a) / grid.spacing[a])
     if grid.bc == "dirichlet":

@@ -25,7 +25,7 @@ its operands carry; `dense` lays them out as full arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -37,11 +37,11 @@ class TaylorContext:
     n: int
     k: int
 
-    @property
+    @cached_property
     def nv(self) -> int:
         return self.n * self.k
 
-    @property
+    @cached_property
     def m(self) -> int:
         return self.n + self.nv + self.k
 
@@ -108,10 +108,15 @@ class T2:
                   {rj: -h for rj, h in self.hess.items()})
 
     def __sub__(self, other):
+        if not isinstance(other, T2):  # val - c is val + (-c), bit for bit
+            return T2(self.ctx, self.val - other, self.grad, self.hess)
         return self + (-other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        # c - x in one pass: IEEE defines c - x as c + (-x)
+        return T2(self.ctx, other - self.val,
+                  {j: -g for j, g in self.grad.items()},
+                  {rj: -h for rj, h in self.hess.items()})
 
     def __mul__(self, other):
         if not isinstance(other, T2):
@@ -119,19 +124,27 @@ class T2:
                       {j: g * other for j, g in self.grad.items()},
                       {rj: h * other for rj, h in self.hess.items()})
         a, b = self.val, other.val
-        grad = {j: g * b for j, g in self.grad.items()}
+        if other is self:  # a square sums each term with itself
+            grad = {j: (t := _times(g, a)) + t for j, g in self.grad.items()}
+            hess = {(r, j): (t := _times(gr, g)) + t
+                    for r, gr in self._vrows() for j, g in self.grad.items()}
+            for rj, h in self.hess.items():
+                t = _times(h, a)
+                hess[rj] = hess[rj] + t + t if rj in hess else t + t
+            return T2(self.ctx, a * a, grad, hess)
+        grad = {j: _times(g, b) for j, g in self.grad.items()}
         for j, g in other.grad.items():
-            _add_into(grad, j, g * a)
+            _add_into(grad, j, _times(g, a))
         # cross terms first, then the operands' own Hessians scaled by the
         # other value, so each entry sums its terms in a fixed order
         hess = {}
         for x, y in ((self, other), (other, self)):
             for r, gr in x._vrows():
                 for j, g in y.grad.items():
-                    _add_into(hess, (r, j), gr * g)
+                    _add_into(hess, (r, j), _times(gr, g))
         for h2, w in ((self.hess, b), (other.hess, a)):
             for rj, h in h2.items():
-                _add_into(hess, rj, h * w)
+                _add_into(hess, rj, _times(h, w))
         return T2(self.ctx, self.val * other.val, grad, hess)
 
     __rmul__ = __mul__
@@ -139,89 +152,100 @@ class T2:
     def __truediv__(self, other):
         if not isinstance(other, T2):
             return self * (1.0 / other)
-        return self * other.apply(lambda x: 1.0 / x,
-                                  lambda x: -1.0 / x ** 2,
-                                  lambda x: 2.0 / x ** 3)
+        x = other.val
+        return self * other.apply(1.0 / x, -1.0 / x ** 2, 2.0 / x ** 3)
 
     def __rtruediv__(self, other):
-        return self.apply(lambda x: other / x,
-                          lambda x: -other / x ** 2,
-                          lambda x: 2.0 * other / x ** 3)
+        x = self.val
+        return self.apply(other / x, -other / x ** 2, 2.0 * other / x ** 3)
 
     def __pow__(self, p):
         if p == 2:
             return self * self
-        return self.apply(lambda x: x ** p,
-                          lambda x: p * x ** (p - 1),
-                          lambda x: p * (p - 1) * x ** (p - 2))
+        x = self.val
+        return self.apply(x ** p, p * x ** (p - 1),
+                          p * (p - 1) * x ** (p - 2))
 
     # -- chain rule ----------------------------------------------------
 
-    def apply(self, f, df, d2f):
-        """Compose with a scalar function given its first two derivatives."""
-        f0, f1, f2 = f(self.val), df(self.val), d2f(self.val)
-        hess = {(r, j): f2 * (gr * g)
-                for r, gr in self._vrows() for j, g in self.grad.items()}
+    def apply(self, f0, f1, f2):
+        """Compose with a function whose value and first two derivatives at
+        self.val are f0, f1, f2.  Entries (r, n + r2) and (r2, n + r) share
+        their product of two velocity rows: it commutes, bit for bit."""
+        n = self.ctx.n
+        hess = {}
+        for r, gr in self._vrows():
+            for j, g in self.grad.items():
+                twin = (j - n, n + r)
+                hess[r, j] = (hess[twin] if twin in hess
+                              else f2 * _times(gr, g))
         for rj, h in self.hess.items():
-            _add_into(hess, rj, f1 * h)
-        return T2(self.ctx, f0, {j: f1 * g for j, g in self.grad.items()},
-                  hess)
+            _add_into(hess, rj, _times(h, f1))
+        return T2(self.ctx, f0,
+                  {j: _times(g, f1) for j, g in self.grad.items()}, hess)
 
     def __repr__(self):
         return f"T2(val={self.val!r})"
 
 
+_UNIT_IDS = set()  # of the rows below, which live as long as the cache
+
+
 @lru_cache(maxsize=None)
 def _unit_row(ndim):
-    # the read-only gradient row 1.0 of a seed, shared by every seed of
-    # that rank (one entry per rank, so the cache stays small)
+    # the read-only gradient row 1.0 shared by the seeds of one rank; the
+    # common ranks are made at import, as one made in a run pins the heap
     row = np.ones((1,) * ndim)
     row.flags.writeable = False
+    _UNIT_IDS.add(id(row))
     return row
 
 
-def variable(ctx, index, value):
-    """Seed coordinate `index` (flat layout q | v | s) with `value`; its
-    one gradient row 1.0 has shape (1, ..., 1), broadcasts against it and
-    is a shared read-only array."""
-    value = np.asarray(value, dtype=float)
-    return T2(ctx, value, {index: _unit_row(value.ndim)}, {})
+list(map(_unit_row, range(5)))
+
+
+def _times(x, y):
+    # x * y, where a shared unit row multiplies as the identity (1.0 * y
+    # is y, bit for bit); a private ones row is multiplied out
+    if id(x) in _UNIT_IDS:
+        return y
+    return x if id(y) in _UNIT_IDS else x * y
 
 
 def variables(ctx, q, v, s):
-    """Seed every coordinate of the batched arrays q (n, *B), v (n, k, *B)
-    and s (k, *B).  Returns the nested lists (q[i], v[i][a], s[a]) of T2
-    values that densities and symmetry fields receive."""
-    batch = np.shape(q)[1:]
-    index = iter(range(ctx.m))  # consumed in the flat order q | v | s
-
-    def seed(x):
-        if np.shape(x) != batch:
-            x = np.broadcast_to(x, batch)
-        return variable(ctx, next(index), x)
-
-    return ([seed(x) for x in q], [[seed(x) for x in row] for row in v],
-            [seed(x) for x in s])
+    """Seed every coordinate of the float64 arrays q (n, *B), v (n, k, *B)
+    and s (k, *B), which share the batch shape B.  Returns the nested
+    lists (q[i], v[i][a], s[a]) of T2 values that densities and symmetry
+    fields receive."""
+    unit = _unit_row(q.ndim - 1)
+    n, k = ctx.n, ctx.k
+    seeds = [T2(ctx, x, {j: unit}, {}) for j, x in enumerate(
+        (*q, *(x for row in v for x in row), *s))]
+    return (seeds[:n], [seeds[n + i * k:n + i * k + k] for i in range(n)],
+            seeds[n + ctx.nv:])
 
 
 # elementwise functions usable on T2 values and plain arrays alike
 
-def _lift(name, f, df, d2f):
+def _lift(name, f, derivs):
+    # derivs(x) gives f(x), f'(x) and f''(x), sharing their common work
     def wrapped(x):
         if isinstance(x, T2):
-            return x.apply(f, df, d2f)
+            return x.apply(*derivs(x.val))
         return f(x)
     wrapped.__name__ = name
     return wrapped
 
 
-sin = _lift("sin", np.sin, np.cos, lambda x: -np.sin(x))
-cos = _lift("cos", np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x))
-exp = _lift("exp", np.exp, np.exp, np.exp)
-log = _lift("log", np.log, lambda x: 1.0 / x, lambda x: -1.0 / x ** 2)
+sin = _lift("sin", np.sin,
+            lambda x: ((s := np.sin(x)), np.cos(x), -s))
+cos = _lift("cos", np.cos,
+            lambda x: ((c := np.cos(x)), -np.sin(x), -c))
+exp = _lift("exp", np.exp, lambda x: ((e := np.exp(x)), e, e))
+log = _lift("log", np.log,
+            lambda x: (np.log(x), 1.0 / x, -1.0 / x ** 2))
 sqrt = _lift("sqrt", np.sqrt,
-             lambda x: 0.5 / np.sqrt(x),
-             lambda x: -0.25 * x ** -1.5)
+             lambda x: ((r := np.sqrt(x)), 0.5 / r, -0.25 * x ** -1.5))
 tanh = _lift("tanh", np.tanh,
-             lambda x: 1.0 / np.cosh(x) ** 2,
-             lambda x: -2.0 * np.tanh(x) / np.cosh(x) ** 2)
+             lambda x: ((t := np.tanh(x)), 1.0 / (c2 := np.cosh(x) ** 2),
+                        -2.0 * t / c2))

@@ -584,6 +584,39 @@ class TestVerify:
             captured = capsys.readouterr()
             assert code == 3 and captured.out == ""
             assert captured.err == "error: Lagrangian not regular\n"
+        # the Legendre Newton solve applies the same RANK_TOL verdict
+        for argv in (("--model", "string", "--tau", "1e-12", "--suite",
+                      "legendre", "--num-points", "50"),
+                     ("--trace", str(out), "--suite", "hdw")):
+            code = main(["verify", *argv])
+            captured = capsys.readouterr()
+            assert code == 3 and captured.out == ""
+            assert captured.err == ("error: singular velocity Hessian "
+                                    "during Legendre inversion\n")
+
+    @pytest.mark.parametrize("case", ["other-model", "other-gamma",
+                                      "fine-first"])
+    def test_traces_of_no_one_refinement_exit_2(self, capsys, tmp_path,
+                                                membrane_trace_pair, case):
+        coarse, fine = membrane_trace_pair
+        if case == "fine-first":
+            coarse, fine = fine, coarse
+        else:
+            fine = str(tmp_path / case)
+            flags = (["--model", "string", "--grid", "0,pi,33"]
+                     if case == "other-model" else
+                     ["--model", "membrane", "--mu", "1", "--gamma", "0.3",
+                      "--grid", "0,pi,33;0,pi,33"])
+            assert main(["simulate", *flags, "--dt", "0.025", "--t-end",
+                         "2.0", "--output-every", "4", "--output",
+                         fine]) == 0
+        capsys.readouterr()
+        code = main(["verify", "--suite", "dissipation", "--suite", "hdw",
+                     "--trace", coarse, "--trace", fine])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
 
     def test_trace_suites_read_each_trace_once(self, capsys, monkeypatch,
                                                membrane_trace_pair):

@@ -5,10 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kcontact import (Jet2, LagrangianModel, PhasePoint, builtin_models,
-                      evaluate_jet, evaluate_jet_batch, fd_check, membrane,
-                      random_phase_point, stack_points, sv_coupling)
+from kcontact import (Jet2, KContactError, LagrangianModel, PhasePoint,
+                      builtin_models, evaluate_jet, evaluate_jet_batch,
+                      fd_check, membrane, random_phase_point, stack_points,
+                      sv_coupling)
+from kcontact import jet as jet_module
 from kcontact.taylor import TaylorContext, sqrt, variables
+from conftest import cubic
 from test_contact import coupled_quartic
 
 
@@ -175,6 +178,43 @@ def test_coordinates_not_written(model):
             block[...] = np.nan
     for x, x0 in zip((q, v, s), before):
         assert x.tobytes() == x0.tobytes()
+
+
+@pytest.mark.parametrize("batch", [(), (3, 4)], ids=["point", "batch"])
+@pytest.mark.parametrize("model", builtin_models() + [
+    born_infeld(), LagrangianModel(n=1, k=2, name="cubic", lagrangian=cubic)],
+    ids=lambda m: f"{m.name}-n{m.n}k{m.k}")
+def test_unit_row_folding_is_exact(model, batch, monkeypatch):
+    # the shared unit row of a seed multiplies as the identity; seeds
+    # with a private writable ones row are multiplied out instead, and
+    # every block agrees bit for bit
+    rng = np.random.default_rng(4)
+    q, v, s = (rng.uniform(-0.5, 0.5, lead + batch) for lead in
+               ((model.n,), (model.n, model.k), (model.k,)))
+    want = evaluate_jet_batch(model, q, v, s)
+
+    def private_rows(ctx, q, v, s):
+        seeds = variables(ctx, q, v, s)
+        for x in [*seeds[0], *(x for row in seeds[1] for x in row),
+                  *seeds[2]]:
+            x.grad = {j: np.ones_like(g) for j, g in x.grad.items()}
+        return seeds
+
+    monkeypatch.setattr(jet_module, "variables", private_rows)
+    got = evaluate_jet_batch(model, q, v, s)
+    for name in Jet2.__dataclass_fields__:
+        if name != "layout":
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def test_asymmetric_velocity_hessian_is_a_kcontact_error():
+    jet = evaluate_jet(born_infeld(), PhasePoint(q=[0.0], v=[[0.3, 0.2]],
+                                                 s=[0.0, 0.0]))
+    W = jet.d2Ldvdv.copy()
+    W[0, 0, 0, 1] += 1.0
+    with pytest.raises(KContactError, match="not symmetric"):
+        Jet2(**{**jet.__dict__, "d2Ldvdv": W}).check()
 
 
 @pytest.mark.parametrize("model", builtin_models(),

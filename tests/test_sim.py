@@ -742,3 +742,107 @@ def test_membrane_rhs_stencils_only_what_the_jet_multiplies(monkeypatch):
     phi = (np.sin(X) * np.sin(Y))[None]
     _state_rhs(model, grid, phi, 0.5 * phi, 0.1 * phi[0])
     assert calls == {"_d1": 2, "_d2": 2}
+
+
+def reference_rhs(model, grid, phi, phidot, s1):
+    """`_state_rhs` with dense arrays throughout: np.roll and np.gradient
+    stencils, every jet block broadcast to the points, every second-jet
+    entry, einsum contractions and one np.linalg.solve per point."""
+    n, k, d = model.n, model.k, grid.ndim
+    periodic = grid.bc == "periodic"
+    S, hs, axes = phi.shape[1:], grid.spacing, range(-d, 0)
+
+    def d1(f, x):
+        if periodic:
+            return ((np.roll(f, -1, axes[x]) - np.roll(f, 1, axes[x]))
+                    / (2 * hs[x]))
+        return np.gradient(f, hs[x], axis=axes[x], edge_order=2)
+
+    def d2(f, x):
+        out = (np.roll(f, -1, axes[x]) - 2 * f
+               + np.roll(f, 1, axes[x])) / hs[x] ** 2
+        if not periodic:  # the edges copy their neighbours
+            idx = np.arange(f.shape[axes[x]])
+            idx[0], idx[-1] = 1, idx[-2]
+            out = np.take(out, idx, axis=axes[x])
+        return out
+
+    v = np.stack([phidot] + [d1(phi, x) for x in range(d)], axis=1)
+    s = np.zeros((k,) + S)
+    s[0] = s1
+    jet = evaluate_jet_batch(model, phi, v, s)
+    L, dLdq, dLdv, dLds, W, Q, Sv = (
+        np.array(np.broadcast_to(getattr(jet, name), lead + S))
+        for name, lead in (("L", ()), ("dLdq", (n,)), ("dLdv", (n, k)),
+                           ("dLds", (k,)), ("d2Ldvdv", (n, k, n, k)),
+                           ("d2Ldvdq", (n, k, n)), ("d2Ldvds", (n, k, k))))
+    a = np.zeros((n, k, k) + S)  # a[:, 0, 0] = 0: solved for below
+    dsdt = np.zeros((k, k) + S)
+    dsdt[0, 0] = L  # the evolution gauge
+    for x in range(d):
+        a[:, 0, 1 + x] = a[:, 1 + x, 0] = d1(phidot, x)
+        a[:, 1 + x, 1 + x] = d2(phi, x)
+        for y in range(x + 1, d):
+            a[:, 1 + x, 1 + y] = a[:, 1 + y, 1 + x] = d1(v[:, 1 + x], y)
+        dsdt[1 + x, 0] = d1(s1, x)
+    rEL = (np.einsum("iajb...,jba...->i...", W, a)
+           + np.einsum("iaj...,ja...->i...", Q, v)
+           + np.einsum("iab...,ab...->i...", Sv, dsdt) - dLdq
+           - np.einsum("a...,ia...->i...", dLds, dLdv))
+    accel = np.linalg.solve(np.moveaxis(W[:, 0, :, 0], (0, 1), (-2, -1)),
+                            np.moveaxis(-rEL, 0, -1)[..., None])
+    accel = np.moveaxis(accel[..., 0], -1, 0)
+    dphi = phidot.copy()
+    if not periodic:
+        for x in range(d):
+            for arr in (accel, dphi):
+                np.moveaxis(arr, 1 + x, 0)[[0, -1]] = 0.0
+    return dphi, accel, L
+
+
+def rhs_cases():
+    """Born-Infeld and the charged string (n = 2) on a periodic grid,
+    and the membrane on a 21x21 Dirichlet grid: (id, model, grid, phi,
+    phidot, s1)."""
+    x = np.linspace(0, 2 * np.pi, 64, endpoint=False)
+    ring = Grid(bounds=((0.0, 2 * np.pi),), counts=(64,), bc="periodic")
+    square = Grid(bounds=((0, np.pi), (0, np.pi)), counts=(21, 21))
+    X, Y = square.mesh()
+    return [
+        ("born-infeld", born_infeld(), ring, 0.5 * np.sin(x)[None],
+         -0.5 * np.cos(x)[None], 0.1 * np.sin(2 * x)),
+        ("string", string(lam=0.5, gamma=0.3, B=1.0), ring,
+         np.stack([np.sin(x), 0.3 * np.cos(2 * x)]),
+         np.stack([0.2 * np.cos(x), np.sin(3 * x)]), 0.1 * np.cos(x)),
+        ("membrane", membrane(mu=1.0, gamma=0.2), square,
+         (np.sin(X) * np.sin(Y))[None],
+         (0.3 * np.sin(2 * X) * np.sin(Y))[None],
+         0.1 * np.sin(X) * np.cos(Y))]
+
+
+@pytest.mark.parametrize("case", rhs_cases(), ids=lambda c: c[0])
+def test_rhs_equals_dense_reference_bitwise(case):
+    _, model, grid, phi, phidot, s1 = case
+    got = _state_rhs(model, grid, phi, phidot, s1)[:3]
+    for x, want in zip(got, reference_rhs(model, grid, phi, phidot, s1)):
+        x = np.broadcast_to(x, want.shape)
+        assert x.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("case", rhs_cases()[:2], ids=lambda c: c[0])
+def test_periodic_rhs_pads_each_field_once(case, monkeypatch):
+    # one right-hand side pads each field it differences once: phi, for
+    # its first and second differences, and phidot, for the mixed
+    # entries of Born-Infeld's W; s1 is never differenced
+    name, model, grid, phi, phidot, s1 = case
+    concatenate, padded = np.concatenate, []
+
+    def recording(arrays, axis=0):
+        padded.append(arrays[1])
+        return concatenate(arrays, axis=axis)
+
+    monkeypatch.setattr(np, "concatenate", recording)
+    _state_rhs(model, grid, phi, phidot, s1)
+    want = [phi, phidot] if name == "born-infeld" else [phi]
+    assert len(padded) == len(want)
+    assert all(np.array_equal(f, g) for f, g in zip(padded, want))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from kcontact import membrane
 from kcontact.taylor import T2, TaylorContext, cos, exp, log, sin, sqrt, \
-    tanh, variable, variables
+    tanh, variables
 
 
 def fd_second(f, x0, i, j, h=1e-4):
@@ -23,7 +23,19 @@ def fd_second(f, x0, i, j, h=1e-4):
 
 
 def seed_all(ctx, x0):
-    return [variable(ctx, j, x0[j]) for j in range(ctx.m)]
+    """The seeds of every coordinate at the flat point x0 (q | v | s),
+    each value of x0's trailing shape, as `variables` makes them."""
+    n, k, nv = ctx.n, ctx.k, ctx.nv
+    q, v, s = variables(ctx, x0[:n], x0[n:n + nv].reshape(
+        (n, k) + x0.shape[1:]), x0[n + nv:])
+    return [*q, *(x for row in v for x in row), *s]
+
+
+def variable(ctx, index, value):
+    """The seed of coordinate `index` at `value`."""
+    x0 = np.zeros((ctx.m,) + np.shape(value))
+    x0[index] = value
+    return seed_all(ctx, x0)[index]
 
 
 class TestArithmetic:
