@@ -151,11 +151,10 @@ def _d1(f, h, axis, periodic, wrapped=None):
     (`wrapped`, if given, is `_wrap(f, axis)`), else one-sided second-order
     at both ends with numpy's coefficients (it equals numpy's `gradient`
     with edge_order=2 bit for bit); also the trace stencil."""
+    at = partial(_at, axis)
     if periodic:
         f = _wrap(f, axis) if wrapped is None else wrapped
-        return (f[_at(axis, 2, None)]
-                - f[_at(axis, None, -2)]) / (2 * h)
-    at = partial(_at, axis)
+        return (f[at(2, None)] - f[at(None, -2)]) / (2 * h)
     out = np.empty_like(f)
     out[at(1, -1)] = (f[at(2, None)] - f[at(None, -2)]) / (2. * h)
     out[at(None, 1)] = (-1.5 / h * f[at(None, 1)] + 2. / h * f[at(1, 2)]
@@ -167,12 +166,10 @@ def _d1(f, h, axis, periodic, wrapped=None):
 
 def _d2(f, h, axis, periodic, wrapped=None):
     """Central second difference along `axis`, wrapped as in `_d1`."""
+    at = partial(_at, axis)
     if periodic:
         f = _wrap(f, axis) if wrapped is None else wrapped
-        return (f[_at(axis, 2, None)]
-                - 2 * f[_at(axis, 1, -1)]
-                + f[_at(axis, None, -2)]) / h ** 2
-    at = partial(_at, axis)
+        return (f[at(2, None)] - 2 * f[at(1, -1)] + f[at(None, -2)]) / h ** 2
     out = np.empty_like(f)
     out[at(1, -1)] = (f[at(2, None)] - 2 * f[at(1, -1)]
                       + f[at(None, -2)]) / h ** 2
