@@ -277,7 +277,7 @@ def cmd_derive(args) -> int:
         if not np.all(hw.regular):
             z = PhasePoint(q=z.q[:, hw.regular], v=z.v[:, :, hw.regular],
                            s=z.s[:, hw.regular])
-            jet = evaluate_jet(model, z)
+            jet = jet.take(hw.regular)
         vcomp = reeb(jet)
         sopde = assemble_sopde(jet, z)
         points.append((np.flatnonzero(hw.regular), {
@@ -311,29 +311,40 @@ def _initial_state(model, grid: Grid, kind: str, amplitude: float
                     s1=np.zeros(S), t=0.0)
 
 
-def cmd_simulate(args) -> int:
-    model = _model_from_args(args)
-    grid = parse_grid(args.grid or "", args.bc)
-    if not args.output:
-        raise ConfigError("simulate requires --output DIR")
-    initial = _initial_state(model, grid, args.init, args.amplitude)
-    # trace.csv is formatted by the export's writer process while the
-    # steps run; a bad --output fails before the first step
-    with _TraceExport(args.output, grid, model.n) as export:
-        trace = run(model, grid, args.dt, args.t_end, initial,
-                    output_every=args.output_every, on_frame=export.frame)
-        manifest = export.finish(trace)
+def _trace_residuals(model, trace) -> dict:
+    """The manifest entries of a simulated trace's residuals."""
     rEL, rS = trace_el_residual(model, trace)
-    manifest["max_el_residual"] = rEL
-    manifest["max_s_residual"] = rS
     try:
         du = float(np.max(np.abs(dissipation_law_check(
             model, dissipated_quantity(builtin_symmetry_field(model, "du")),
             trace))))
     except NotRegularError:  # no Reeb fields, so no dissipation law
         du = None
-    manifest["dissipated_quantity_residuals"] = {"du": du}
-    _emit(manifest, Path(args.output) / "manifest.json")
+    return {"max_el_residual": rEL, "max_s_residual": rS,
+            "dissipated_quantity_residuals": {"du": du}}
+
+
+def cmd_simulate(args) -> int:
+    model = _model_from_args(args)
+    grid = parse_grid(args.grid or "", args.bc)
+    if not args.output:
+        raise ConfigError("simulate requires --output DIR")
+    initial = _initial_state(model, grid, args.init, args.amplitude)
+    # trace.csv is formatted by the export's writer processes while the
+    # steps run, and the residuals while they format the last frames; a
+    # bad --output fails before the first step, and a residual error
+    # after the export is finished
+    error = None
+    with _TraceExport(args.output, grid, model.n) as export:
+        trace = run(model, grid, args.dt, args.t_end, initial,
+                    output_every=args.output_every, on_frame=export.frame)
+        try:
+            residuals = _trace_residuals(model, trace)
+        except KContactError as exc:
+            residuals, error = {}, exc
+        export.finish(trace, **residuals)
+    if error is not None:
+        raise error
     sys.stdout.write(f"trace written to {args.output} "
                      f"({trace.t.size} frames)\n")
     return 0

@@ -9,7 +9,7 @@ evaluates both on plain numpy arrays (fast path for simulation) and on
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable
 
@@ -200,6 +200,13 @@ class Jet2:
         if np.max(np.abs(W - Wt)) > 1e-12 * scale:
             raise KContactError("velocity Hessian block is not symmetric")
         return self
+
+    def take(self, at) -> "Jet2":
+        """The jet at the points `at` selects on the last batch axis; a
+        block of size 1 there (constant over the batch) stays as it is."""
+        return replace(self, **{
+            name: block if block.shape[-1] == 1 else block[..., at]
+            for name, block in vars(self).items() if name != "layout"})
 
 
 @dataclass(frozen=True)

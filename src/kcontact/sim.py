@@ -492,30 +492,43 @@ def s_accumulation_check(trace: SimTrace, model: LagrangianModel) -> float:
 
 # -- trace export/import -----------------------------------------------
 # trace.npz holds the arrays `load_trace` reads; trace.csv is an export
-# for other tools and is never read back.  A child process
-# (`_trace_csv.py`) formats trace.csv from the frames as they are sent,
-# so during `run` the formatting overlaps the time stepping.
+# for other tools and is never read back.  Writer processes
+# (`_trace_csv.py`), one per CPU, format trace.csv from the frames as
+# they are sent, frame f by writer f mod W, and append them in frame
+# order by passing a token round a ring of pipes; during `run` the
+# formatting overlaps the time stepping.
 
 TRACE_ARRAYS = ("t", "phi", "phidot", "s1")
 CSV_WRITER = Path(__file__).with_name("_trace_csv.py")
+
+
+def _writer_count(frames=None) -> int:
+    """One trace.csv writer per CPU this process may run on, and no more
+    than `frames` (but at least one) when the frame count is known."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, cpus if frames is None else frames))
 
 
 class _TraceExport:
     """A trace directory being written; a context manager.
 
     Entering it creates the directory, opens trace.csv under a temporary
-    name and starts the writer process on it, so a path that cannot be
-    written fails (ConfigError) before any step runs.  `frame` sends one
-    state's float64 bytes down the writer's stdin; the pipe blocks, so
-    only the frames the pipe holds are in flight.  `finish` waits for
-    the writer, writes manifest.json and trace.npz and moves trace.csv
-    into place, the last step.  Leaving the block by any exception
-    kills and reaps the writer and removes the temporary file, or the
-    directory if it was created here, so a failed export leaves no
-    trace.csv.  A writer that fails raises ConfigError naming
+    name and starts the writer processes on it, one per CPU and no more
+    than `frames` when that is given, so a path that cannot be written
+    fails (ConfigError) before any step runs.  `frame` sends one state's
+    float64 bytes down the stdin of the next writer in turn; the pipe
+    blocks, so only the frames the pipes hold are in flight.  `finish`
+    waits for the writers, writes manifest.json and trace.npz and moves
+    trace.csv into place, the last step.  Leaving the block by any
+    exception kills and reaps the writers and removes the temporary
+    file, or the directory if it was created here, so a failed export
+    leaves no trace.csv.  A writer that fails raises ConfigError naming
     trace.csv."""
 
-    def __init__(self, directory, grid: Grid, n: int):
+    def __init__(self, directory, grid: Grid, n: int, frames=None):
         self.directory = Path(directory)
         self.grid = grid
         self.cols = (["t"] + [f"x{a + 1}" for a in range(grid.ndim)]
@@ -526,67 +539,96 @@ class _TraceExport:
         self.created = next((p for p in (*reversed(self.directory.parents),
                                          self.directory)
                              if not p.exists()), None)
-        self.proc = None
+        self.writers = _writer_count(frames)
+        self.procs = []
+        self.sent = 0
 
     def __enter__(self):
         try:
             try:
                 self.directory.mkdir(parents=True, exist_ok=True)
                 with open(self.part, "wb") as out:
-                    self.proc = subprocess.Popen(
-                        [sys.executable, "-I", "-S", str(CSV_WRITER),
-                         str(math.prod(self.grid.shape)),
-                         str(self.grid.ndim)],
-                        stdin=subprocess.PIPE, stdout=out,
-                        stderr=subprocess.PIPE)
+                    self._start(out)
             except OSError as exc:
                 raise ConfigError(
                     f"cannot write a trace to {self.directory}: {exc}")
-            self._send((",".join(self.cols) + "\r\n").encode(),
-                       *(m.ravel() for m in self.grid.mesh()))
+            header = (",".join(self.cols) + "\r\n").encode()
+            mesh = [m.ravel() for m in self.grid.mesh()]
+            for proc in self.procs:
+                self._send(proc, header, *mesh)
         except BaseException:
             self._abort()
             raise
         return self
+
+    def _start(self, out):
+        """Start the writers on `out`, each passing the token from its
+        pipe of the ring to the next writer's; writer 0 holds it first."""
+        ring = [os.pipe() for _ in range(self.writers)]
+        try:
+            os.write(ring[0][1], b".")
+            for w in range(self.writers):
+                token = (ring[w][0], ring[(w + 1) % self.writers][1])
+                self.procs.append(subprocess.Popen(
+                    [sys.executable, "-I", "-S", str(CSV_WRITER),
+                     str(math.prod(self.grid.shape)), str(self.grid.ndim),
+                     *map(str, token), str(int(w == 0))],
+                    stdin=subprocess.PIPE, stdout=out,
+                    stderr=subprocess.PIPE, pass_fds=token))
+        finally:
+            for fd in itertools.chain.from_iterable(ring):
+                os.close(fd)
 
     def __exit__(self, exc_type, exc, tb):
         if exc_type is not None:
             self._abort()
 
     def frame(self, state: SimState):
-        """Send `state` (t, phi, phidot, s1) to the writer."""
-        self._send(np.array([state.t]), state.phi, state.phidot, state.s1)
+        """Send `state` (t, phi, phidot, s1) to the writer whose turn it
+        is."""
+        proc = self.procs[self.sent % self.writers]
+        self.sent += 1
+        self._send(proc, np.array([state.t]), state.phi, state.phidot,
+                   state.s1)
 
-    def _send(self, *chunks):
+    def _send(self, proc, *chunks):
         try:
             for c in chunks:
                 if isinstance(c, np.ndarray):
                     c = memoryview(np.ascontiguousarray(
                         c, dtype=np.float64).reshape(-1)).cast("B")
-                self.proc.stdin.write(c)
-        except OSError:  # the writer has gone: report how it ended
-            self.proc.kill()
+                proc.stdin.write(c)
+            # the whole record, so a writer never waits on bytes left
+            # in this process while the next writer waits for its token
+            proc.stdin.flush()
+        except OSError:  # a writer has gone: report how they ended
+            for p in self.procs:
+                p.kill()
             self._wait()
             raise
 
     def _wait(self):
-        """Close the writer's stdin, wait for it to exit, and raise
-        ConfigError unless it succeeded."""
-        with contextlib.suppress(OSError):  # a writer gone loses the rest
-            self.proc.stdin.close()
-        err = self.proc.stderr.read().decode(errors="replace").strip()
-        self.proc.stderr.close()
-        if self.proc.wait() != 0:
+        """Close the writers' stdin, wait for them to exit, and raise
+        ConfigError unless every one succeeded."""
+        for proc in self.procs:
+            with contextlib.suppress(OSError):  # a writer gone loses the rest
+                proc.stdin.close()
+        errs = []
+        for proc in self.procs:
+            errs += proc.stderr.read().decode(errors="replace").splitlines()
+            proc.stderr.close()
+            proc.wait()
+        codes = [str(p.returncode) for p in self.procs if p.returncode]
+        if codes:
             raise ConfigError(
                 f"the trace.csv writer for {self.directory} failed (exit "
-                f"{self.proc.returncode})"
-                + (f": {err.splitlines()[-1]}" if err else ""))
+                f"{', '.join(codes)})" + (f": {errs[-1]}" if errs else ""))
 
     def _abort(self):
-        if self.proc is not None:
-            self.proc.kill()
-            self.proc.wait()
-            for pipe in (self.proc.stdin, self.proc.stderr):
+        for proc in self.procs:
+            proc.kill()
+            proc.wait()
+            for pipe in (proc.stdin, proc.stderr):
                 with contextlib.suppress(OSError):
                     pipe.close()
         if self.created is not None:
@@ -595,9 +637,10 @@ class _TraceExport:
             with contextlib.suppress(OSError):
                 self.part.unlink()
 
-    def finish(self, trace: SimTrace) -> dict:
-        """Wait for the writer, write manifest.json and trace.npz, move
-        trace.csv into place; return the manifest."""
+    def finish(self, trace: SimTrace, **fields) -> dict:
+        """Wait for the writers, write manifest.json (with `fields` as
+        further entries) and trace.npz, move trace.csv into place; return
+        the manifest."""
         self._wait()
         directory = self.directory
         manifest = {
@@ -613,6 +656,7 @@ class _TraceExport:
             "frames": int(trace.t.size),
             "gauge": GAUGE_NOTE,
             "columns": self.cols,
+            **fields,
         }
         with open(directory / "manifest.json", "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -638,13 +682,14 @@ def save_trace(trace: SimTrace, directory):
 
     trace.csv has one row per frame and grid point (t, the grid
     coordinates, every phi, every phidot, s1; repr of each float),
-    formatted by the writer process every trace export uses.
-    trace.npz holds t (F,), phi (F, n, *S), phidot (F, n, *S) and
-    s1 (F, *S) as float64, with the members and bytes an uncompressed
-    `np.savez` of them has; `load_trace` reads it.  A directory that
-    cannot be written, or a writer that fails, raises ConfigError and
-    leaves no trace.csv."""
-    with _TraceExport(directory, trace.grid, trace.phi.shape[1]) as export:
+    formatted by the writer processes every trace export uses: one per
+    CPU, and no more than the trace has frames.  trace.npz holds t (F,),
+    phi (F, n, *S), phidot (F, n, *S) and s1 (F, *S) as float64, with
+    the members and bytes an uncompressed `np.savez` of them has;
+    `load_trace` reads it.  A directory that cannot be written, or a
+    writer that fails, raises ConfigError and leaves no trace.csv."""
+    with _TraceExport(directory, trace.grid, trace.phi.shape[1],
+                      frames=trace.t.size) as export:
         for idx in range(trace.t.size):
             export.frame(trace.state(idx))
         return export.finish(trace)

@@ -85,7 +85,8 @@ def membrane_undamped_run():
 @pytest.fixture
 def writers(monkeypatch):
     """The list of every process that trace exports start in the test
-    (the trace.csv writers), appended to as they start."""
+    (the trace.csv writers), appended to as they start.  At teardown
+    each of them must have been reaped."""
     procs, popen = [], subprocess.Popen
 
     def recording(*args, **kwargs):
@@ -93,7 +94,16 @@ def writers(monkeypatch):
         return procs[-1]
 
     monkeypatch.setattr(sim.subprocess, "Popen", recording)
-    return procs
+    yield procs
+    if procs:
+        assert_reaped(procs)
+
+
+def pin_writers(monkeypatch, count):
+    """Make trace exports see `count` CPUs, so each starts `count`
+    writers (fewer in `save_trace` of a trace with fewer frames)."""
+    monkeypatch.setattr(sim.os, "sched_getaffinity",
+                        lambda pid: set(range(count)))
 
 
 def assert_reaped(procs):

@@ -20,7 +20,7 @@ from kcontact.errors import ConfigError
 from kcontact.models import MODEL_NAMES, MODEL_PARAMS, MODELS, build_model
 from kcontact.sim import run, step
 from kcontact.jet import LagrangianModel
-from conftest import assert_reaped, cubic
+from conftest import assert_reaped, cubic, pin_writers
 from test_sim import growing_speed
 
 
@@ -134,11 +134,11 @@ class TestDerive:
         (("--model", "string", "--rho", "0"), 1),
         # the cubic density, at regular and singular points
         (("--model", "free", "--point", "v=1,2", "--point", "v=0,1",
-          "--point", "v=-1,0.5"), 2)])
+          "--point", "v=-1,0.5"), 1)])
     def test_jets_evaluated(self, capsys, monkeypatch, argv, jets):
         """One jet serves every quantity of the report; where some point
-        is singular, the Reeb and SOPDE data take a second jet at the
-        regular points."""
+        is singular, the Reeb and SOPDE data use it at the regular
+        points."""
         if "--point" in argv:
             monkeypatch.setattr(cli, "build_model", lambda name, params: (
                 LagrangianModel(n=1, k=2, name="cubic", lagrangian=cubic)))
@@ -146,6 +146,31 @@ class TestDerive:
         code, _ = run_cli(capsys, "derive", *argv)
         assert code == 0
         assert len(calls) == jets
+
+    def test_mixed_points_report_each_point_as_alone(self, capsys,
+                                                     monkeypatch):
+        # the cubic density at regular and singular points: each entry
+        # of the report, including the Reeb and SOPDE data that the jet
+        # sliced at the regular points gives, is the one a derive of
+        # that point alone writes
+        monkeypatch.setattr(cli, "build_model", lambda name, params: (
+            LagrangianModel(n=1, k=2, name="cubic", lagrangian=cubic)))
+        points = ["v=1,2", "v=0,1", "q=0.3;v=-1,0.5;s=1,2", "v=2,0",
+                  "q=-0.7;v=0.5,-2;s=0.1,0"]
+
+        def entries(*texts):
+            argv = ["derive", "--model", "free"]
+            for text in texts:
+                argv += ["--point", text]
+            code, rep = report_of(capsys, *argv)
+            assert code == 0
+            return rep["points"]
+
+        together = entries(*points)
+        assert [e["regular"] for e in together] == [True, False, True,
+                                                    False, True]
+        assert "reeb" in together[0] and "reeb" not in together[1]
+        assert together == [entries(text)[0] for text in points]
 
     def test_one_reeb_solve(self, capsys, monkeypatch):
         # the Reeb fields solved for the report also give R_a(E) and
@@ -187,7 +212,11 @@ class TestDerive:
 
 class TestSimulate:
     def test_run_writes_trace_and_manifest(self, capsys, tmp_path,
-                                           writers):
+                                           writers, monkeypatch):
+        # two writers; the export writes the manifest once, residuals
+        # included, so simulate writes no report of its own
+        pin_writers(monkeypatch, 2)
+        monkeypatch.setattr(cli, "_emit", None)
         out = tmp_path / "run"
         code, _ = run_cli(capsys, "simulate", "--model", "membrane",
                           "--mu", "1", "--gamma", "0.2",
@@ -195,7 +224,9 @@ class TestSimulate:
                           "--t-end", "0.5", "--output-every", "2",
                           "--output", str(out))
         assert code == 0
-        manifest = json.loads((out / "manifest.json").read_text())
+        text = (out / "manifest.json").read_text()
+        manifest = json.loads(text)
+        assert text == json.dumps(manifest, indent=2, sort_keys=True) + "\n"
         jsonschema.validate(manifest, load_schema("manifest.schema.json"))
         assert manifest["max_el_residual"] < 1.0
         assert "du" in manifest["dissipated_quantity_residuals"]
@@ -203,7 +234,7 @@ class TestSimulate:
         assert header == "t,x1,x2,phi0,phidot0,s1"
         assert sorted(p.name for p in out.iterdir()) == [
             "manifest.json", "trace.csv", "trace.npz"]
-        assert [p.returncode for p in writers] == [0]
+        assert [p.returncode for p in writers] == [0, 0]
         assert_reaped(writers)
 
     def test_zero_dt_exits_3(self, capsys, tmp_path):
@@ -283,7 +314,8 @@ class TestSimulate:
     def test_cfl_violation_mid_run_leaves_no_trace(self, capsys, tmp_path,
                                                    monkeypatch, writers):
         # the growing wave speed passes the CFL limit at step 18, after
-        # four frames went to the writer
+        # four frames went to the two writers
+        pin_writers(monkeypatch, 2)
         model, grid, init = growing_speed()
         monkeypatch.setattr(cli, "_model_from_args", lambda args: model)
         monkeypatch.setattr(cli, "_initial_state", lambda *args: init)
@@ -293,7 +325,7 @@ class TestSimulate:
         assert code == 3
         assert "CFL violation" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
-        assert len(writers) == 1 and writers[0].returncode is not None
+        assert len(writers) == 2
         assert_reaped(writers)
 
     def test_killed_writer_exits_2(self, capsys, tmp_path, monkeypatch,

@@ -231,6 +231,26 @@ def test_quadratic_hessian_blocks_batch_constant(model):
         assert getattr(jet, name).shape[-2:] == (1, 1), name
 
 
+@pytest.mark.parametrize("model", [membrane(), born_infeld()],
+                         ids=lambda m: m.name)
+def test_take_is_the_jet_at_the_points_taken(model):
+    # every block equals the jet evaluated at the points taken, bit for
+    # bit; the membrane's batch-constant Hessian blocks stay size 1
+    z = random_phase_point(model, np.random.default_rng(4), scale=0.5,
+                           size=6)
+    at = np.array([True, False, False, True, True, False])
+    jet = evaluate_jet(model, z).take(at)
+    ref = evaluate_jet(model, PhasePoint(q=z.q[:, at], v=z.v[:, :, at],
+                                         s=z.s[:, at]))
+    assert jet.layout is ref.layout
+    for name in Jet2.__dataclass_fields__:
+        if name != "layout":
+            block, want = getattr(jet, name), getattr(ref, name)
+            assert block.shape == want.shape, name
+            assert block.tobytes() == want.tobytes(), name
+    assert (jet.d2Ldvdv.shape[-1] == 1) == (model.name == "membrane")
+
+
 # the 101x101 membrane trace: 51 frames of a 101x101 grid
 TRACE_BATCH = (51, 101, 101)
 

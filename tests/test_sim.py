@@ -4,6 +4,8 @@ import csv
 import io
 import json
 import math
+import os
+import signal
 import zipfile
 
 import numpy as np
@@ -19,7 +21,7 @@ from kcontact.jet import evaluate_jet_batch
 from kcontact.sim import (CFL_FACTOR, _d1, _d2, _eigvals, _point_arrays,
                           _state_rhs, char_speeds, check_cfl)
 from kcontact.taylor import cos, exp, sqrt
-from conftest import assert_reaped
+from conftest import assert_reaped, pin_writers
 from test_jet import born_infeld
 
 
@@ -601,10 +603,11 @@ class TestExport:
              SimState(phi=np.ones(1), phidot=np.zeros(1), s1=np.zeros(()))),
         ]
 
-    def test_export_is_byte_identical(self, tmp_path, writers):
-        # the writer process formats what the in-process formatter did,
+    def test_export_is_byte_identical(self, tmp_path, writers, monkeypatch):
+        # two writer processes format what the in-process formatter did,
         # whether save_trace sends the frames or run hands them over as
         # it records them
+        pin_writers(monkeypatch, 2)
         for label, model, grid, init in self.export_cases():
             live = tmp_path / label / "live"
             with sim._TraceExport(live, grid, model.n) as export:
@@ -614,8 +617,56 @@ class TestExport:
             save_trace(trace, tmp_path / label / "saved")
             for path in (live, tmp_path / label / "saved"):
                 self.assert_exported(trace, path)
-        assert len(writers) == 6
+        assert len(writers) == 12  # two writers for each of 6 exports
         assert_reaped(writers)
+
+    @staticmethod
+    def random_trace(frames):
+        """A trace of `frames` frames of random floats on an 8x9 grid."""
+        grid = Grid(bounds=((0, 1), (0, 2)), counts=(8, 9))
+        rng = np.random.default_rng(frames)
+        return SimTrace(model_name="string", params={"gamma": 0.3},
+                        grid=grid, dt=0.05, output_every=1,
+                        t=0.05 * np.arange(frames),
+                        phi=rng.standard_normal((frames, 2) + grid.shape),
+                        phidot=rng.standard_normal((frames, 2) + grid.shape),
+                        s1=rng.standard_normal((frames,) + grid.shape))
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_every_writer_count_is_byte_identical(self, tmp_path, writers,
+                                                  monkeypatch, cpus):
+        # frames dealt round-robin to 1, 2 or 3 writers, with fewer frames
+        # than writers and frame counts the writer count does not divide;
+        # a live export starts a writer per CPU, save_trace no more
+        # writers than frames
+        pin_writers(monkeypatch, cpus)
+        started = 0
+        for frames in (1, 2, 4, 7):
+            trace = self.random_trace(frames)
+            live = tmp_path / f"{frames}" / "live"
+            with sim._TraceExport(live, trace.grid, 2) as export:
+                for idx in range(frames):
+                    export.frame(trace.state(idx))
+                export.finish(trace)
+            save_trace(trace, tmp_path / f"{frames}" / "saved")
+            for path in (live, tmp_path / f"{frames}" / "saved"):
+                self.assert_exported(trace, path)
+            started += cpus + min(cpus, frames)
+            assert len(writers) == started
+        assert [p.returncode for p in writers] == [0] * started
+
+    def test_writer_count(self, monkeypatch):
+        # one writer per CPU this process may run on, or per CPU of the
+        # machine where there is no affinity call; no more than the
+        # frames where their count is known, but at least one
+        pin_writers(monkeypatch, 3)
+        assert [sim._writer_count(f) for f in (None, 0, 2, 3, 9)] == [
+            3, 1, 2, 3, 3]
+        monkeypatch.delattr(sim.os, "sched_getaffinity")
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 5)
+        assert [sim._writer_count(f) for f in (None, 4)] == [5, 4]
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: None)
+        assert sim._writer_count() == 1
 
     def test_export_covers_every_repr_form(self, tmp_path):
         # signed zeros, the smallest subnormal, exponent forms on both
@@ -649,11 +700,14 @@ class TestExport:
 
     def test_killed_writer_raises_config_error(self, tmp_path, writers,
                                                monkeypatch):
+        # the writer of the second frame, one of two, is killed before
+        # that frame is sent
+        pin_writers(monkeypatch, 2)
         frame = sim._TraceExport.frame
 
         def kill_at_second_frame(export, state):
             if state.t > 0:
-                export.proc.kill()
+                export.procs[export.sent % export.writers].kill()
             frame(export, state)
 
         monkeypatch.setattr(sim._TraceExport, "frame", kill_at_second_frame)
@@ -667,7 +721,38 @@ class TestExport:
         # there, no trace file is written
         assert not (tmp_path / "new").exists()
         assert list((tmp_path / "old").iterdir()) == []
-        assert [p.returncode for p in writers] == [-9, -9]
+        # the killed writers, and the first writers, which either wait
+        # in vain for the token or are killed when a send fails
+        codes = [p.returncode for p in writers]
+        assert codes[1::2] == [-9, -9] and set(codes[::2]) <= {1, -9}
+        assert_reaped(writers)
+
+    def test_writer_dying_before_its_frame_stops_the_ring(self, tmp_path,
+                                                          writers,
+                                                          monkeypatch):
+        # writer 1 of 3 is stopped before any frame is sent and killed
+        # once all five are: writer 2 reads the end of its token pipe
+        # before frame 2 and exits 1, and so does writer 0 before frame 3
+        pin_writers(monkeypatch, 3)
+        frame, finish = sim._TraceExport.frame, sim._TraceExport.finish
+
+        def stop_writer_1(export, state):
+            if export.sent == 0:
+                os.kill(export.procs[1].pid, signal.SIGSTOP)
+            frame(export, state)
+
+        def kill_writer_1(export, trace):
+            export.procs[1].kill()
+            return finish(export, trace)
+
+        monkeypatch.setattr(sim._TraceExport, "frame", stop_writer_1)
+        monkeypatch.setattr(sim._TraceExport, "finish", kill_writer_1)
+        with pytest.raises(ConfigError, match=(
+                r"trace.csv writer for .* failed \(exit 1, -9, 1\): an "
+                r"earlier trace.csv writer ended before its frame")):
+            save_trace(self.random_trace(5), tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+        assert [p.returncode for p in writers] == [1, -9, 1]
         assert_reaped(writers)
 
     @pytest.mark.parametrize("error", [SimulationError, KeyboardInterrupt])
