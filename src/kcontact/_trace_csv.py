@@ -33,6 +33,10 @@ import signal
 import sys
 from array import array
 
+# What a writer reports when the end of TOKEN_IN shows that an earlier
+# writer died
+RING_BROKEN = "an earlier trace.csv writer ended before its frame"
+
 
 def _floats(stream, count):
     """The next `count` float64 values of `stream` as a list of floats,
@@ -64,7 +68,7 @@ def main(points, dims, token_in, token_out, first):
                    for j in range(width)])
         rows = ("\r\n".join(map(",".join, zip(*cols))) + "\r\n").encode()
         if not os.read(token_in, 1):
-            sys.exit("an earlier trace.csv writer ended before its frame")
+            sys.exit(RING_BROKEN)
         dst.write(rows)
         dst.flush()
         try:

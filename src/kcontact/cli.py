@@ -32,7 +32,8 @@ from .inverse import (PdeSpec, build_lagrangian, membrane_spec,
 from .jet import PhasePoint, _from_rows, evaluate_jet, random_phase_point
 from .models import MODEL_NAMES, MODEL_PARAMS, MODELS, build_model
 from .sim import (SCHEMA_VERSION, Grid, SimState, _trace_slabs,
-                  _TraceExport, load_trace, run, trace_el_residual)
+                  _TraceExport, frame_count, load_trace, run,
+                  trace_el_residual)
 from .symmetry import (builtin_symmetry_field, check_contact_symmetry,
                        dissipated_quantity, dissipation_law_check)
 
@@ -330,17 +331,18 @@ def cmd_simulate(args) -> int:
     if not args.output:
         raise ConfigError("simulate requires --output DIR")
     initial = _initial_state(model, grid, args.init, args.amplitude)
+    frames = frame_count(args.dt, args.t_end, args.output_every)
     # trace.csv is formatted by the export's writer processes while the
     # steps run, and the residuals while they format the last frames; a
-    # bad --output fails before the first step, and a residual error
-    # after the export is finished
+    # bad --output fails before the first step, and a residual error (an
+    # interrupt too) after the export is finished, its trace kept
     error = None
-    with _TraceExport(args.output, grid, model.n) as export:
+    with _TraceExport(args.output, grid, model.n, frames=frames) as export:
         trace = run(model, grid, args.dt, args.t_end, initial,
                     output_every=args.output_every, on_frame=export.frame)
         try:
             residuals = _trace_residuals(model, trace)
-        except KContactError as exc:
+        except BaseException as exc:
             residuals, error = {}, exc
         export.finish(trace, **residuals)
     if error is not None:

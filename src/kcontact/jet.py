@@ -203,9 +203,11 @@ class Jet2:
 
     def take(self, at) -> "Jet2":
         """The jet at the points `at` selects on the last batch axis; a
-        block of size 1 there (constant over the batch) stays as it is."""
+        block of size 1 there (constant over the batch) stays as it is,
+        unless the batch has one point too."""
+        keep = self.L.shape[-1] > 1
         return replace(self, **{
-            name: block if block.shape[-1] == 1 else block[..., at]
+            name: block if keep and block.shape[-1] == 1 else block[..., at]
             for name, block in vars(self).items() if name != "layout"})
 
 

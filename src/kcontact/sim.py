@@ -27,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._trace_csv import RING_BROKEN
 from .contact import solve_batch
 from .dynamics import el_residual_batch, evolution_rhs_batch
 from .errors import ConfigError, SimulationError
@@ -307,6 +308,23 @@ def step(model: LagrangianModel, state: SimState, grid: Grid,
     return SimState(phi=new[0], phidot=new[1], s1=new[2], t=state.t + dt)
 
 
+def _steps(dt: float, t_end: float, output_every: int) -> int:
+    """The steps `run` takes: t_end / dt rounded, at least one, and up to
+    a multiple of `output_every`."""
+    if dt <= 0:
+        raise SimulationError("nonpositive step")
+    if output_every < 1:
+        raise SimulationError("output_every must be >= 1")
+    steps = max(1, int(round(t_end / dt)))
+    return steps + -steps % output_every
+
+
+def frame_count(dt: float, t_end: float, output_every: int) -> int:
+    """The frames `run` records with these arguments, the initial state
+    included; raises SimulationError where `run` would."""
+    return _steps(dt, t_end, output_every) // output_every + 1
+
+
 def run(model: LagrangianModel, grid: Grid, dt: float, t_end: float,
         initial: SimState, output_every: int = 1,
         on_frame=None) -> SimTrace:
@@ -320,13 +338,7 @@ def run(model: LagrangianModel, grid: Grid, dt: float, t_end: float,
     if grid.ndim != model.k - 1:
         raise ConfigError(f"model has {model.k - 1} spatial directions, "
                           f"grid has {grid.ndim}")
-    if dt <= 0:
-        raise SimulationError("nonpositive step")
-    if output_every < 1:
-        raise SimulationError("output_every must be >= 1")
-    steps = max(1, int(round(t_end / dt)))
-    if steps % output_every:
-        steps += output_every - steps % output_every
+    steps = _steps(dt, t_end, output_every)
     state = initial.check_finite()
     frames = []
     for j in range(steps + 1):
@@ -493,31 +505,39 @@ def s_accumulation_check(trace: SimTrace, model: LagrangianModel) -> float:
 # -- trace export/import -----------------------------------------------
 # trace.npz holds the arrays `load_trace` reads; trace.csv is an export
 # for other tools and is never read back.  Writer processes
-# (`_trace_csv.py`), one per CPU, format trace.csv from the frames as
-# they are sent, frame f by writer f mod W, and append them in frame
-# order by passing a token round a ring of pipes; during `run` the
-# formatting overlaps the time stepping.
+# (`_trace_csv.py`), one per CPU up to MAX_WRITERS, format trace.csv
+# from the frames as they are sent, frame f by writer f mod W, and
+# append them in frame order by passing a token round a ring of pipes;
+# during `run` the formatting overlaps the time stepping.
 
 TRACE_ARRAYS = ("t", "phi", "phidot", "s1")
 CSV_WRITER = Path(__file__).with_name("_trace_csv.py")
+# The most writers an export starts.  Two writers were measured against
+# one on a 2-CPU host (BENCH_23.json); whether more gain on a larger
+# host is not measured, and each writer is a process of about 25 MB
+# that formats the whole mesh.
+MAX_WRITERS = 2
 
 
 def _writer_count(frames=None) -> int:
-    """One trace.csv writer per CPU this process may run on, and no more
-    than `frames` (but at least one) when the frame count is known."""
+    """One trace.csv writer per CPU this process may run on, up to
+    MAX_WRITERS, and no more than `frames` (but at least one) when the
+    frame count is known."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity on this platform
         cpus = os.cpu_count() or 1
-    return max(1, min(cpus, cpus if frames is None else frames))
+    return max(1, min(cpus, MAX_WRITERS,
+                      MAX_WRITERS if frames is None else frames))
 
 
 class _TraceExport:
     """A trace directory being written; a context manager.
 
     Entering it creates the directory, opens trace.csv under a temporary
-    name and starts the writer processes on it, one per CPU and no more
-    than `frames` when that is given, so a path that cannot be written
+    name and starts the writer processes on it (`_writer_count`: one per
+    CPU up to MAX_WRITERS, and no more than `frames` when that is
+    given), so a path that cannot be written
     fails (ConfigError) before any step runs.  `frame` sends one state's
     float64 bytes down the stdin of the next writer in turn; the pipe
     blocks, so only the frames the pipes hold are in flight.  `finish`
@@ -620,9 +640,12 @@ class _TraceExport:
             proc.wait()
         codes = [str(p.returncode) for p in self.procs if p.returncode]
         if codes:
+            # the writer that failed first, not the ones that ended
+            # because it did
+            cause = [e for e in errs if e != RING_BROKEN] or errs
             raise ConfigError(
                 f"the trace.csv writer for {self.directory} failed (exit "
-                f"{', '.join(codes)})" + (f": {errs[-1]}" if errs else ""))
+                f"{', '.join(codes)})" + (f": {cause[-1]}" if cause else ""))
 
     def _abort(self):
         for proc in self.procs:
@@ -683,7 +706,8 @@ def save_trace(trace: SimTrace, directory):
     trace.csv has one row per frame and grid point (t, the grid
     coordinates, every phi, every phidot, s1; repr of each float),
     formatted by the writer processes every trace export uses: one per
-    CPU, and no more than the trace has frames.  trace.npz holds t (F,),
+    CPU up to MAX_WRITERS, and no more than the trace has frames.
+    trace.npz holds t (F,),
     phi (F, n, *S), phidot (F, n, *S) and s1 (F, *S) as float64, with
     the members and bytes an uncompressed `np.savez` of them has;
     `load_trace` reads it.  A directory that cannot be written, or a

@@ -100,10 +100,12 @@ def writers(monkeypatch):
 
 
 def pin_writers(monkeypatch, count):
-    """Make trace exports see `count` CPUs, so each starts `count`
-    writers (fewer in `save_trace` of a trace with fewer frames)."""
+    """Make trace exports see `count` CPUs and allow `count` writers
+    (`sim.MAX_WRITERS`), so each starts `count` writers (fewer where the
+    export knows of fewer frames)."""
     monkeypatch.setattr(sim.os, "sched_getaffinity",
                         lambda pid: set(range(count)))
+    monkeypatch.setattr(sim, "MAX_WRITERS", count)
 
 
 def assert_reaped(procs):

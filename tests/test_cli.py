@@ -257,6 +257,38 @@ class TestSimulate:
                               "--trace", str(out))
             assert code == 3
 
+    def test_no_more_writers_than_frames(self, capsys, tmp_path,
+                                         monkeypatch, writers):
+        # one step and so two frames: of three writers allowed, the
+        # export starts two
+        pin_writers(monkeypatch, 3)
+        code = main(["simulate", "--model", "membrane",
+                     "--grid", "0,pi,17;0,pi,17", "--dt", "0.05",
+                     "--t-end", "0.05", "--output", str(tmp_path / "x")])
+        assert code == 3  # too few frames for the residuals
+        assert (tmp_path / "x" / "trace.csv").exists()
+        assert [p.returncode for p in writers] == [0, 0]
+        assert_reaped(writers)
+
+    def test_interrupted_residuals_keep_the_trace(self, tmp_path,
+                                                  monkeypatch, writers):
+        # an interrupt while the residuals are computed is raised once
+        # the export is finished, so the trace stays
+        def interrupted(model, trace):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_trace_residuals", interrupted)
+        out = tmp_path / "x"
+        with pytest.raises(KeyboardInterrupt):
+            main(["simulate", "--model", "membrane",
+                  "--grid", "0,pi,9;0,pi,9", "--dt", "0.05",
+                  "--t-end", "0.3", "--output", str(out)])
+        assert sorted(p.name for p in out.iterdir()) == [
+            "manifest.json", "trace.csv", "trace.npz"]
+        assert "max_el_residual" not in json.loads(
+            (out / "manifest.json").read_text())
+        assert_reaped(writers)
+
     def test_cfl_violation_exits_3(self, capsys, tmp_path):
         code, _ = run_cli(capsys, "simulate", "--model", "membrane",
                           "--mu", "2", "--grid", "0,pi,17;0,pi,17",

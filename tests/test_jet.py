@@ -251,6 +251,19 @@ def test_take_is_the_jet_at_the_points_taken(model):
     assert (jet.d2Ldvdv.shape[-1] == 1) == (model.name == "membrane")
 
 
+def test_take_from_one_point_slices_every_block():
+    # over a batch of one point every block has size 1 on the batch
+    # axis, so each is sliced: taking no point leaves none
+    model = membrane()
+    z = random_phase_point(model, np.random.default_rng(5), size=1)
+    jet = evaluate_jet(model, z)
+    for at, size in (([True], 1), ([False], 0), ([0], 1)):
+        taken = jet.take(np.array(at))
+        for name in Jet2.__dataclass_fields__:
+            if name != "layout":
+                assert getattr(taken, name).shape[-1] == size, (at, name)
+
+
 # the 101x101 membrane trace: 51 frames of a 101x101 grid
 TRACE_BATCH = (51, 101, 101)
 

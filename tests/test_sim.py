@@ -155,6 +155,19 @@ class TestGuards:
         with pytest.raises(SimulationError, match="nonpositive step"):
             run(model, grid, 0.0, 1.0, zero_state(model, grid))
 
+    def test_frame_count_is_what_run_records(self):
+        # steps rounded, at least one, up to a multiple of output_every
+        model = membrane(mu=1.0, gamma=0.0)
+        grid = Grid(bounds=((0, np.pi), (0, np.pi)), counts=(9, 9))
+        for dt, t_end, every in ((0.05, 0.3, 1), (0.05, 0.3, 4),
+                                 (0.05, 0.01, 3), (0.04, 0.3, 2)):
+            trace = run(model, grid, dt, t_end, zero_state(model, grid),
+                        output_every=every)
+            assert sim.frame_count(dt, t_end, every) == trace.t.size
+        for dt, every in ((0.0, 1), (0.05, 0)):
+            with pytest.raises(SimulationError):
+                sim.frame_count(dt, 1.0, every)
+
     def test_cfl_violation(self):
         model = membrane(mu=2.0, gamma=0.0)
         grid = Grid(bounds=((0, np.pi), (0, np.pi)), counts=(17, 17))
@@ -657,11 +670,17 @@ class TestExport:
 
     def test_writer_count(self, monkeypatch):
         # one writer per CPU this process may run on, or per CPU of the
-        # machine where there is no affinity call; no more than the
-        # frames where their count is known, but at least one
+        # machine where there is no affinity call; no more than
+        # MAX_WRITERS, nor than the frames where their count is known,
+        # but at least one
+        monkeypatch.setattr(sim.os, "sched_getaffinity",
+                            lambda pid: set(range(64)))
+        assert sim.MAX_WRITERS == 2
+        assert [sim._writer_count(f) for f in (None, 1, 9)] == [2, 1, 2]
         pin_writers(monkeypatch, 3)
         assert [sim._writer_count(f) for f in (None, 0, 2, 3, 9)] == [
             3, 1, 2, 3, 3]
+        monkeypatch.setattr(sim, "MAX_WRITERS", 8)
         monkeypatch.delattr(sim.os, "sched_getaffinity")
         monkeypatch.setattr(sim.os, "cpu_count", lambda: 5)
         assert [sim._writer_count(f) for f in (None, 4)] == [5, 4]
@@ -753,6 +772,24 @@ class TestExport:
             save_trace(self.random_trace(5), tmp_path / "out")
         assert not (tmp_path / "out").exists()
         assert [p.returncode for p in writers] == [1, -9, 1]
+        assert_reaped(writers)
+
+    def test_failed_writer_reports_its_own_error(self, tmp_path, writers,
+                                                 monkeypatch):
+        # writer 0 of 2 writes to a full device and fails; writer 1 then
+        # reads the end of its token pipe, and the error names the first
+        # failure, not the second
+        pin_writers(monkeypatch, 2)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "trace.csv.part").symlink_to("/dev/full")
+        with pytest.raises(ConfigError, match=(
+                r"trace.csv writer for .* failed \(exit .*\): .*No space "
+                r"left on device")) as info:
+            save_trace(self.random_trace(4), out)
+        assert sim.RING_BROKEN not in str(info.value)
+        assert list(out.iterdir()) == []
+        assert writers[0].returncode not in (0, None)
         assert_reaped(writers)
 
     @pytest.mark.parametrize("error", [SimulationError, KeyboardInterrupt])
