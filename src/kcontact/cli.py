@@ -34,8 +34,9 @@ from .models import MODEL_NAMES, MODEL_PARAMS, MODELS, build_model
 from .sim import (SCHEMA_VERSION, Grid, SimState, _trace_slabs,
                   _TraceExport, frame_count, load_trace, run,
                   trace_el_residual)
-from .symmetry import (builtin_symmetry_field, check_contact_symmetry,
-                       dissipated_quantity, dissipation_law_check)
+from .symmetry import (_dissipation_residual, builtin_symmetry_field,
+                       check_contact_symmetry, dissipated_quantity,
+                       dissipation_law_check)
 
 
 def _number(tok: str) -> float:
@@ -457,30 +458,41 @@ def _trace_verdict(residuals, tol) -> dict:
             "pass": all(lo <= r <= hi for r in ratios)}
 
 
-def _suite_dissipation(args, tol, traces) -> dict:
-    residuals = []
-    for trace, model in traces():
-        Y = _symmetry_field(model, args)
-        res = dissipation_law_check(model, dissipated_quantity(Y), trace)
-        residuals.append(float(np.max(np.abs(res))))
-    return {"suite": "dissipation", "field": Y.name,
-            **_trace_verdict(residuals, tol)}
+def _dissipation_slab(args, model):
+    """The dissipation suite's maximum over one slab of a trace of
+    `model`, and its report entries."""
+    F = dissipated_quantity(_symmetry_field(model, args))
+    return (lambda *slab: np.max(np.abs(_dissipation_residual(
+        F, *slab, halo=TRACE_HALO)))), {"field": F.Y.name}
 
 
-def _suite_hdw(args, tol, traces) -> dict:
-    """Maxima of `hdw_residual` along each trace, taken slab by slab, in
-    memory independent of the frame count."""
-    residuals = []
-    for trace, model in traces():
-        maxima = []
-        # hdw_residual strips two frames at both ends, so each slab
-        # carries two more; v is the Legendre preimage of the path's
-        # momenta, so the jet that gives them also starts the Newton solve
-        for q, v, s, spacings, jet in _trace_slabs(model, trace, halo=2):
-            path = momentum_path_from_arrays(jet, q, s, spacings)
-            maxima.append(hdw_residual(model, path, v0=v, jet=jet).max())
-        residuals.append(float(np.max(maxima)))
-    return {"suite": "hdw", **_trace_verdict(residuals, tol)}
+def _hdw_slab(args, model):
+    """The hdw suite's maximum over one slab of a trace of `model`.  v is
+    the Legendre preimage of the slab's momenta, so the jet that gives
+    them also starts the Newton solve."""
+    def residual(q, v, s, spacings, jet):
+        path = momentum_path_from_arrays(jet, q, s, spacings)
+        return hdw_residual(model, path, v0=v, jet=jet).max()
+    return residual, {}
+
+
+def _walk_traces(args, tols, traces) -> dict:
+    """The report of each trace suite in `tols` (name: tolerance) over
+    the loaded `traces`, from one slab walk per trace (`_trace_slabs`, in
+    memory independent of the frame count): every suite reads each slab
+    and its one jet in turn."""
+    residuals = {name: [] for name in tols}
+    for trace, model in traces:
+        suites = {name: TRACE_SUITES[name](args, model) for name in tols}
+        maxima = {name: [] for name in tols}
+        for slab in _trace_slabs(model, trace, halo=TRACE_HALO):
+            for name, (residual, _) in suites.items():
+                maxima[name].append(residual(*slab))
+        for name in tols:
+            residuals[name].append(float(np.max(maxima[name])))
+    return {name: {"suite": name, **entries,
+                   **_trace_verdict(residuals[name], tols[name])}
+            for name, (_, entries) in suites.items()}
 
 
 def _suite_inverse_roundtrip(args, tol, _sample) -> dict:
@@ -505,10 +517,15 @@ POINT_SUITES = {
     "inverse-roundtrip": _suite_inverse_roundtrip,
 }
 
+# per trace suite: (args, model) -> (the suite's maximum residual over
+# one slab of a trace of `model`, the suite's own report entries)
 TRACE_SUITES = {
-    "dissipation": _suite_dissipation,
-    "hdw": _suite_hdw,
+    "dissipation": _dissipation_slab,
+    "hdw": _hdw_slab,
 }
+
+# the time halo of verify's slab walk: `hdw_residual` strips two frames
+TRACE_HALO = 2
 
 SUITE_DEFAULT_TOL = {
     "reeb": 1e-9, "legendre": 1e-10, "sopde": 1e-9,
@@ -529,23 +546,26 @@ def cmd_verify(args) -> int:
         z = _sample_points(model, args)
         return model, z, evaluate_jet(model, z)
 
-    # each trace is read on first use and shared by every trace suite
-    load = functools.cache(_load_trace_and_model)
+    def tol(name):
+        return SUITE_DEFAULT_TOL[name] if args.tol is None else args.tol
 
-    def traces():
-        loaded = [load(path) for path in args.trace]
-        _check_refinement(args.trace, [trace for trace, _ in loaded])
-        return loaded
+    # the traces are read on first use and walked once, for every trace
+    # suite requested
+    @functools.cache
+    def trace_reports():
+        traces = [_load_trace_and_model(path) for path in args.trace]
+        _check_refinement(args.trace, [trace for trace, _ in traces])
+        return _walk_traces(args, {name: tol(name) for name in args.suite
+                                   if name in TRACE_SUITES}, traces)
 
     results = []
     for name in args.suite:  # --suite choices: the keys of both tables
-        tol = SUITE_DEFAULT_TOL[name] if args.tol is None else args.tol
         if name in POINT_SUITES:
-            results.append(POINT_SUITES[name](args, tol, sample))
+            results.append(POINT_SUITES[name](args, tol(name), sample))
         elif not args.trace:
             raise ConfigError(f"{name} suite requires --trace DIR")
         else:
-            results.append(TRACE_SUITES[name](args, tol, traces))
+            results.append(trace_reports()[name])
     report = _report_header("verify")
     report["suites"] = results
     report["pass"] = all(r["pass"] for r in results)

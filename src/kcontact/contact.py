@@ -46,7 +46,12 @@ def hessian(jet: Jet2) -> HessianW:
     """Flatten the v-v block and decide regularity by singular values
     (regular when the smallest exceeds RANK_TOL times the largest).
     The SVDs run over the block's own batch shape (once for a
-    batch-constant block); the results broadcast to the point batch."""
+    batch-constant block); the results broadcast to the point batch.
+    They run once per jet: the result is kept on the jet, so `reeb`,
+    `assemble_sopde` and the Newton solve of the same jet reuse it."""
+    hw = vars(jet).get("_hessian")
+    if hw is not None:
+        return hw
     n, k = jet.dLdv.shape[:2]
     batch = jet.dLdv.shape[2:]
     W = jet.d2Ldvdv.reshape((n * k, n * k) + jet.d2Ldvdv.shape[4:])
@@ -56,9 +61,11 @@ def hessian(jet: Jet2) -> HessianW:
     regular = smin > RANK_TOL * np.maximum(smax, 1e-300)
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = np.where(smin > 0, smax / smin, np.inf)
-    return HessianW(W=np.broadcast_to(W, W.shape[:2] + batch),
-                    regular=np.broadcast_to(regular, batch),
-                    cond=np.broadcast_to(cond, batch))
+    hw = HessianW(W=np.broadcast_to(W, W.shape[:2] + batch),
+                  regular=np.broadcast_to(regular, batch),
+                  cond=np.broadcast_to(cond, batch))
+    object.__setattr__(jet, "_hessian", hw)
+    return hw
 
 
 def solve_batch(W, b, what: str) -> np.ndarray:
@@ -131,11 +138,29 @@ def verify_reeb(jet: Jet2, vcomp):
     return {"eta": np.zeros_like(deta), "deta": deta}
 
 
+def _stored_sum(shape, terms):
+    """An array of `shape` with each (index, term) of `terms` added, in
+    order, into its entry `index`, from +0.0: the contraction over a
+    jet's stored block entries that `_el_operator` explains, which
+    equals the dense einsum bit for bit on batched operands."""
+    part = np.zeros(shape)
+    for at, term in terms:
+        part[at] += term
+    return part
+
+
 def _energy_gradients(jet: Jet2, v):
-    """dE/ds and dE/dv from Jet2 blocks (batched shapes allowed)."""
-    dEds = np.einsum("jg...,jga...->a...", v, jet.d2Ldvds) - jet.dLds
-    dEdv = np.einsum("jg...,jgib...->ib...", v, jet.d2Ldvdv)
-    return dEds, dEdv
+    """dE/ds and dE/dv from Jet2 blocks (batched shapes allowed): the
+    contractions v[j, g] d2Ldvds[j, g, a] and v[j, g] d2Ldvdv[j, g, i, b]
+    over the stored entries only, by `_stored_sum`."""
+    n, k = jet.dLdv.shape[:2]
+    batch = jet.L.shape
+    dEds = _stored_sum((k,) + batch, ((a, v[j, g] * jet.d2Ldvds[j, g, a])
+                                      for j, g, a in jet.layout.vs))
+    dEdv = _stored_sum((n, k) + batch,
+                       (((i, b), v[j, g] * jet.d2Ldvdv[j, g, i, b])
+                        for j, g, i, b in jet.layout.vv))
+    return dEds - jet.dLds, dEdv
 
 
 def reeb_derivative_of_energy(jet: Jet2, v, vcomp) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contact import hessian, solve_batch
+from .contact import _stored_sum, hessian, solve_batch
 from .errors import NotRegularError
 from .jet import Jet2, LagrangianModel, PhasePoint, evaluate_jet
 
@@ -86,9 +86,8 @@ def _el_operator(jet, v, a, dsdt, evolution=False):
             (jet.d2Ldvdq, layout.vq, lambda c, j: v[j, c]),
             (jet.d2Ldvds, layout.vs, dsdt_entry)):
         if entries:
-            part = np.zeros(shape)  # sums from +0.0, never -0
-            for i, *idx in entries:
-                part[i] += block[(i, *idx)] * operand(*idx)
+            part = _stored_sum(shape, ((i, block[(i, *idx)] * operand(*idx))
+                                       for i, *idx in entries))
             rEL = part if rEL is None else rEL + part
     if rEL is None:
         rEL = np.zeros(shape)

@@ -129,13 +129,16 @@ class HdwResiduals:
 
 def hdw_residual(model: LagrangianModel, path: MomentumPath,
                  v0=None, jet=None) -> HdwResiduals:
-    """Residuals of the canonical HDW equations along a discrete path.
+    """Residuals of the canonical HDW equations along a discrete path,
+    on its interior: two layers stripped at both ends of every direction.
 
-    Path derivatives and the interior the residuals are reported on are
-    those of the trace suites (`sim._trace_d1`, `sim._trace_trim`);
-    Hamiltonian derivatives come from the duality identities at the
-    batched Legendre preimage.  `jet`, the jet at (path.q, v0, path.s)
-    if already evaluated, starts the Newton solve for that preimage.
+    Path derivatives are the trace stencil (`sim._trace_d1`), computed
+    on that interior only; Hamiltonian derivatives come from the duality
+    identities at the batched Legendre preimage.  `jet`, the jet at
+    (path.q, v0, path.s) if already evaluated, starts the Newton solve
+    for that preimage.  `verify --suite hdw` calls it once per slab of
+    its trace walk (`sim._trace_slabs` with a halo of two frames), with
+    the slab's velocities as v0 and the slab's jet.
     """
     k = model.k
     h = path.spacings
@@ -145,11 +148,17 @@ def hdw_residual(model: LagrangianModel, path: MomentumPath,
                            path.p if v0 is None else v0, jet)
     if jet is None:
         jet = evaluate_jet_batch(model, path.q, v, path.s)
-    r_q = np.stack([_trace_d1(path.q, h, a) for a in range(k)], axis=1) - v
-    r_p = (_trace_div(path.p, h)
-           - jet.dLdq
-           - np.einsum("ia...,a...->i...", path.p, jet.dLds))
-    H = np.einsum("ia...,ia...->...", v, jet.dLdv) - jet.L
-    pv = np.einsum("ia...,ia...->...", path.p, v)
-    r_s = _trace_div(path.s, h) - (pv - H)
-    return HdwResiduals(*(_trace_trim(r, k) for r in (r_q, r_p, r_s)))
+
+    def trim(x):
+        return _trace_trim(x, k)
+
+    # every pointwise term is taken on the interior as well
+    p, v = trim(path.p), trim(v)
+    r_q = (np.stack([_trace_d1(path.q, h, a, 2) for a in range(k)], axis=1)
+           - v)
+    r_p = (_trace_div(path.p, h, 2) - trim(jet.dLdq)
+           - np.einsum("ia...,a...->i...", p, trim(jet.dLds)))
+    H = np.einsum("ia...,ia...->...", v, trim(jet.dLdv)) - trim(jet.L)
+    pv = np.einsum("ia...,ia...->...", p, v)
+    r_s = _trace_div(path.s, h, 2) - (pv - H)
+    return HdwResiduals(r_q, r_p, r_s)

@@ -175,6 +175,9 @@ class Jet2:
     they are the same at every point and for every batch shape; an
     unmarked entry is an exact zero, a marked one may be zero at some
     points.
+
+    `contact.hessian` keeps the `HessianW` it works out on the jet it
+    was given, so each jet's SVDs run once; `take` makes a new jet.
     """
 
     L: np.ndarray
@@ -206,9 +209,11 @@ class Jet2:
         block of size 1 there (constant over the batch) stays as it is,
         unless the batch has one point too."""
         keep = self.L.shape[-1] > 1
+        blocks = {name: getattr(self, name)
+                  for name in self.__dataclass_fields__ if name != "layout"}
         return replace(self, **{
             name: block if keep and block.shape[-1] == 1 else block[..., at]
-            for name, block in vars(self).items() if name != "layout"})
+            for name, block in blocks.items()})
 
 
 @dataclass(frozen=True)

@@ -151,7 +151,8 @@ def _d1(f, h, axis, periodic, wrapped=None):
     """Central first difference along `axis`, wrapped if `periodic`
     (`wrapped`, if given, is `_wrap(f, axis)`), else one-sided second-order
     at both ends with numpy's coefficients (it equals numpy's `gradient`
-    with edge_order=2 bit for bit); also the trace stencil."""
+    with edge_order=2 bit for bit).  The trace stencil `_trace_d1` takes
+    its central formula on the trace interior, without the ends."""
     at = partial(_at, axis)
     if periodic:
         f = _wrap(f, axis) if wrapped is None else wrapped
@@ -359,33 +360,54 @@ def run(model: LagrangianModel, grid: Grid, dt: float, t_end: float,
 
 # -- trace-derived quantities ------------------------------------------
 # Trace suites difference along every direction of the trailing (time,
-# space) grid axes with `_d1`, ends not wrapped, and report on the
-# interior, where the one-sided end stencils never enter.  The trace
-# residuals walk that interior, and `trace_lagrangian` every frame, in
-# time slabs (`_trace_slabs`), so their memory does not grow with the
-# frame count.
+# space) grid axes with `_d1`'s central formula, ends not wrapped, on the
+# reported interior only: `halo` frames stripped at both ends of time and
+# two layers at both ends of each spatial axis (`_trace_trim`).  No value
+# is computed at the ends.  The trace residuals walk that interior, and
+# `trace_lagrangian` every frame, in time slabs (`_trace_slabs`), so
+# their memory does not grow with the frame count; `verify` walks each
+# trace once and hands every slab to each trace suite it runs.
 
 # space-time samples per slab of a trace walk (at least one frame); the
 # working memory of a residual scales with it, not with the frames
 TRACE_SLAB_SAMPLES = 1 << 17
 
 
-def _trace_d1(f, spacings, a):
-    """d_a f over the trailing len(spacings) grid axes of f."""
-    return _d1(f, spacings[a], a - len(spacings), False)
+def _trace_interior(k, halo):
+    """The slices of the reported interior over the trailing k grid axes:
+    `halo` frames off both ends of time, two layers off both ends of
+    each spatial axis."""
+    return [slice(halo, -halo)] + [slice(2, -2)] * (k - 1)
 
 
-def _trace_div(fields, spacings):
-    """sum_a d_a fields[..., a, *G] over the trailing grid axes G."""
+def _trace_d1(f, spacings, a, halo):
+    """d_a f over the trailing len(spacings) grid axes of f, on the
+    interior `_trace_trim(..., halo)` keeps, by `_d1`'s central formula
+    (so bit for bit the interior of `_d1`)."""
+    inner = _trace_interior(len(spacings), halo)
+    lo, hi = inner.copy(), inner.copy()
+    lo[a] = slice(inner[a].start - 1, inner[a].stop - 1)
+    hi[a] = slice(inner[a].start + 1, inner[a].stop + 1 or None)
+    return (f[(Ellipsis, *hi)] - f[(Ellipsis, *lo)]) / (2. * spacings[a])
+
+
+def _trace_div(fields, spacings, halo):
+    """sum_a d_a fields[..., a, *G] over the trailing grid axes G, on the
+    interior of `_trace_d1`, added in place.  Adding +0.0 last turns a
+    sum of -0 terms into +0, as a sum started from 0 gives."""
     k = len(spacings)
-    return sum(_trace_d1(np.moveaxis(fields, -k - 1, 0)[a], spacings, a)
-               for a in range(k))
+    fields = np.moveaxis(fields, -k - 1, 0)
+    div = _trace_d1(fields[0], spacings, 0, halo)
+    for a in range(1, k):
+        div += _trace_d1(fields[a], spacings, a, halo)
+    div += 0.0
+    return div
 
 
 def _trace_trim(arr, k, halo=2):
     """arr with `halo` layers stripped at both ends of the first of its
     last k axes (time) and two at both ends of the other k - 1."""
-    return arr[(Ellipsis, slice(halo, -halo)) + (slice(2, -2),) * (k - 1)]
+    return arr[(Ellipsis, *_trace_interior(k, halo))]
 
 
 def _frame_arrays(model, trace, frames):
@@ -439,8 +461,11 @@ def trace_el_residual(model: LagrangianModel, trace: SimTrace):
     for q, v, s, spacings, jet in _trace_slabs(model, trace,
                                                weight=model.k ** 2):
         a, dsdt = _second_jet(trace.grid, q, v, s[0], jet)
-        a[:, 0, 0] = _trace_d1(v[:, 0], spacings, 0)
-        dsdt[0, 0] = _trace_d1(s[0], spacings, 0)
+        # the time-time entries on the interior only; the ends stay 0
+        _trace_trim(a[:, 0, 0], model.k, 1)[...] = _trace_d1(
+            v[:, 0], spacings, 0, 1)
+        _trace_trim(dsdt[0, 0], model.k, 1)[...] = _trace_d1(
+            s[0], spacings, 0, 1)
         rEL, rS = el_residual_batch(jet, v, a, dsdt)
         maxima.append([np.max(np.abs(_trace_trim(r, model.k, 1)))
                        for r in (rEL, rS)])
@@ -724,10 +749,10 @@ def load_trace(directory) -> SimTrace:
     `save_trace` wrote; trace.csv is not read.
 
     Each array must have the float64 dtype and the shape that the
-    manifest's frame count, grid counts and phi* columns give.  A
-    missing, malformed or inconsistent file raises ConfigError naming
-    it; a directory without trace.npz (written before the binary file
-    was added) needs a new `kcontact simulate`."""
+    manifest's frame count, grid counts and phi* columns give, and hold
+    finite values only.  A missing, malformed or inconsistent file
+    raises ConfigError naming it; a directory without trace.npz (written
+    before the binary file was added) needs a new `kcontact simulate`."""
     directory = Path(directory)
     path = directory / "manifest.json"
     try:
@@ -767,6 +792,8 @@ def load_trace(directory) -> SimTrace:
                     raise ValueError(
                         f"{key} is {arr.dtype} {arr.shape}, expected "
                         f"float64 {shapes[key]}")
+                if not np.isfinite(arr).all():
+                    raise ValueError(f"{key} holds non-finite values")
     except KeyError:
         raise ConfigError(f"trace arrays {path} lack '{key}'")
     except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:

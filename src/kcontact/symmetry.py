@@ -236,25 +236,33 @@ def momentum_dissipation_check(model: LagrangianModel, i: int,
         if np.max(np.abs(jet.dLdq[i])) > 1e-9:
             raise ValueError(f"coordinate {i} not cyclic")
         momenta = jet.dLdv[i]  # (k, T, *S)
-        rhs = np.einsum("a...,a...->...", jet.dLds, momenta)
-        res = _trace_div(momenta, spacings) - rhs
-        maxima.append(np.max(np.abs(_trace_trim(res, model.k, 1))))
+        rhs = np.einsum("a...,a...->...", _trace_trim(jet.dLds, model.k, 1),
+                        _trace_trim(momenta, model.k, 1))
+        res = _trace_div(momenta, spacings, 1) - rhs
+        maxima.append(np.max(np.abs(res)))
     return float(np.max(maxima))
+
+
+def _dissipation_residual(F: DissipatedQuantity, q, v, s, spacings, jet,
+                          halo) -> np.ndarray:
+    """Pointwise residual of div(F o sigma) + (L_{R_a} E_L) F^a o sigma
+    over one slab of a trace walk (`sim._trace_slabs`), on its interior
+    (`halo` frames and two spatial layers stripped at both ends).  F and
+    the Reeb derivative of the energy come from the slab's jet, and
+    `reeb` refuses a Lagrangian that is not regular there."""
+    Fvals = F(jet, q, v, s)  # (k, T, *S)
+    rE = reeb_derivative_of_energy(jet, v, reeb(jet))
+    k = len(spacings)
+    return (_trace_div(Fvals, spacings, halo)
+            + np.einsum("a...,a...->...", _trace_trim(rE, k, halo),
+                        _trace_trim(Fvals, k, halo)))
 
 
 def dissipation_law_check(model: LagrangianModel, F: DissipatedQuantity,
                           trace) -> np.ndarray:
-    """Pointwise residual of div(F o sigma) + (L_{R_a} E_L) F^a o sigma
-    over the trace interior; F and the Reeb derivative of the energy
-    come from one jet of `model` along the trace, and `reeb` refuses a
-    Lagrangian that is not regular there.  The trace is walked
-    slab by slab, in memory independent of the frame count, and the
-    slabs' residuals are joined along the time axis."""
-    res = []
-    for q, v, s, spacings, jet in _trace_slabs(model, trace):
-        Fvals = F(jet, q, v, s)  # (k, T, *S)
-        rE = reeb_derivative_of_energy(jet, v, reeb(jet))
-        r = (_trace_div(Fvals, spacings)
-             + np.einsum("a...,a...->...", rE, Fvals))
-        res.append(_trace_trim(r, model.k, 1))
-    return np.concatenate(res, axis=-model.k)
+    """`_dissipation_residual` over the trace interior.  The trace is
+    walked slab by slab, in memory independent of the frame count, and
+    the slabs' residuals are joined along the time axis."""
+    return np.concatenate([_dissipation_residual(F, *slab, halo=1)
+                           for slab in _trace_slabs(model, trace)],
+                          axis=-model.k)

@@ -147,6 +147,24 @@ class TestDerive:
         assert code == 0
         assert len(calls) == jets
 
+    @pytest.mark.parametrize("argv, svds", [
+        (("--model", "string", "--num-points", "100"), 1),
+        # the cubic density: the jet sliced at the regular points is a
+        # second jet, with its own SVDs
+        (("--model", "free", "--point", "v=1,2", "--point", "v=0,1",
+          "--point", "v=-1,0.5"), 2)])
+    def test_hessian_svds_run_once_per_jet(self, capsys, monkeypatch, argv,
+                                           svds):
+        """`hessian` keeps its verdict on the jet, so `reeb` and
+        `assemble_sopde` do not run the SVDs again."""
+        if "--point" in argv:
+            monkeypatch.setattr(cli, "build_model", lambda name, params: (
+                LagrangianModel(n=1, k=2, name="cubic", lagrangian=cubic)))
+        calls = count_calls(monkeypatch, np.linalg, "svd")
+        code, _ = run_cli(capsys, "derive", *argv)
+        assert code == 0
+        assert len(calls) == svds
+
     def test_mixed_points_report_each_point_as_alone(self, capsys,
                                                      monkeypatch):
         # the cubic density at regular and singular points: each entry
@@ -418,6 +436,13 @@ def truncate(name, size):
     return corrupt
 
 
+def set_sample(key, value):
+    """Set the middle sample of the trace array `key` to `value`."""
+    def change(arrays):
+        arrays[key].flat[arrays[key].size // 2] = value
+    return rewrite_arrays(change)
+
+
 def save_npy(path):
     with open(path / "trace.npz", "wb") as fh:
         np.save(fh, np.zeros(3))
@@ -448,6 +473,13 @@ HOSTILE_TRACES = {
     "npz-wrong-dtype": (
         rewrite_arrays(lambda a: a.update(s1=a["s1"].astype(np.float32))),
         "trace.npz"),
+    # a NaN would reach the report as bare NaN, which is not JSON
+    "npz-nan-phi": (set_sample("phi", np.nan),
+                    "trace.npz: phi holds non-finite values"),
+    "npz-inf-phidot": (set_sample("phidot", -np.inf),
+                       "trace.npz: phidot holds non-finite values"),
+    "npz-nan-s1": (set_sample("s1", np.nan),
+                   "trace.npz: s1 holds non-finite values"),
 }
 
 
@@ -699,18 +731,21 @@ class TestVerify:
         assert [s["suite"] for s in rep["suites"]] == ["dissipation", "hdw"]
         assert calls == [coarse, fine]
 
-    def test_trace_suites_evaluate_two_jets_per_trace(
+    def test_trace_suites_evaluate_one_jet_per_slab(
             self, capsys, monkeypatch, membrane_trace_pair):
-        # dissipation: one jet for F and R_a(E); hdw: one for the
-        # momenta, which also starts Newton (v0 is the preimage) and
-        # gives the residuals their Hamiltonian derivatives
+        # one walk: each slab's jet gives the dissipation suite F and
+        # R_a(E), and the hdw suite the momenta, which also start Newton
+        # (v0 is the preimage) and give the Hamiltonian derivatives
+        trace = sim.load_trace(membrane_trace_pair[1])
+        monkeypatch.setattr(sim, "TRACE_SLAB_SAMPLES",
+                            3 * trace.s1[0].size)
+        slabs = -(-(trace.t.size - 4) // 3)
         calls = count_jets(monkeypatch)
         code, _ = report_of(capsys, "verify", "--suite", "dissipation",
                             "--suite", "hdw", "--trace",
-                            membrane_trace_pair[0], "--trace",
                             membrane_trace_pair[1])
         assert code == 0
-        assert len(calls) == 2 * 2
+        assert slabs > 1 and len(calls) == slabs
 
     def test_inverse_roundtrip_suite(self, capsys):
         code, rep = report_of(capsys, "verify", "--suite",

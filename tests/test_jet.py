@@ -10,6 +10,8 @@ from kcontact import (Jet2, KContactError, LagrangianModel, PhasePoint,
                       fd_check, membrane, random_phase_point, stack_points,
                       sv_coupling)
 from kcontact import jet as jet_module
+from kcontact.contact import _energy_gradients
+from kcontact.models import MODELS
 from kcontact.taylor import TaylorContext, sqrt, variables
 from conftest import cubic
 from test_contact import coupled_quartic
@@ -372,3 +374,22 @@ def test_single_draw_is_three_uniform_calls(model):
     for got, want in ((z.q, q), (z.v, v), (z.s, s)):
         assert got.shape == want.shape and got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("model", [factory() for factory, _ in MODELS.values()]
+                         + [born_infeld(), coupled_quartic()],
+                         ids=lambda m: f"{m.name}-n{m.n}k{m.k}")
+def test_energy_gradients_equal_the_dense_einsums(model):
+    # the stored-entry contractions give the bytes of the dense einsums,
+    # signed zeros included: some velocities are +0 and some -0
+    z = random_phase_point(model, np.random.default_rng(12), size=24)
+    v = z.v.copy()
+    v[..., :6] = 0.0
+    v[..., 6:12] = -0.0
+    v[0, 0, 12:18] = -0.0
+    jet = evaluate_jet_batch(model, z.q, v, z.s)
+    want = (np.einsum("jg...,jga...->a...", v, jet.d2Ldvds) - jet.dLds,
+            np.einsum("jg...,jgib...->ib...", v, jet.d2Ldvdv))
+    for got, dense in zip(_energy_gradients(jet, v), want):
+        assert got.shape == dense.shape
+        assert got.tobytes() == dense.tobytes()

@@ -19,7 +19,8 @@ from kcontact import (ConfigError, Grid, LagrangianModel, PdeSpec, SimState,
 from kcontact import sim
 from kcontact.jet import evaluate_jet_batch
 from kcontact.sim import (CFL_FACTOR, _d1, _d2, _eigvals, _point_arrays,
-                          _state_rhs, char_speeds, check_cfl)
+                          _state_rhs, _trace_d1, _trace_div, _trace_trim,
+                          char_speeds, check_cfl)
 from kcontact.taylor import cos, exp, sqrt
 from conftest import assert_reaped, pin_writers
 from test_jet import born_infeld
@@ -93,6 +94,32 @@ def test_d1_equals_numpy_gradient_bitwise(shape, h, layout):
         got = _d1(f, h, axis, False)
         want = np.gradient(f, h, axis=axis, edge_order=2)
         assert got.tobytes() == want.tobytes(), axis
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("halo", [1, 2])
+def test_trace_stencils_equal_the_interior_of_d1(k, halo):
+    # the trace stencils compute the reported interior only; there they
+    # equal `_d1` and the divergence summed from 0, bit for bit.  f[1, a]
+    # runs +0, +0, -0, -0, ... along axis a, so where every term of a
+    # divergence is -0 the sum must still read +0
+    rng = np.random.default_rng(k + halo)
+    G = (9, 10, 11)[:k]
+    spacings = np.array([0.1, 0.3, 0.7])[:k]
+    f = rng.standard_normal((2, k) + G)
+    for a in range(k):
+        zeros = np.where(np.arange(G[a]) // 2 % 2, -0.0, 0.0)
+        f[1, a] = zeros.reshape([-1 if b == a else 1 for b in range(k)])
+    terms = []
+    for a in range(k):
+        terms.append(_trace_d1(f[:, a], spacings, a, halo))
+        want = _trace_trim(_d1(f[:, a], spacings[a], a - k, False), k, halo)
+        assert terms[-1].tobytes() == want.tobytes(), a
+    plain = sum(terms[1:], terms[0])
+    assert np.any(np.signbit(plain) & (plain == 0))
+    want = _trace_trim(sum(_d1(f[:, a], spacings[a], a - k, False)
+                           for a in range(k)), k, halo)
+    assert _trace_div(f, spacings, halo).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("shape", [(16,), (9, 12), (2, 5, 9, 12)],

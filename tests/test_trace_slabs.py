@@ -2,6 +2,7 @@
 slab size changes neither a bit of any result nor, with the frame
 count, the working memory."""
 
+import argparse
 import math
 import tracemalloc
 
@@ -9,11 +10,13 @@ import numpy as np
 import pytest
 
 from kcontact import (Grid, SimState, SimTrace, builtin_symmetry_field,
-                      dissipated_quantity, dissipation_law_check, membrane,
+                      dissipated_quantity, dissipation_law_check,
+                      evaluate_jet_batch, membrane,
                       momentum_dissipation_check, run, trace_el_residual,
                       trace_lagrangian)
 from kcontact import sim
-from kcontact.cli import _suite_hdw
+from kcontact.cli import _walk_traces
+from kcontact.hamiltonian import hdw_residual, momentum_path_from_arrays
 from test_jet import born_infeld
 from test_sim import coupled_wave
 
@@ -45,16 +48,31 @@ CASES = {
 }
 
 
+def verify_walk(model, trace):
+    """The reports of verify's one walk for the dissipation and hdw suites
+    (field du) over `trace`."""
+    args = argparse.Namespace(field=None, symmetry="du")
+    return _walk_traces(args, {"dissipation": 0.05, "hdw": 0.5},
+                        [(trace, model)])
+
+
 def residuals(model, trace):
     """Every trace residual and L, as exactly comparable values."""
     F = dissipated_quantity(builtin_symmetry_field(model, "du"))
     out = {"el": trace_el_residual(model, trace),
            "lagrangian": trace_lagrangian(model, trace).tobytes(),
            "dissipation": dissipation_law_check(model, F, trace).tobytes(),
-           "hdw": _suite_hdw(None, 0.5, lambda: [(trace, model)])}
+           "verify": verify_walk(model, trace)}
     if model.name != "coupled_wave":  # its q is not cyclic
         out["momentum"] = momentum_dissipation_check(model, 0, trace)
     return out
+
+
+def whole_trace_hdw(model, trace):
+    """`hdw_residual` over the whole trace as one path."""
+    q, v, s, spacings = sim.trace_point_arrays(model, trace)
+    jet = evaluate_jet_batch(model, q, v, s)
+    return hdw_residual(model, momentum_path_from_arrays(jet, q, s, spacings))
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -68,6 +86,12 @@ def test_residuals_do_not_depend_on_the_slab_size(case, monkeypatch):
         monkeypatch.setattr(sim, "TRACE_SLAB_SAMPLES", samples)
         got.append(residuals(model, trace))
     assert got[0] == got[1] == got[2]
+    # verify's one walk reports what the library functions give
+    walk = got[0]["verify"]
+    F = dissipated_quantity(builtin_symmetry_field(model, "du"))
+    assert walk["dissipation"]["residuals"] == [float(np.max(np.abs(
+        dissipation_law_check(model, F, trace))))]
+    assert walk["hdw"]["residuals"] == [whole_trace_hdw(model, trace).max()]
 
 
 def analytic_membrane_trace(frames, N=33):
@@ -100,7 +124,7 @@ def test_memory_does_not_grow_with_the_frame_count(monkeypatch):
     model = membrane(mu=1.0, gamma=0.2)
     monkeypatch.setattr(sim, "TRACE_SLAB_SAMPLES", 4 * 33 * 33)
     F = dissipated_quantity(builtin_symmetry_field(model, "du"))
-    peaks = {"dissipation": [], "hdw": [], "lagrangian": []}
+    peaks = {"dissipation": [], "verify": [], "lagrangian": []}
     trace_bytes = []
     for frames in (24, 48):
         trace = analytic_membrane_trace(frames)
@@ -108,8 +132,8 @@ def test_memory_does_not_grow_with_the_frame_count(monkeypatch):
                            + trace.s1.nbytes)
         peaks["dissipation"].append(peak_bytes(
             lambda: dissipation_law_check(model, F, trace)))
-        peaks["hdw"].append(peak_bytes(
-            lambda: _suite_hdw(None, 0.5, lambda: [(trace, model)])))
+        peaks["verify"].append(peak_bytes(
+            lambda: verify_walk(model, trace)))
         peaks["lagrangian"].append(peak_bytes(
             lambda: trace_lagrangian(model, trace)))
     margin = 64 * 1024
