@@ -32,8 +32,7 @@ from .inverse import (PdeSpec, build_lagrangian, membrane_spec,
 from .jet import PhasePoint, _from_rows, evaluate_jet, random_phase_point
 from .models import MODEL_NAMES, MODEL_PARAMS, MODELS, build_model
 from .sim import (SCHEMA_VERSION, Grid, SimState, _trace_slabs,
-                  _TraceExport, frame_count, load_trace, run,
-                  trace_el_residual)
+                  _TraceExport, load_trace, run, trace_el_residual)
 from .symmetry import (_dissipation_residual, builtin_symmetry_field,
                        check_contact_symmetry, dissipated_quantity,
                        dissipation_law_check)
@@ -243,10 +242,6 @@ def _model_and_spec(args):
     return build_model(args.model, params), params.get("spec")
 
 
-def _model_from_args(args) -> "LagrangianModel":
-    return _model_and_spec(args)[0]
-
-
 def _report_header(command: str) -> dict:
     return {"schema_version": SCHEMA_VERSION, "command": command,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S",
@@ -327,18 +322,17 @@ def _trace_residuals(model, trace) -> dict:
 
 
 def cmd_simulate(args) -> int:
-    model = _model_from_args(args)
+    model = _model_and_spec(args)[0]
     grid = parse_grid(args.grid or "", args.bc)
     if not args.output:
         raise ConfigError("simulate requires --output DIR")
     initial = _initial_state(model, grid, args.init, args.amplitude)
-    frames = frame_count(args.dt, args.t_end, args.output_every)
     # trace.csv is formatted by the export's writer processes while the
     # steps run, and the residuals while they format the last frames; a
     # bad --output fails before the first step, and a residual error (an
     # interrupt too) after the export is finished, its trace kept
     error = None
-    with _TraceExport(args.output, grid, model.n, frames=frames) as export:
+    with _TraceExport(args.output, grid, model.n) as export:
         trace = run(model, grid, args.dt, args.t_end, initial,
                     output_every=args.output_every, on_frame=export.frame)
         try:
@@ -417,45 +411,61 @@ def _load_trace_and_model(path):
     return trace, build_model(trace.model_name, trace.params)
 
 
-# a trace suite over two or more traces, coarsest first, passes when the
-# residual ratio of each trace to the next lies in this band; a
-# second-order discretisation under one grid halving gives ~4.  The
-# acceptance criteria judge their refinement ratios by the same band.
+# a trace suite over two or more traces, coarsest first, passes when
+# the observed order of accuracy of each trace to the next, log(r) /
+# log(rho) for a residual ratio r under spacings finer by rho (Roy, J.
+# Comput. Phys. 205 (2005) 131), lies within the orders this band of
+# ratios gives under one halving; a second-order discretisation gives a
+# ratio of ~4 there.  The acceptance criteria judge their refinement
+# ratios by the same band.
 REFINEMENT_BAND = (3.5, 4.5)
 
 
-def _check_refinement(paths, traces):
+def _check_refinement(paths, traces) -> list:
     """Refuse (ConfigError) consecutive traces that are not one refinement:
-    same model, parameters, bounds and bc, finer spacing and output step."""
-    pairs = list(zip(paths, traces))
+    same model, parameters, bounds and bc, and every grid spacing and the
+    output step finer by one ratio (to 1e-9 relative).  Returns that
+    ratio per pair."""
+    pairs, refinements = list(zip(paths, traces)), []
     for (p0, a), (p1, b) in zip(pairs, pairs[1:]):
         dt0, dt1 = (x.t[1] - x.t[0] if x.t.size > 1 else math.nan
                     for x in (a, b))
+        rho = [dt0 / dt1, *map(operator.truediv, a.grid.spacing,
+                               b.grid.spacing)]
         if ((a.model_name, a.params, a.grid.bounds, a.grid.bc)
                 != (b.model_name, b.params, b.grid.bounds, b.grid.bc)):
             why = "model, parameters, grid bounds or boundary condition differ"
-        elif not (dt1 < dt0 and all(map(operator.lt, b.grid.spacing,
-                                         a.grid.spacing))):
+        elif not all(r > 1 for r in rho):
             why = "the grid spacing and the output step must both shrink"
+        elif max(rho) - min(rho) > 1e-9 * min(rho):
+            why = ("the grid spacing and the output step must shrink by "
+                   "one ratio")
         else:
+            refinements.append(rho[-1])  # exact for a halved spacing
             continue
         raise ConfigError(f"--trace {p1} does not refine --trace {p0}: {why}")
+    return refinements
 
 
-def _trace_verdict(residuals, tol) -> dict:
-    """One trace is judged against `tol`, several by the refinement
-    ratio of each consecutive pair: "refinement_ratio" for a pair,
-    "refinement_ratios" for more."""
+def _trace_verdict(residuals, tol, refinements) -> dict:
+    """One trace is judged against `tol`, several by the observed order
+    of each consecutive pair, whose spacings are finer by `refinements`:
+    "refinement_ratio" and "observed_order" for a pair,
+    "refinement_ratios" and "observed_orders" for more."""
     if len(residuals) == 1:
         return {"residuals": residuals, "tolerance": tol,
                 "pass": bool(residuals[0] <= tol)}
     ratios = [coarse / max(fine, 1e-300)
               for coarse, fine in zip(residuals, residuals[1:])]
-    key, val = (("refinement_ratio", ratios[0]) if len(ratios) == 1
-                else ("refinement_ratios", ratios))
-    lo, hi = REFINEMENT_BAND
-    return {"residuals": residuals, key: val,
-            "pass": all(lo <= r <= hi for r in ratios)}
+    orders = [math.log(r) / math.log(rho) if r > 0 else -math.inf
+              for r, rho in zip(ratios, refinements)]
+    lo, hi = (math.log(r) / math.log(2) for r in REFINEMENT_BAND)
+    if len(ratios) == 1:
+        entries = {"refinement_ratio": ratios[0], "observed_order": orders[0]}
+    else:
+        entries = {"refinement_ratios": ratios, "observed_orders": orders}
+    return {"residuals": residuals, **entries,
+            "pass": all(lo <= p <= hi for p in orders)}
 
 
 def _dissipation_slab(args, model):
@@ -476,11 +486,11 @@ def _hdw_slab(args, model):
     return residual, {}
 
 
-def _walk_traces(args, tols, traces) -> dict:
+def _walk_traces(args, tols, traces, refinements) -> dict:
     """The report of each trace suite in `tols` (name: tolerance) over
-    the loaded `traces`, from one slab walk per trace (`_trace_slabs`, in
-    memory independent of the frame count): every suite reads each slab
-    and its one jet in turn."""
+    the loaded `traces`, refined by `refinements` pair by pair, from one
+    slab walk per trace (`_trace_slabs`, in memory independent of the
+    frame count): every suite reads each slab and its one jet in turn."""
     residuals = {name: [] for name in tols}
     for trace, model in traces:
         suites = {name: TRACE_SUITES[name](args, model) for name in tols}
@@ -491,7 +501,8 @@ def _walk_traces(args, tols, traces) -> dict:
         for name in tols:
             residuals[name].append(float(np.max(maxima[name])))
     return {name: {"suite": name, **entries,
-                   **_trace_verdict(residuals[name], tols[name])}
+                   **_trace_verdict(residuals[name], tols[name],
+                                    refinements)}
             for name, (_, entries) in suites.items()}
 
 
@@ -542,7 +553,7 @@ def cmd_verify(args) -> int:
     # and shared by every point suite
     @functools.cache
     def sample():
-        model = _model_from_args(args)
+        model = _model_and_spec(args)[0]
         z = _sample_points(model, args)
         return model, z, evaluate_jet(model, z)
 
@@ -554,9 +565,11 @@ def cmd_verify(args) -> int:
     @functools.cache
     def trace_reports():
         traces = [_load_trace_and_model(path) for path in args.trace]
-        _check_refinement(args.trace, [trace for trace, _ in traces])
+        refinements = _check_refinement(args.trace,
+                                        [trace for trace, _ in traces])
         return _walk_traces(args, {name: tol(name) for name in args.suite
-                                   if name in TRACE_SUITES}, traces)
+                                   if name in TRACE_SUITES}, traces,
+                            refinements)
 
     results = []
     for name in args.suite:  # --suite choices: the keys of both tables

@@ -31,13 +31,14 @@ def _newton_batch(model, q, p, s, v0, jet=None):
     (q, v0, s), which the first iteration then does not evaluate again.
     Each jet must be regular by `hessian`'s verdict (else NotRegularError).
     Returns v, with the same shape as p, and the jet at (q, v, s), or None
-    where its last evaluation covered only some of the points."""
+    where its last evaluation covered only some of the points.  v is v0
+    itself where v0 is a float64 array that needs no update."""
     n, k = model.n, model.k
     nk = n * k
-    v = np.array(v0, dtype=float)
+    v = np.asarray(v0, dtype=float)  # copied before its first update
     at = ()  # indices of the unconverged points into B; () while all are
     last = np.inf
-    for _ in range(NEWTON_MAXITER):
+    for it in range(NEWTON_MAXITER):
         pick = (Ellipsis,) + at
         if jet is None:
             jet = evaluate_jet_batch(model, q[pick], v[pick], s[pick])
@@ -66,6 +67,8 @@ def _newton_batch(model, q, p, s, v0, jet=None):
         step = solve_batch(
             W, r.reshape((nk, 1) + batch),
             "singular velocity Hessian during Legendre inversion")
+        if it == 0:
+            v = np.array(v)
         v[pick] = v[pick] - step.reshape((n, k) + batch)
         jet = None
     raise NewtonError(
@@ -82,9 +85,11 @@ def legendre_inverse(model: LagrangianModel, mp: MomentumPoint,
     """
     if mp.p.shape[:2] != (model.n, model.k):
         raise ValueError("momentum point dims do not match model")
-    v, _ = _newton_batch(model, mp.q, mp.p, mp.s,
-                         mp.p if v0 is None else v0)
-    return PhasePoint(q=mp.q.copy(), v=v, s=mp.s.copy())
+    v0 = mp.p if v0 is None else v0
+    v, _ = _newton_batch(model, mp.q, mp.p, mp.s, v0)
+    # a copy where the start was already the preimage
+    return PhasePoint(q=mp.q.copy(), s=mp.s.copy(),
+                      v=np.array(v) if np.may_share_memory(v, v0) else v)
 
 
 def hamiltonian_value(model: LagrangianModel, mp: MomentumPoint):
@@ -108,7 +113,7 @@ class MomentumPath:
 def momentum_path_from_arrays(jet: Jet2, q, s, spacings) -> MomentumPath:
     """Push a (batched) velocity path through the Legendre map; `jet` is
     the jet along the path, whose coordinates are q and s."""
-    return MomentumPath(q=np.asarray(q, dtype=float), p=np.array(jet.dLdv),
+    return MomentumPath(q=np.asarray(q, dtype=float), p=jet.dLdv,
                         s=np.asarray(s, dtype=float),
                         spacings=np.asarray(spacings, dtype=float))
 

@@ -27,7 +27,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ._trace_csv import RING_BROKEN
 from .contact import solve_batch
 from .dynamics import el_residual_batch, evolution_rhs_batch
 from .errors import ConfigError, SimulationError
@@ -314,16 +313,12 @@ def _steps(dt: float, t_end: float, output_every: int) -> int:
     a multiple of `output_every`."""
     if dt <= 0:
         raise SimulationError("nonpositive step")
+    if not (math.isfinite(dt) and math.isfinite(t_end / dt)):
+        raise SimulationError("non-finite step, end time or step count")
     if output_every < 1:
         raise SimulationError("output_every must be >= 1")
     steps = max(1, int(round(t_end / dt)))
     return steps + -steps % output_every
-
-
-def frame_count(dt: float, t_end: float, output_every: int) -> int:
-    """The frames `run` records with these arguments, the initial state
-    included; raises SimulationError where `run` would."""
-    return _steps(dt, t_end, output_every) // output_every + 1
 
 
 def run(model: LagrangianModel, grid: Grid, dt: float, t_end: float,
@@ -530,10 +525,8 @@ def s_accumulation_check(trace: SimTrace, model: LagrangianModel) -> float:
 # -- trace export/import -----------------------------------------------
 # trace.npz holds the arrays `load_trace` reads; trace.csv is an export
 # for other tools and is never read back.  Writer processes
-# (`_trace_csv.py`), one per CPU up to MAX_WRITERS, format trace.csv
-# from the frames as they are sent, frame f by writer f mod W, and
-# append them in frame order by passing a token round a ring of pipes;
-# during `run` the formatting overlaps the time stepping.
+# (`_trace_csv.py`) format its rows while `run` steps, and the exporting
+# process appends them in frame order (`_TraceExport`).
 
 TRACE_ARRAYS = ("t", "phi", "phidot", "s1")
 CSV_WRITER = Path(__file__).with_name("_trace_csv.py")
@@ -544,36 +537,35 @@ CSV_WRITER = Path(__file__).with_name("_trace_csv.py")
 MAX_WRITERS = 2
 
 
-def _writer_count(frames=None) -> int:
+def _writer_count() -> int:
     """One trace.csv writer per CPU this process may run on, up to
-    MAX_WRITERS, and no more than `frames` (but at least one) when the
-    frame count is known."""
+    MAX_WRITERS."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity on this platform
         cpus = os.cpu_count() or 1
-    return max(1, min(cpus, MAX_WRITERS,
-                      MAX_WRITERS if frames is None else frames))
+    return min(cpus, MAX_WRITERS)
 
 
 class _TraceExport:
     """A trace directory being written; a context manager.
 
     Entering it creates the directory, opens trace.csv under a temporary
-    name and starts the writer processes on it (`_writer_count`: one per
-    CPU up to MAX_WRITERS, and no more than `frames` when that is
-    given), so a path that cannot be written
-    fails (ConfigError) before any step runs.  `frame` sends one state's
-    float64 bytes down the stdin of the next writer in turn; the pipe
-    blocks, so only the frames the pipes hold are in flight.  `finish`
-    waits for the writers, writes manifest.json and trace.npz and moves
-    trace.csv into place, the last step.  Leaving the block by any
+    name, writes the header and starts the writer processes
+    (`_writer_count`), so a path that cannot be written fails
+    (ConfigError) before any step runs.  `frame` sends frame f's float64
+    bytes to writer f mod W, after appending the rows of frame f - W,
+    which that writer holds, so each writer has at most one frame in
+    flight and the frames land in order.  `finish` appends the last
+    frames, reaps the writers, writes manifest.json and trace.npz and
+    moves trace.csv into place, the last step.  Leaving the block by any
     exception kills and reaps the writers and removes the temporary
     file, or the directory if it was created here, so a failed export
     leaves no trace.csv.  A writer that fails raises ConfigError naming
-    trace.csv."""
+    trace.csv, and a write that fails (a full disk) ConfigError naming
+    the directory."""
 
-    def __init__(self, directory, grid: Grid, n: int, frames=None):
+    def __init__(self, directory, grid: Grid, n: int):
         self.directory = Path(directory)
         self.grid = grid
         self.cols = (["t"] + [f"x{a + 1}" for a in range(grid.ndim)]
@@ -584,101 +576,94 @@ class _TraceExport:
         self.created = next((p for p in (*reversed(self.directory.parents),
                                          self.directory)
                              if not p.exists()), None)
-        self.writers = _writer_count(frames)
+        self.out = None
         self.procs = []
         self.sent = 0
 
     def __enter__(self):
         try:
-            try:
+            with self._writing():
                 self.directory.mkdir(parents=True, exist_ok=True)
-                with open(self.part, "wb") as out:
-                    self._start(out)
-            except OSError as exc:
-                raise ConfigError(
-                    f"cannot write a trace to {self.directory}: {exc}")
-            header = (",".join(self.cols) + "\r\n").encode()
+                self.out = open(self.part, "wb")
+                self.out.write((",".join(self.cols) + "\r\n").encode())
+            command = [sys.executable, "-I", "-S", str(CSV_WRITER),
+                       str(math.prod(self.grid.shape)), str(self.grid.ndim),
+                       str(len(self.cols) - 1 - self.grid.ndim)]
             mesh = [m.ravel() for m in self.grid.mesh()]
+            for _ in range(_writer_count()):
+                self.procs.append(subprocess.Popen(
+                    command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                    stderr=subprocess.PIPE))
             for proc in self.procs:
-                self._send(proc, header, *mesh)
+                self._send(proc, *mesh)
         except BaseException:
             self._abort()
             raise
         return self
-
-    def _start(self, out):
-        """Start the writers on `out`, each passing the token from its
-        pipe of the ring to the next writer's; writer 0 holds it first."""
-        ring = [os.pipe() for _ in range(self.writers)]
-        try:
-            os.write(ring[0][1], b".")
-            for w in range(self.writers):
-                token = (ring[w][0], ring[(w + 1) % self.writers][1])
-                self.procs.append(subprocess.Popen(
-                    [sys.executable, "-I", "-S", str(CSV_WRITER),
-                     str(math.prod(self.grid.shape)), str(self.grid.ndim),
-                     *map(str, token), str(int(w == 0))],
-                    stdin=subprocess.PIPE, stdout=out,
-                    stderr=subprocess.PIPE, pass_fds=token))
-        finally:
-            for fd in itertools.chain.from_iterable(ring):
-                os.close(fd)
 
     def __exit__(self, exc_type, exc, tb):
         if exc_type is not None:
             self._abort()
 
     def frame(self, state: SimState):
-        """Send `state` (t, phi, phidot, s1) to the writer whose turn it
-        is."""
-        proc = self.procs[self.sent % self.writers]
+        """Send `state` (frame f: t, phi, phidot, s1) to writer f mod W,
+        once the rows of frame f - W, which it holds, are appended."""
+        if self.sent >= len(self.procs):
+            self._append(self.sent - len(self.procs))
+        self._send(self.procs[self.sent % len(self.procs)],
+                   np.array([state.t]), state.phi, state.phidot, state.s1)
         self.sent += 1
-        self._send(proc, np.array([state.t]), state.phi, state.phidot,
-                   state.s1)
 
-    def _send(self, proc, *chunks):
+    def _send(self, proc, *arrays):
         try:
-            for c in chunks:
-                if isinstance(c, np.ndarray):
-                    c = memoryview(np.ascontiguousarray(
-                        c, dtype=np.float64).reshape(-1)).cast("B")
-                proc.stdin.write(c)
-            # the whole record, so a writer never waits on bytes left
-            # in this process while the next writer waits for its token
+            for a in arrays:
+                proc.stdin.write(memoryview(np.ascontiguousarray(
+                    a, dtype=np.float64).reshape(-1)).cast("B"))
+            # the whole frame, so its writer can format it now
             proc.stdin.flush()
-        except OSError:  # a writer has gone: report how they ended
-            for p in self.procs:
-                p.kill()
-            self._wait()
-            raise
+        except OSError:  # the writer has gone
+            raise self._failed(proc)
 
-    def _wait(self):
-        """Close the writers' stdin, wait for them to exit, and raise
-        ConfigError unless every one succeeded."""
-        for proc in self.procs:
-            with contextlib.suppress(OSError):  # a writer gone loses the rest
-                proc.stdin.close()
-        errs = []
-        for proc in self.procs:
-            errs += proc.stderr.read().decode(errors="replace").splitlines()
-            proc.stderr.close()
-            proc.wait()
-        codes = [str(p.returncode) for p in self.procs if p.returncode]
-        if codes:
-            # the writer that failed first, not the ones that ended
-            # because it did
-            cause = [e for e in errs if e != RING_BROKEN] or errs
+    def _append(self, f):
+        """Append frame f's rows, read from the writer that formats it."""
+        proc = self.procs[f % len(self.procs)]
+        head = proc.stdout.read(8)
+        size = int.from_bytes(head, "little")
+        rows = proc.stdout.read(size) if len(head) == 8 else b""
+        if not rows or len(rows) != size:  # no record, or one cut short
+            raise self._failed(proc)
+        with self._writing():
+            self.out.write(rows)
+
+    @contextlib.contextmanager
+    def _writing(self):
+        """Turn an OSError of the trace directory or of trace.csv (a bad
+        path, a full disk) into ConfigError."""
+        try:
+            yield
+        except OSError as exc:
             raise ConfigError(
-                f"the trace.csv writer for {self.directory} failed (exit "
-                f"{', '.join(codes)})" + (f": {cause[-1]}" if cause else ""))
+                f"cannot write a trace to {self.directory}: {exc}")
+
+    def _failed(self, proc) -> ConfigError:
+        """The error of `proc`, a writer that ended early: its exit code
+        and the last line it wrote to stderr."""
+        err = proc.stderr.read().decode(errors="replace").splitlines()
+        proc.wait()
+        return ConfigError(
+            f"the trace.csv writer for {self.directory} failed (exit "
+            f"{proc.returncode})" + (f": {err[-1]}" if err else ""))
 
     def _abort(self):
         for proc in self.procs:
             proc.kill()
             proc.wait()
-            for pipe in (proc.stdin, proc.stderr):
+            for pipe in (proc.stdin, proc.stdout, proc.stderr):
                 with contextlib.suppress(OSError):
                     pipe.close()
+        if self.out is not None:
+            with contextlib.suppress(OSError):
+                self.out.close()
         if self.created is not None:
             shutil.rmtree(self.created, ignore_errors=True)
         else:
@@ -686,11 +671,17 @@ class _TraceExport:
                 self.part.unlink()
 
     def finish(self, trace: SimTrace, **fields) -> dict:
-        """Wait for the writers, write manifest.json (with `fields` as
-        further entries) and trace.npz, move trace.csv into place; return
-        the manifest."""
-        self._wait()
-        directory = self.directory
+        """Append the frames still in flight, reap the writers, write
+        manifest.json (with `fields` as further entries) and trace.npz,
+        move trace.csv into place; return the manifest."""
+        for f in range(max(0, self.sent - len(self.procs)), self.sent):
+            self._append(f)
+        for proc in self.procs:
+            proc.stdin.close()
+            if proc.wait():
+                raise self._failed(proc)
+            proc.stdout.close()
+            proc.stderr.close()
         manifest = {
             "schema_version": SCHEMA_VERSION,
             "kind": "trace",
@@ -706,22 +697,25 @@ class _TraceExport:
             "columns": self.cols,
             **fields,
         }
-        with open(directory / "manifest.json", "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        # the members np.savez would write, from each array's own buffer:
-        # np.savez copies every array into a bytes object first, and glibc
-        # keeps such a freed copy (4 MB for a 101x101 trace) in its heap,
-        # which raised the benchmark's 101x101 membrane peak RSS by 6-16%
-        with zipfile.ZipFile(directory / "trace.npz", "w") as npz:
-            for key in TRACE_ARRAYS:
-                arr = np.ascontiguousarray(getattr(trace, key),
-                                           dtype=np.float64)
-                with npz.open(f"{key}.npy", "w", force_zip64=True) as fh:
-                    np.lib.format.write_array_header_1_0(
-                        fh, np.lib.format.header_data_from_array_1_0(arr))
-                    fh.write(memoryview(arr).cast("B"))
-        os.replace(self.part, directory / "trace.csv")
+        with self._writing():
+            self.out.close()
+            with open(self.directory / "manifest.json", "w") as fh:
+                json.dump(manifest, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            # the members np.savez would write, from each array's own
+            # buffer: the bytes copy np.savez makes of each array (4 MB
+            # for a 101x101 trace) stays in glibc's heap, which raised
+            # the benchmark's 101x101 membrane peak RSS by 6-16%
+            with zipfile.ZipFile(self.directory / "trace.npz", "w") as npz:
+                for key in TRACE_ARRAYS:
+                    arr = np.ascontiguousarray(getattr(trace, key),
+                                               dtype=np.float64)
+                    with npz.open(f"{key}.npy", "w", force_zip64=True) as fh:
+                        np.lib.format.write_array_header_1_0(
+                            fh, np.lib.format.header_data_from_array_1_0(
+                                arr))
+                        fh.write(memoryview(arr).cast("B"))
+            os.replace(self.part, self.directory / "trace.csv")
         return manifest
 
 
@@ -731,14 +725,12 @@ def save_trace(trace: SimTrace, directory):
     trace.csv has one row per frame and grid point (t, the grid
     coordinates, every phi, every phidot, s1; repr of each float),
     formatted by the writer processes every trace export uses: one per
-    CPU up to MAX_WRITERS, and no more than the trace has frames.
-    trace.npz holds t (F,),
-    phi (F, n, *S), phidot (F, n, *S) and s1 (F, *S) as float64, with
-    the members and bytes an uncompressed `np.savez` of them has;
+    CPU up to MAX_WRITERS.  trace.npz holds t (F,), phi (F, n, *S),
+    phidot (F, n, *S) and s1 (F, *S) as float64, with the members and
+    bytes an uncompressed `np.savez` of them has;
     `load_trace` reads it.  A directory that cannot be written, or a
     writer that fails, raises ConfigError and leaves no trace.csv."""
-    with _TraceExport(directory, trace.grid, trace.phi.shape[1],
-                      frames=trace.t.size) as export:
+    with _TraceExport(directory, trace.grid, trace.phi.shape[1]) as export:
         for idx in range(trace.t.size):
             export.frame(trace.state(idx))
         return export.finish(trace)

@@ -101,8 +101,7 @@ def writers(monkeypatch):
 
 def pin_writers(monkeypatch, count):
     """Make trace exports see `count` CPUs and allow `count` writers
-    (`sim.MAX_WRITERS`), so each starts `count` writers (fewer where the
-    export knows of fewer frames)."""
+    (`sim.MAX_WRITERS`), so each starts `count` writers."""
     monkeypatch.setattr(sim.os, "sched_getaffinity",
                         lambda pid: set(range(count)))
     monkeypatch.setattr(sim, "MAX_WRITERS", count)
@@ -110,8 +109,8 @@ def pin_writers(monkeypatch, count):
 
 def assert_reaped(procs):
     """Every process in `procs` has exited and been waited for, and the
-    pipes to it are closed."""
+    pipes to and from it are closed."""
     assert procs
     for proc in procs:
         assert proc.returncode is not None
-        assert proc.stdin.closed and proc.stderr.closed
+        assert proc.stdin.closed and proc.stdout.closed and proc.stderr.closed

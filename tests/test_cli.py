@@ -1,6 +1,7 @@
 """CLI contract: exit codes, report schemas, determinism."""
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -275,17 +276,37 @@ class TestSimulate:
                               "--trace", str(out))
             assert code == 3
 
-    def test_no_more_writers_than_frames(self, capsys, tmp_path,
-                                         monkeypatch, writers):
-        # one step and so two frames: of three writers allowed, the
-        # export starts two
+    def test_idle_writer_exits_at_end_of_input(self, capsys, tmp_path,
+                                               monkeypatch, writers):
+        # one step and so two frames for three writers: the third gets
+        # no frame and exits at the end of its input
         pin_writers(monkeypatch, 3)
         code = main(["simulate", "--model", "membrane",
                      "--grid", "0,pi,17;0,pi,17", "--dt", "0.05",
                      "--t-end", "0.05", "--output", str(tmp_path / "x")])
         assert code == 3  # too few frames for the residuals
-        assert (tmp_path / "x" / "trace.csv").exists()
-        assert [p.returncode for p in writers] == [0, 0]
+        text = (tmp_path / "x" / "trace.csv").read_text()
+        assert text.count("\n") == 1 + 2 * 17 * 17
+        assert [p.returncode for p in writers] == [0, 0, 0]
+        assert_reaped(writers)
+
+    @pytest.mark.parametrize("flags", [
+        ("--dt", "nan"), ("--t-end", "nan"), ("--t-end", "inf"),
+        ("--dt", "1e-300", "--t-end", "1e300")])
+    def test_non_finite_step_or_end_exits_3(self, capsys, tmp_path,
+                                            monkeypatch, writers, flags):
+        # refused by run, once the export has started its writers; the
+        # last step count overflows
+        pin_writers(monkeypatch, 2)
+        out = tmp_path / "x"
+        code = main(["simulate", "--model", "membrane",
+                     "--grid", "0,pi,9;0,pi,9", "--dt", "0.05",
+                     *flags, "--output", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: non-finite step, end time or step count\n")
+        assert not out.exists()
+        assert len(writers) == 2
         assert_reaped(writers)
 
     def test_interrupted_residuals_keep_the_trace(self, tmp_path,
@@ -367,7 +388,8 @@ class TestSimulate:
         # four frames went to the two writers
         pin_writers(monkeypatch, 2)
         model, grid, init = growing_speed()
-        monkeypatch.setattr(cli, "_model_from_args", lambda args: model)
+        monkeypatch.setattr(cli, "_model_and_spec",
+                            lambda args: (model, None))
         monkeypatch.setattr(cli, "_initial_state", lambda *args: init)
         code = main(["simulate", "--grid", "0,2*pi,16", "--bc", "periodic",
                      "--dt", repr(0.2 * grid.spacing[0]), "--t-end", "5",
@@ -565,7 +587,7 @@ class TestVerify:
     def test_point_suites_share_one_model_draw_and_jet(self, capsys,
                                                        monkeypatch):
         counts = [count_calls(monkeypatch, cli, name) for name in (
-            "_model_from_args", "random_phase_point", "evaluate_jet")]
+            "_model_and_spec", "random_phase_point", "evaluate_jet")]
         code, _ = run_cli(capsys, "verify", "--suite", "reeb", "--suite",
                           "legendre", "--suite", "sopde", "--suite",
                           "symmetry", "--model", "string", "--lam", "0.5",
@@ -635,7 +657,35 @@ class TestVerify:
                               "--symmetry", "du")
         assert code == 0
         lo, hi = REFINEMENT_BAND
-        assert lo <= rep["suites"][0]["refinement_ratio"] <= hi
+        suite = rep["suites"][0]
+        assert lo <= suite["refinement_ratio"] <= hi
+        # one halving: the observed order is log2 of the ratio
+        assert suite["observed_order"] == (
+            math.log(suite["refinement_ratio"]) / math.log(2))
+
+    def test_refinement_by_one_and_a_half_judged_by_order(self, capsys,
+                                                          tmp_path):
+        # 21 -> 31 points, spacings and output step 1.5 times finer: the
+        # residual ratios lie below the halving band, the observed orders
+        # log r / log 1.5 near 2
+        paths = []
+        for N in (21, 31):
+            paths += ["--trace", str(tmp_path / f"run{N}")]
+            assert main(["simulate", "--model", "membrane", "--mu", "1",
+                         "--gamma", "0.2", "--grid", f"0,pi,{N};0,pi,{N}",
+                         "--dt", repr(0.4 * np.pi / (N - 1)),
+                         "--t-end", "5", "--output-every", "8",
+                         "--output", paths[-1]]) == 0
+        capsys.readouterr()
+        code, rep = report_of(capsys, "verify", "--suite", "dissipation",
+                              "--suite", "hdw", *paths)
+        assert code == 0
+        jsonschema.validate(rep, load_schema("verify_report.schema.json"))
+        for suite in rep["suites"]:
+            assert suite["refinement_ratio"] < REFINEMENT_BAND[0]
+            assert suite["observed_order"] == pytest.approx(
+                math.log(suite["refinement_ratio"]) / math.log(1.5))
+            assert math.log2(3.5) <= suite["observed_order"] <= 2.1
 
     def test_refinement_judged_per_consecutive_pair(self, capsys,
                                                     tmp_path):
@@ -660,6 +710,8 @@ class TestVerify:
             ratios = suite["refinement_ratios"]
             assert len(ratios) == 2
             assert all(lo <= r <= hi for r in ratios)
+            assert suite["observed_orders"] == [
+                math.log(r) / math.log(2) for r in ratios]
             first, *_, last = suite["residuals"]
             assert first / last > hi
 
@@ -691,7 +743,7 @@ class TestVerify:
                                     "during Legendre inversion\n")
 
     @pytest.mark.parametrize("case", ["other-model", "other-gamma",
-                                      "fine-first"])
+                                      "fine-first", "other-ratios"])
     def test_traces_of_no_one_refinement_exit_2(self, capsys, tmp_path,
                                                 membrane_trace_pair, case):
         coarse, fine = membrane_trace_pair
@@ -699,12 +751,17 @@ class TestVerify:
             coarse, fine = fine, coarse
         else:
             fine = str(tmp_path / case)
-            flags = (["--model", "string", "--grid", "0,pi,33"]
-                     if case == "other-model" else
-                     ["--model", "membrane", "--mu", "1", "--gamma", "0.3",
-                      "--grid", "0,pi,33;0,pi,33"])
-            assert main(["simulate", *flags, "--dt", "0.025", "--t-end",
-                         "2.0", "--output-every", "4", "--output",
+            grid = ["--grid", "0,pi,33;0,pi,33"]
+            flags = {
+                "other-model": ["--model", "string", "--grid", "0,pi,33"],
+                "other-gamma": ["--model", "membrane", "--mu", "1",
+                                "--gamma", "0.3", *grid],
+                # the spacing halved, the output step quartered
+                "other-ratios": ["--model", "membrane", "--mu", "1",
+                                 "--gamma", "0.2", *grid,
+                                 "--output-every", "2"]}[case]
+            assert main(["simulate", "--dt", "0.025", "--t-end", "2.0",
+                         "--output-every", "4", *flags, "--output",
                          fine]) == 0
         capsys.readouterr()
         code = main(["verify", "--suite", "dissipation", "--suite", "hdw",
@@ -713,6 +770,8 @@ class TestVerify:
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+        if case == "other-ratios":
+            assert captured.err.endswith("shrink by one ratio\n")
 
     def test_trace_suites_read_each_trace_once(self, capsys, monkeypatch,
                                                membrane_trace_pair):

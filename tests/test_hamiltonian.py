@@ -110,6 +110,24 @@ class TestLegendreInverse:
                                      s=mp.s[:, j]), v0=v0[..., j])
             assert batch.v[..., j].tobytes() == single.v.tobytes(), j
 
+    @pytest.mark.parametrize("start", ["preimage", "default", "off"])
+    def test_preimage_shares_no_memory_with_its_input(self, start):
+        # whether v0 is already the preimage (the free model's p) or
+        # Newton updates it, the point returned owns its arrays and the
+        # inputs keep their values
+        model = builtin_models()[0]  # free: p = v
+        mp = MomentumPoint(q=[0.4], p=[[1.0, -2.0]], s=[0.1, 0.2])
+        v0 = {"preimage": mp.p.copy(), "default": None,
+              "off": mp.p + 0.5}[start]
+        before = [np.copy(x) for x in (mp.q, mp.p, mp.s, v0)]
+        z = legendre_inverse(model, mp, v0=v0)
+        assert np.array_equal(z.v, mp.p)
+        for out in (z.q, z.v, z.s):
+            for given in (mp.q, mp.p, mp.s, v0):
+                assert not np.shares_memory(out, given)
+        for x, old in zip((mp.q, mp.p, mp.s, v0), before):
+            assert np.array_equal(x, old)
+
     def test_shape_mismatch_rejected(self):
         model = builtin_models()[2]
         mp = MomentumPoint(q=[0.0], p=[[1.0]], s=[0.0])

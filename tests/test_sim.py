@@ -1,11 +1,10 @@
 """Method-of-lines integrator: stability guards, accuracy, export."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
-import os
-import signal
 import zipfile
 
 import numpy as np
@@ -182,18 +181,26 @@ class TestGuards:
         with pytest.raises(SimulationError, match="nonpositive step"):
             run(model, grid, 0.0, 1.0, zero_state(model, grid))
 
-    def test_frame_count_is_what_run_records(self):
-        # steps rounded, at least one, up to a multiple of output_every
+    def test_steps_rounded_to_whole_outputs(self):
+        # steps rounded, at least one, up to a multiple of output_every;
+        # a step, end time or step count that is not finite is refused
         model = membrane(mu=1.0, gamma=0.0)
         grid = Grid(bounds=((0, np.pi), (0, np.pi)), counts=(9, 9))
-        for dt, t_end, every in ((0.05, 0.3, 1), (0.05, 0.3, 4),
-                                 (0.05, 0.01, 3), (0.04, 0.3, 2)):
+        for dt, t_end, every, frames in ((0.05, 0.3, 1, 7),
+                                         (0.05, 0.3, 4, 3),
+                                         (0.05, 0.01, 3, 2),
+                                         (0.04, 0.3, 2, 5)):
             trace = run(model, grid, dt, t_end, zero_state(model, grid),
                         output_every=every)
-            assert sim.frame_count(dt, t_end, every) == trace.t.size
-        for dt, every in ((0.0, 1), (0.05, 0)):
+            assert trace.t.size == frames
+            assert trace.t[-1] == pytest.approx(dt * every * (frames - 1))
+        for dt, t_end, every in ((0.0, 1.0, 1), (0.05, 1.0, 0),
+                                 (math.nan, 1.0, 1), (0.05, math.nan, 1),
+                                 (0.05, math.inf, 1), (math.inf, 1.0, 1),
+                                 (1e-300, 1e300, 1)):
             with pytest.raises(SimulationError):
-                sim.frame_count(dt, 1.0, every)
+                run(model, grid, dt, t_end, zero_state(model, grid),
+                    output_every=every)
 
     def test_cfl_violation(self):
         model = membrane(mu=2.0, gamma=0.0)
@@ -661,9 +668,10 @@ class TestExport:
         assert_reaped(writers)
 
     @staticmethod
-    def random_trace(frames):
-        """A trace of `frames` frames of random floats on an 8x9 grid."""
-        grid = Grid(bounds=((0, 1), (0, 2)), counts=(8, 9))
+    def random_trace(frames, counts=(8, 9)):
+        """A trace of `frames` frames of random floats on an 8x9 grid, or
+        one of `counts` points."""
+        grid = Grid(bounds=((0, 1), (0, 2)), counts=counts)
         rng = np.random.default_rng(frames)
         return SimTrace(model_name="string", params={"gamma": 0.3},
                         grid=grid, dt=0.05, output_every=1,
@@ -677,8 +685,8 @@ class TestExport:
                                                   monkeypatch, cpus):
         # frames dealt round-robin to 1, 2 or 3 writers, with fewer frames
         # than writers and frame counts the writer count does not divide;
-        # a live export starts a writer per CPU, save_trace no more
-        # writers than frames
+        # every export starts a writer per CPU, and a writer that gets no
+        # frame exits at the end of its input
         pin_writers(monkeypatch, cpus)
         started = 0
         for frames in (1, 2, 4, 7):
@@ -691,26 +699,24 @@ class TestExport:
             save_trace(trace, tmp_path / f"{frames}" / "saved")
             for path in (live, tmp_path / f"{frames}" / "saved"):
                 self.assert_exported(trace, path)
-            started += cpus + min(cpus, frames)
+            started += 2 * cpus
             assert len(writers) == started
         assert [p.returncode for p in writers] == [0] * started
 
     def test_writer_count(self, monkeypatch):
         # one writer per CPU this process may run on, or per CPU of the
-        # machine where there is no affinity call; no more than
-        # MAX_WRITERS, nor than the frames where their count is known,
-        # but at least one
+        # machine where there is no affinity call, and no more than
+        # MAX_WRITERS
         monkeypatch.setattr(sim.os, "sched_getaffinity",
                             lambda pid: set(range(64)))
         assert sim.MAX_WRITERS == 2
-        assert [sim._writer_count(f) for f in (None, 1, 9)] == [2, 1, 2]
+        assert sim._writer_count() == 2
         pin_writers(monkeypatch, 3)
-        assert [sim._writer_count(f) for f in (None, 0, 2, 3, 9)] == [
-            3, 1, 2, 3, 3]
+        assert sim._writer_count() == 3
         monkeypatch.setattr(sim, "MAX_WRITERS", 8)
         monkeypatch.delattr(sim.os, "sched_getaffinity")
         monkeypatch.setattr(sim.os, "cpu_count", lambda: 5)
-        assert [sim._writer_count(f) for f in (None, 4)] == [5, 4]
+        assert sim._writer_count() == 5
         monkeypatch.setattr(sim.os, "cpu_count", lambda: None)
         assert sim._writer_count() == 1
 
@@ -747,13 +753,14 @@ class TestExport:
     def test_killed_writer_raises_config_error(self, tmp_path, writers,
                                                monkeypatch):
         # the writer of the second frame, one of two, is killed before
-        # that frame is sent
+        # that frame is sent; its record is missing when the fourth
+        # frame is sent
         pin_writers(monkeypatch, 2)
         frame = sim._TraceExport.frame
 
         def kill_at_second_frame(export, state):
-            if state.t > 0:
-                export.procs[export.sent % export.writers].kill()
+            if export.sent == 1:
+                export.procs[1].kill()
             frame(export, state)
 
         monkeypatch.setattr(sim._TraceExport, "frame", kill_at_second_frame)
@@ -767,56 +774,66 @@ class TestExport:
         # there, no trace file is written
         assert not (tmp_path / "new").exists()
         assert list((tmp_path / "old").iterdir()) == []
-        # the killed writers, and the first writers, which either wait
-        # in vain for the token or are killed when a send fails
-        codes = [p.returncode for p in writers]
-        assert codes[1::2] == [-9, -9] and set(codes[::2]) <= {1, -9}
+        # the killed writers, and the first writers, killed when the
+        # export stops
+        assert [p.returncode for p in writers] == [-9] * 4
         assert_reaped(writers)
 
-    def test_writer_dying_before_its_frame_stops_the_ring(self, tmp_path,
+    def test_writer_ending_mid_record_raises_config_error(self, tmp_path,
                                                           writers,
                                                           monkeypatch):
-        # writer 1 of 3 is stopped before any frame is sent and killed
-        # once all five are: writer 2 reads the end of its token pipe
-        # before frame 2 and exits 1, and so does writer 0 before frame 3
-        pin_writers(monkeypatch, 3)
-        frame, finish = sim._TraceExport.frame, sim._TraceExport.finish
-
-        def stop_writer_1(export, state):
-            if export.sent == 0:
-                os.kill(export.procs[1].pid, signal.SIGSTOP)
-            frame(export, state)
-
-        def kill_writer_1(export, trace):
-            export.procs[1].kill()
-            return finish(export, trace)
-
-        monkeypatch.setattr(sim._TraceExport, "frame", stop_writer_1)
-        monkeypatch.setattr(sim._TraceExport, "finish", kill_writer_1)
+        # a writer that reads its first frame, writes the length of a
+        # record and three bytes of it, and exits 3
+        fake = tmp_path / "fake_writer.py"
+        fake.write_text("""\
+import sys
+points, dims, width = map(int, sys.argv[1:])
+sys.stdin.buffer.read(8 * (dims * points + 1 + width * points))
+sys.stdout.buffer.write((100).to_bytes(8, "little") + b"t,x")
+sys.stdout.buffer.flush()
+sys.stderr.write("cut short\\n")
+sys.exit(3)
+""")
+        monkeypatch.setattr(sim, "CSV_WRITER", fake)
+        pin_writers(monkeypatch, 2)
         with pytest.raises(ConfigError, match=(
-                r"trace.csv writer for .* failed \(exit 1, -9, 1\): an "
-                r"earlier trace.csv writer ended before its frame")):
-            save_trace(self.random_trace(5), tmp_path / "out")
+                r"trace.csv writer for .* failed \(exit 3\): cut short")
+                           ) as info:
+            save_trace(self.random_trace(4), tmp_path / "out")
+        # found when frame 0's record is read, before frame 2 is sent
+        assert any(entry.name == "_append" for entry in info.traceback)
         assert not (tmp_path / "out").exists()
-        assert [p.returncode for p in writers] == [1, -9, 1]
+        assert len(writers) == 2
         assert_reaped(writers)
 
-    def test_failed_writer_reports_its_own_error(self, tmp_path, writers,
-                                                 monkeypatch):
-        # writer 0 of 2 writes to a full device and fails; writer 1 then
-        # reads the end of its token pipe, and the error names the first
-        # failure, not the second
+    @pytest.mark.parametrize("link, where", [
+        ("trace.csv.part", "_append"), ("trace.csv.part", "finish"),
+        ("manifest.json", "finish")])
+    def test_full_device_raises_config_error(self, tmp_path, writers,
+                                             monkeypatch, link, where):
+        # trace.csv.part on /dev/full: frames of 40x40 rows fail at the
+        # exporting process's write, one frame of zeros on 8x9 points,
+        # which its buffer holds, at its close; manifest.json on
+        # /dev/full fails once trace.csv is complete
         pin_writers(monkeypatch, 2)
         out = tmp_path / "out"
         out.mkdir()
-        (out / "trace.csv.part").symlink_to("/dev/full")
+        (out / link).symlink_to("/dev/full")
+        if where == "_append":
+            trace = self.random_trace(4, (40, 40))
+        else:
+            trace = self.random_trace(1)
+            trace = dataclasses.replace(trace, phi=0 * trace.phi,
+                                        phidot=0 * trace.phidot,
+                                        s1=0 * trace.s1)
         with pytest.raises(ConfigError, match=(
-                r"trace.csv writer for .* failed \(exit .*\): .*No space "
-                r"left on device")) as info:
-            save_trace(self.random_trace(4), out)
-        assert sim.RING_BROKEN not in str(info.value)
-        assert list(out.iterdir()) == []
-        assert writers[0].returncode not in (0, None)
+                r"cannot write a trace to .*No space left on device")
+                           ) as info:
+            save_trace(trace, out)
+        assert any(entry.name == where for entry in info.traceback)
+        assert [p.name for p in out.iterdir()] == (
+            [] if link == "trace.csv.part" else [link])
+        assert len(writers) == 2
         assert_reaped(writers)
 
     @pytest.mark.parametrize("error", [SimulationError, KeyboardInterrupt])

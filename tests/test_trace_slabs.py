@@ -53,7 +53,7 @@ def verify_walk(model, trace):
     (field du) over `trace`."""
     args = argparse.Namespace(field=None, symmetry="du")
     return _walk_traces(args, {"dissipation": 0.05, "hdw": 0.5},
-                        [(trace, model)])
+                        [(trace, model)], [])
 
 
 def residuals(model, trace):
