@@ -160,7 +160,10 @@ def _columns_json(parts, depth) -> str:
 def _emit(report: dict, output):
     text = _to_json(report) + "\n"
     if output:
-        Path(output).write_text(text)
+        try:
+            Path(output).write_text(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write report to {output}: {exc}")
     else:
         sys.stdout.write(text)
 

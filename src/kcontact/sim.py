@@ -328,7 +328,8 @@ def run(model: LagrangianModel, grid: Grid, dt: float, t_end: float,
 
     Every step checks the state it steps from for the CFL condition
     (see `step`) and the state it produced for finiteness, so a CFL
-    violation or a blow-up is reported at the first step that meets it.
+    violation or a blow-up is reported at the first step that meets it,
+    with no numpy overflow or invalid-value warning on its way there.
     `on_frame`, if given, is called with each recorded state (the
     initial one first) as soon as it is recorded."""
     if grid.ndim != model.k - 1:
@@ -337,13 +338,14 @@ def run(model: LagrangianModel, grid: Grid, dt: float, t_end: float,
     steps = _steps(dt, t_end, output_every)
     state = initial.check_finite()
     frames = []
-    for j in range(steps + 1):
-        if j:
-            state = step(model, state, grid, dt).check_finite()
-        if j % output_every == 0:
-            frames.append(state)
-            if on_frame is not None:
-                on_frame(state)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(steps + 1):
+            if j:
+                state = step(model, state, grid, dt).check_finite()
+            if j % output_every == 0:
+                frames.append(state)
+                if on_frame is not None:
+                    on_frame(state)
     return SimTrace(
         model_name=model.name, params=dict(model.params), grid=grid,
         dt=dt, output_every=output_every,

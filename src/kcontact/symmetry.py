@@ -15,7 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .contact import _energy_gradients, reeb, reeb_derivative_of_energy
+from .contact import _energy_gradients, hessian, reeb
+from .errors import NotRegularError
 from .jet import Jet2, LagrangianModel, PhasePoint, evaluate_jet
 from .sim import _trace_div, _trace_slabs, _trace_trim
 from .taylor import T2, TaylorContext, variables
@@ -221,48 +222,47 @@ def reeb_bracket_check(model: LagrangianModel, Y: SymmetryField,
                      np.max(np.abs(dv - dYv))))
 
 
+def _dissipation_law(Fvals, jet, spacings, halo) -> np.ndarray:
+    """div(F o sigma) + R_a(E_L) F^a o sigma on a trace slab's interior,
+    from F's values (k, T, *S) and the slab's jet, by the identity
+    R_a(E_L) = -dL/ds^a that the Reeb equations give a regular L."""
+    return _trace_div(Fvals, spacings, halo) - np.einsum(
+        "a...,a...->...", *(_trace_trim(x, len(spacings), halo)
+                            for x in (jet.dLds, Fvals)))
+
+
 def momentum_dissipation_check(model: LagrangianModel, i: int,
                                trace) -> float:
     """Residual of the momentum dissipation identity along a trace:
 
         div(p_i o sigma) = sum_a dL/ds^a * p_i^a  on solutions,
 
-    valid when q^i is cyclic, over the trace interior.  Raises if
-    |dL/dq^i| exceeds 1e-9 at any sample the residual reads (every frame
-    but the first and the last).  The trace is walked slab by slab, in
-    memory independent of the frame count."""
+    valid when q^i is cyclic: `_dissipation_law` of p_i over the trace
+    interior, walked slab by slab.  Raises if |dL/dq^i| exceeds 1e-9 at
+    any sample the residual reads (every frame but the first and last)."""
     maxima = []
     for q, v, s, spacings, jet in _trace_slabs(model, trace):
         if np.max(np.abs(jet.dLdq[i])) > 1e-9:
             raise ValueError(f"coordinate {i} not cyclic")
-        momenta = jet.dLdv[i]  # (k, T, *S)
-        rhs = np.einsum("a...,a...->...", _trace_trim(jet.dLds, model.k, 1),
-                        _trace_trim(momenta, model.k, 1))
-        res = _trace_div(momenta, spacings, 1) - rhs
+        res = _dissipation_law(jet.dLdv[i], jet, spacings, 1)
         maxima.append(np.max(np.abs(res)))
     return float(np.max(maxima))
 
 
 def _dissipation_residual(F: DissipatedQuantity, q, v, s, spacings, jet,
                           halo) -> np.ndarray:
-    """Pointwise residual of div(F o sigma) + (L_{R_a} E_L) F^a o sigma
-    over one slab of a trace walk (`sim._trace_slabs`), on its interior
-    (`halo` frames and two spatial layers stripped at both ends).  F and
-    the Reeb derivative of the energy come from the slab's jet, and
-    `reeb` refuses a Lagrangian that is not regular there."""
-    Fvals = F(jet, q, v, s)  # (k, T, *S)
-    rE = reeb_derivative_of_energy(jet, v, reeb(jet))
-    k = len(spacings)
-    return (_trace_div(Fvals, spacings, halo)
-            + np.einsum("a...,a...->...", _trace_trim(rE, k, halo),
-                        _trace_trim(Fvals, k, halo)))
+    """`_dissipation_law` of F over one slab of a trace walk: R_a(E_L) =
+    -dL/ds^a holds for a regular L only, so a slab where `hessian` finds
+    L not regular is refused, by the verdict `reeb` applies."""
+    if not np.all(hessian(jet).regular):
+        raise NotRegularError("Lagrangian not regular")
+    return _dissipation_law(F(jet, q, v, s), jet, spacings, halo)
 
 
 def dissipation_law_check(model: LagrangianModel, F: DissipatedQuantity,
                           trace) -> np.ndarray:
-    """`_dissipation_residual` over the trace interior.  The trace is
-    walked slab by slab, in memory independent of the frame count, and
-    the slabs' residuals are joined along the time axis."""
+    """`_dissipation_residual` over the trace interior, walked slab by
+    slab (in memory independent of the frame count) and joined in time."""
     return np.concatenate([_dissipation_residual(F, *slab, halo=1)
                            for slab in _trace_slabs(model, trace)],
                           axis=-model.k)

@@ -334,6 +334,20 @@ class TestSimulate:
                           "--dt", "0.5", "--output", str(tmp_path / "x"))
         assert code == 3
 
+    def test_blow_up_writes_one_error_line(self, tmp_path):
+        # the overflow on the way to the first non-finite state prints no
+        # numpy warning; run apart from pytest, which captures warnings
+        src = str(Path(kcontact.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "kcontact.cli", "simulate", "--model",
+             "membrane", "--grid", "0,pi,9;0,pi,9", "--dt", "0.05",
+             "--t-end", "0.2", "--amplitude", "1e308",
+             "--output", str(tmp_path / "D")],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr == "error: blow-up detected at t=0.05\n"
+
     def test_singular_time_block_exits_3(self, capsys, tmp_path):
         # L built from u_tx alone is hyperbolic, but its time-time
         # velocity Hessian block vanishes
@@ -1040,6 +1054,29 @@ class TestHostileText:
         assert code == 3 and captured.out == ""
         assert captured.err.startswith("error: non-finite entries in jet")
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", ["derive", "verify", "inverse"])
+    @pytest.mark.parametrize("dest", ["missing-directory", "directory",
+                                      "full-device"])
+    def test_unwritable_report_exits_2(self, capsys, tmp_path, command,
+                                       dest):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"A": [[1, 0], [0, -1]], "D": [0, 0]}))
+        argv = {"derive": ["derive", "--model", "membrane"],
+                "verify": ["verify", "--model", "membrane", "--suite",
+                           "reeb", "--num-points", "3"],
+                "inverse": ["inverse", "--spec", str(spec),
+                            "--num-points", "3"]}[command]
+        path = {"missing-directory": tmp_path / "missing" / "x.json",
+                "directory": tmp_path, "full-device": Path("/dev/full")}[dest]
+        if dest == "full-device" and not path.exists():
+            pytest.skip("no /dev/full")
+        code = main(argv + ["--output", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"error: cannot write report to "
+                                       f"{path}: ")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("command", SPEC_COMMANDS)
     @pytest.mark.parametrize("case", HOSTILE_SPECS)

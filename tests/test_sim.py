@@ -273,8 +273,6 @@ class TestGuards:
         with pytest.raises(SimulationError, match="CFL"):
             run(model, grid, dt, 4 * dt, init, output_every=4)
 
-    @pytest.mark.filterwarnings("ignore:overflow")
-    @pytest.mark.filterwarnings("ignore:invalid value")
     def test_blow_up_detection(self):
         # negative damping feeds energy in; k=1 keeps it cheap
         model = damped_oscillator(gamma=-80.0, omega=1.0)

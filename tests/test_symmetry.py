@@ -3,14 +3,21 @@
 import numpy as np
 import pytest
 
-from kcontact import (Grid, SimState, builtin_symmetry_field,
-                      check_contact_symmetry, constant_field,
-                      dissipated_quantity, dissipation_law_check,
-                      evaluate_jet, free, lie_derivative_eta, membrane,
+from kcontact import (Grid, LagrangianModel, SimState, builtin_models,
+                      builtin_symmetry_field, check_contact_symmetry,
+                      constant_field, dissipated_quantity,
+                      dissipation_law_check, evaluate_jet, free, hessian,
+                      lie_derivative_eta, membrane,
                       momentum_dissipation_check, random_phase_point,
-                      reeb_bracket_check, run, stack_points, string)
+                      reeb, reeb_bracket_check, reeb_derivative_of_energy,
+                      run, stack_points, string)
+from kcontact.sim import _trace_div, _trace_slabs, _trace_trim
 from kcontact.symmetry import SymmetryField, SymmetryJacobian
 from kcontact.taylor import cos, exp, sin
+from conftest import cubic
+from test_jet import born_infeld
+from test_sim import coupled_wave
+from test_trace_slabs import periodic_trace
 
 
 def nonlinear_field():
@@ -169,7 +176,84 @@ class TestDissipatedQuantity:
                            [-1.0, 0.0, 0.0])
 
 
+def reeb_dissipation_law(model, F, trace):
+    """div(F o sigma) + R_a(E_L) F^a o sigma over the trace interior,
+    slab by slab, with R_a(E_L) from the Reeb fields `reeb` solves."""
+    parts = []
+    for q, v, s, spacings, jet in _trace_slabs(model, trace):
+        Fvals = F(jet, q, v, s)
+        rE = reeb_derivative_of_energy(jet, v, reeb(jet))
+        k = len(spacings)
+        parts.append(_trace_div(Fvals, spacings, 1)
+                     + np.einsum("a...,a...->...", _trace_trim(rE, k, 1),
+                                 _trace_trim(Fvals, k, 1)))
+    return np.concatenate(parts, axis=-model.k)
+
+
+def string_trace(model, N=33):
+    grid = Grid(bounds=((0, np.pi),), counts=(N,))
+    Z = grid.mesh()[0]
+    init = SimState(phi=np.stack([np.sin(Z), 0.5 * np.sin(2 * Z)]),
+                    phidot=np.zeros((2, N)), s1=np.zeros(N))
+    return run(model, grid, 0.4 * grid.spacing[0], 1.0, init,
+               output_every=2)
+
+
 class TestDissipationLaw:
+    @pytest.mark.parametrize(
+        "model", builtin_models() + [
+            born_infeld(), coupled_wave(),
+            LagrangianModel(n=1, k=2, name="cubic", lagrangian=cubic)],
+        ids=lambda m: m.name)
+    def test_reeb_energy_derivative_is_minus_dLds(self, model):
+        # W vcomp_a = -d2L/dvds^a turns R_a(E_L) into -dL/ds^a, which the
+        # trace law reads in its place
+        z = random_phase_point(model, np.random.default_rng(6), scale=0.5,
+                               size=50)
+        jet = evaluate_jet(model, z)
+        assert np.all(hessian(jet).regular)
+        dE = reeb_derivative_of_energy(jet, z.v, reeb(jet))
+        assert np.all(np.abs(dE + jet.dLds)
+                      <= 1e-14 * np.maximum(1.0, np.abs(jet.dLds)))
+
+    @pytest.mark.parametrize("field", ["du", "scaling"])
+    def test_membrane_law_is_the_reeb_law(self, membrane_model,
+                                          membrane_trace, field):
+        # R_a(E_L) = -dL/ds^a bit for bit for the membrane
+        _, trace = membrane_trace
+        F = dissipated_quantity(builtin_symmetry_field(membrane_model, field))
+        assert np.array_equal(
+            dissipation_law_check(membrane_model, F, trace),
+            reeb_dissipation_law(membrane_model, F, trace))
+
+    @pytest.mark.parametrize("field", ["du", "paperY"])
+    def test_string_law_is_the_reeb_law(self, field):
+        model = string(rho=1.0, tau=1.0, lam=0.1, gamma=0.3, B=1.0)
+        trace = string_trace(model)
+        F = dissipated_quantity(builtin_symmetry_field(model, field))
+        assert np.array_equal(dissipation_law_check(model, F, trace),
+                              reeb_dissipation_law(model, F, trace))
+
+    @pytest.mark.parametrize("make", [coupled_wave, born_infeld],
+                             ids=["coupled_wave", "born_infeld"])
+    @pytest.mark.parametrize("field", ["du", "scaling"])
+    def test_nonlinear_law_is_the_reeb_law(self, make, field):
+        # point-dependent Hessians; coupled_wave couples v and s
+        model = make()
+        trace = periodic_trace(model)
+        F = dissipated_quantity(builtin_symmetry_field(model, field))
+        ref = reeb_dissipation_law(model, F, trace)
+        got = dissipation_law_check(model, F, trace)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_momentum_law_is_the_du_law(self, membrane_model,
+                                        membrane_trace):
+        # F of d/du is p_0, so both checks compute the same residual
+        _, trace = membrane_trace
+        F = dissipated_quantity(builtin_symmetry_field(membrane_model, "du"))
+        assert momentum_dissipation_check(membrane_model, 0, trace) == float(
+            np.max(np.abs(dissipation_law_check(membrane_model, F, trace))))
+
     def test_law_holds_along_membrane_trace(self, membrane_model,
                                             membrane_trace):
         _, trace = membrane_trace
