@@ -31,8 +31,8 @@ from .inverse import (PdeSpec, build_lagrangian, membrane_spec,
                       render_lagrangian, roundtrip_check)
 from .jet import PhasePoint, _from_rows, evaluate_jet, random_phase_point
 from .models import MODEL_NAMES, MODEL_PARAMS, MODELS, build_model
-from .sim import (SCHEMA_VERSION, Grid, SimState, _trace_slabs,
-                  _TraceExport, load_trace, run, trace_el_residual)
+from .sim import (SCHEMA_VERSION, Grid, SimState, _map_slabs, _TraceExport,
+                  load_trace, run, trace_el_residual)
 from .symmetry import (_dissipation_residual, builtin_symmetry_field,
                        check_contact_symmetry, dissipated_quantity,
                        dissipation_law_check)
@@ -155,6 +155,14 @@ def _columns_json(parts, depth) -> str:
         for i, row in zip(at.tolist(), rows.tolist()):
             texts[i] = entry % tuple(row)
     return _template((len(texts),), depth) % tuple(texts)
+
+
+def _check_output(output):
+    """Refuse, as `_emit` would, a report path that is a directory or in
+    no directory, before the work; a full device fails in `_emit`."""
+    if output and (Path(output).is_dir() or not Path(output).parent.is_dir()):
+        raise ConfigError(f"cannot write report to {output}: not a file "
+                          f"in an existing directory")
 
 
 def _emit(report: dict, output):
@@ -409,11 +417,6 @@ def _suite_symmetry(args, tol, sample) -> dict:
             "pass": bool(res["is_symmetry"]) or not asserted}
 
 
-def _load_trace_and_model(path):
-    trace = load_trace(path)
-    return trace, build_model(trace.model_name, trace.params)
-
-
 # a trace suite over two or more traces, coarsest first, passes when
 # the observed order of accuracy of each trace to the next, log(r) /
 # log(rho) for a residual ratio r under spacings finer by rho (Roy, J.
@@ -485,24 +488,24 @@ def _hdw_slab(args, model):
     them also starts the Newton solve."""
     def residual(q, v, s, spacings, jet):
         path = momentum_path_from_arrays(jet, q, s, spacings)
-        return hdw_residual(model, path, v0=v, jet=jet).max()
+        return hdw_residual(model, path, v0=v, jet=jet,
+                            halo=TRACE_HALO).max()
     return residual, {}
 
 
 def _walk_traces(args, tols, traces, refinements) -> dict:
     """The report of each trace suite in `tols` (name: tolerance) over
     the loaded `traces`, refined by `refinements` pair by pair, from one
-    slab walk per trace (`_trace_slabs`, in memory independent of the
+    slab walk per trace (`_map_slabs`, in memory independent of the
     frame count): every suite reads each slab and its one jet in turn."""
     residuals = {name: [] for name in tols}
     for trace, model in traces:
         suites = {name: TRACE_SUITES[name](args, model) for name in tols}
-        maxima = {name: [] for name in tols}
-        for slab in _trace_slabs(model, trace, halo=TRACE_HALO):
-            for name, (residual, _) in suites.items():
-                maxima[name].append(residual(*slab))
-        for name in tols:
-            residuals[name].append(float(np.max(maxima[name])))
+        maxima = np.max(_map_slabs(
+            lambda *slab: [residual(*slab) for residual, _ in suites.values()],
+            model, trace, halo=TRACE_HALO), axis=0)
+        for name, worst in zip(suites, maxima.tolist()):
+            residuals[name].append(worst)
     return {name: {"suite": name, **entries,
                    **_trace_verdict(residuals[name], tols[name],
                                     refinements)}
@@ -538,8 +541,9 @@ TRACE_SUITES = {
     "hdw": _hdw_slab,
 }
 
-# the time halo of verify's slab walk: `hdw_residual` strips two frames
-TRACE_HALO = 2
+# the time halo of verify's slab walk: the central time difference of
+# both trace suites reads one frame past each end of a slab
+TRACE_HALO = 1
 
 SUITE_DEFAULT_TOL = {
     "reeb": 1e-9, "legendre": 1e-10, "sopde": 1e-9,
@@ -567,7 +571,8 @@ def cmd_verify(args) -> int:
     # suite requested
     @functools.cache
     def trace_reports():
-        traces = [_load_trace_and_model(path) for path in args.trace]
+        traces = [(trace, build_model(trace.model_name, trace.params))
+                  for trace in map(load_trace, args.trace)]
         refinements = _check_refinement(args.trace,
                                         [trace for trace, _ in traces])
         return _walk_traces(args, {name: tol(name) for name in args.suite
@@ -674,13 +679,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _merge_config(args, parser)
+        if args.cmd != "simulate":  # whose --output is a trace directory
+            _check_output(args.output)
         return args.func(args)
-    except ConfigError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     except KContactError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 3
+        return 2 if isinstance(exc, ConfigError) else 3
 
 
 if __name__ == "__main__":

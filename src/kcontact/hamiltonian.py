@@ -133,17 +133,18 @@ class HdwResiduals:
 
 
 def hdw_residual(model: LagrangianModel, path: MomentumPath,
-                 v0=None, jet=None) -> HdwResiduals:
+                 v0=None, jet=None, halo=2) -> HdwResiduals:
     """Residuals of the canonical HDW equations along a discrete path,
-    on its interior: two layers stripped at both ends of every direction.
+    on its interior: `halo` layers stripped at both ends of the first
+    direction (time) and two at both ends of every other.
 
     Path derivatives are the trace stencil (`sim._trace_d1`), computed
     on that interior only; Hamiltonian derivatives come from the duality
     identities at the batched Legendre preimage.  `jet`, the jet at
     (path.q, v0, path.s) if already evaluated, starts the Newton solve
     for that preimage.  `verify --suite hdw` calls it once per slab of
-    its trace walk (`sim._trace_slabs` with a halo of two frames), with
-    the slab's velocities as v0 and the slab's jet.
+    its trace walk (`sim._map_slabs` with a halo of one frame), with the
+    slab's velocities as v0 and the slab's jet.
     """
     k = model.k
     h = path.spacings
@@ -155,15 +156,15 @@ def hdw_residual(model: LagrangianModel, path: MomentumPath,
         jet = evaluate_jet_batch(model, path.q, v, path.s)
 
     def trim(x):
-        return _trace_trim(x, k)
+        return _trace_trim(x, k, halo)
 
     # every pointwise term is taken on the interior as well
     p, v = trim(path.p), trim(v)
-    r_q = (np.stack([_trace_d1(path.q, h, a, 2) for a in range(k)], axis=1)
-           - v)
-    r_p = (_trace_div(path.p, h, 2) - trim(jet.dLdq)
+    r_q = (np.stack([_trace_d1(path.q, h, a, halo) for a in range(k)],
+                    axis=1) - v)
+    r_p = (_trace_div(path.p, h, halo) - trim(jet.dLdq)
            - np.einsum("ia...,a...->i...", p, trim(jet.dLds)))
     H = np.einsum("ia...,ia...->...", v, trim(jet.dLdv)) - trim(jet.L)
     pv = np.einsum("ia...,ia...->...", p, v)
-    r_s = _trace_div(path.s, h, 2) - (pv - H)
+    r_s = _trace_div(path.s, h, halo) - (pv - H)
     return HdwResiduals(r_q, r_p, r_s)

@@ -9,6 +9,7 @@ evaluates both on plain numpy arrays (fast path for simulation) and on
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable
@@ -113,6 +114,10 @@ class JetLayout:
     vs: tuple
     need_a: np.ndarray
     need_s: np.ndarray
+
+
+# held over `_layout` calls, so threads never build two layouts of a pattern
+_LAYOUT_LOCK = threading.Lock()
 
 
 @lru_cache(maxsize=64)
@@ -307,7 +312,8 @@ def evaluate_jet_batch(model: LagrangianModel, q, v, s) -> Jet2:
     out = model.lagrangian(*variables(ctx, q, v, s))
     if not isinstance(out, T2):  # constant Lagrangian
         out = T2(ctx, out, {}, {})
-    layout = _layout(n, k, frozenset(out.grad), frozenset(out.hess))
+    with _LAYOUT_LOCK:
+        layout = _layout(n, k, frozenset(out.grad), frozenset(out.hess))
     dq, dv, ds, hvv, hvq, hvs = layout.rows
     # the second-derivative blocks keep the stored entries' shape, which
     # broadcasts against the batch (size-1 axes where L is quadratic in v)

@@ -20,6 +20,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 import zipfile
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
@@ -361,13 +362,16 @@ def run(model: LagrangianModel, grid: Grid, dt: float, t_end: float,
 # reported interior only: `halo` frames stripped at both ends of time and
 # two layers at both ends of each spatial axis (`_trace_trim`).  No value
 # is computed at the ends.  The trace residuals walk that interior, and
-# `trace_lagrangian` every frame, in time slabs (`_trace_slabs`), so
-# their memory does not grow with the frame count; `verify` walks each
-# trace once and hands every slab to each trace suite it runs.
+# `trace_lagrangian` every frame, in time slabs (`_map_slabs`), so their
+# memory does not grow with the frame count; `verify` walks each trace
+# once and hands every slab to each trace suite it runs.
 
-# space-time samples per slab of a trace walk (at least one frame); the
-# working memory of a residual scales with it, not with the frames
+# space-time samples in flight in a trace walk (at least one frame per
+# slab): a residual's working memory scales with it, not with the frames
 TRACE_SLAB_SAMPLES = 1 << 17
+# The most threads a trace walk uses: two were measured against one on a
+# 2-CPU host (BENCH_29.json), a larger host is not measured.
+MAX_WALKERS = 2
 
 
 def _trace_interior(k, halo):
@@ -401,15 +405,21 @@ def _trace_div(fields, spacings, halo):
     return div
 
 
-def _trace_trim(arr, k, halo=2):
+def _trace_trim(arr, k, halo):
     """arr with `halo` layers stripped at both ends of the first of its
     last k axes (time) and two at both ends of the other k - 1."""
     return arr[(Ellipsis, *_trace_interior(k, halo))]
 
 
-def _frame_arrays(model, trace, frames):
-    """`trace_point_arrays` at the trace frames `frames`; the time
-    spacing stays the whole trace's dt_out."""
+def trace_point_arrays(model: LagrangianModel, trace: SimTrace,
+                       frames=slice(None)):
+    """Phase-point coordinate arrays over the (time, space) trace grid,
+    at the trace frames `frames` (all by default).
+
+    Returns (q (n, T, *S), v (n, k, T, *S), s (k, T, *S), spacings (k,)).
+    Spatial velocities are central differences of the stored fields; the
+    time spacing is the whole trace's dt_out.
+    """
     q = np.moveaxis(trace.phi[frames], 0, 1)        # (n, T, *S)
     v, s = _point_arrays(model, trace.grid, q,
                          np.moveaxis(trace.phidot[frames], 0, 1),
@@ -417,33 +427,60 @@ def _frame_arrays(model, trace, frames):
     return q, v, s, np.array([trace.dt_out] + list(trace.grid.spacing))
 
 
-def trace_point_arrays(model: LagrangianModel, trace: SimTrace):
-    """Phase-point coordinate arrays over the (time, space) trace grid.
-
-    Returns (q (n, T, *S), v (n, k, T, *S), s (k, T, *S), spacings (k,)).
-    Spatial velocities are central differences of the stored fields.
-    """
-    return _frame_arrays(model, trace, slice(None))
-
-
-def _trace_slabs(model, trace, halo=1, ends=2, weight=1):
-    """The frames [ends, T-ends) of `trace` in slabs of
-    max(1, TRACE_SLAB_SAMPLES // (weight * prod(S))) frames.  Yields
-    (q, v, s, spacings, jet) per slab, as `trace_point_arrays` and
-    `evaluate_jet_batch` give them over the slab's frames and `halo`
-    more at both ends, which `_trace_trim(..., halo)` strips again.
-    The residuals walk the reported time interior (ends=2), so a trace
-    of fewer than 5 frames has none and raises."""
+def _map_slabs(fn, model, trace, halo=1, ends=2, weight=1) -> list:
+    """fn(q, v, s, spacings, jet) of every slab of the frames [ends,
+    T-ends) of `trace`, in slab order: the arrays `trace_point_arrays`
+    and `evaluate_jet_batch` give over the slab's frames and `halo` more
+    at both ends, which `_trace_trim(..., halo)` strips again.  W threads,
+    the caller's among them, take the slabs in turn: one per CPU this
+    process may run on, up to MAX_WALKERS.  A slab holds max(1,
+    TRACE_SLAB_SAMPLES // (W * weight * prod(S))) frames, so the samples
+    in flight do not grow with W; no result depends on W or the slab
+    size.  After a failure or an interrupt no slab starts and every
+    thread is joined, then the first failing slab's error is raised.  A
+    trace of 2 * ends frames or fewer has no slab and raises."""
     T = trace.t.size
     if T < 2 * ends + 1:
         raise SimulationError(
             f"trace residuals need at least {2 * ends + 1} frames, "
             f"the trace has {T}")
-    per = max(1, TRACE_SLAB_SAMPLES // (weight * math.prod(trace.grid.shape)))
-    for lo in range(ends, T - ends, per):
-        q, v, s, spacings = _frame_arrays(
-            model, trace, slice(lo - halo, min(lo + per, T - ends) + halo))
-        yield q, v, s, spacings, evaluate_jet_batch(model, q, v, s)
+    workers = min(_cpus(), MAX_WALKERS)
+    per = max(1, TRACE_SLAB_SAMPLES // (workers * weight * trace.s1[0].size))
+    slabs = [slice(lo - halo, min(lo + per, T - ends) + halo)
+             for lo in range(ends, T - ends, per)]
+    results, errors, lock = [None] * len(slabs), {}, threading.Lock()
+    pending = list(enumerate(slabs))[::-1]  # popped first slab first
+
+    def walk():
+        while True:
+            with lock:
+                if errors or not pending:
+                    return
+                i, frames = pending.pop()
+            try:
+                q, v, s, spacings = trace_point_arrays(model, trace,
+                                                       frames)
+                results[i] = fn(q, v, s, spacings,
+                                evaluate_jet_batch(model, q, v, s))
+            except Exception as exc:
+                with lock:
+                    errors[i] = exc
+
+    threads = []
+    try:
+        for _ in range(min(workers, len(results)) - 1):
+            threads.append(threading.Thread(target=walk))
+            threads[-1].start()
+        walk()
+    finally:
+        with lock:
+            pending.clear()
+        for thread in threads:
+            if thread.ident is not None:  # started
+                thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def trace_el_residual(model: LagrangianModel, trace: SimTrace):
@@ -453,10 +490,7 @@ def trace_el_residual(model: LagrangianModel, trace: SimTrace):
     grid; the result is reported on the interior (two layers stripped in
     every direction, including time).  The trace is walked slab by slab,
     in memory independent of the frame count."""
-    maxima = []
-    # a and dsdt hold k^2 entries per sample, so k^2 times smaller slabs
-    for q, v, s, spacings, jet in _trace_slabs(model, trace,
-                                               weight=model.k ** 2):
+    def maxima(q, v, s, spacings, jet):
         a, dsdt = _second_jet(trace.grid, q, v, s[0], jet)
         # the time-time entries on the interior only; the ends stay 0
         _trace_trim(a[:, 0, 0], model.k, 1)[...] = _trace_d1(
@@ -464,9 +498,11 @@ def trace_el_residual(model: LagrangianModel, trace: SimTrace):
         _trace_trim(dsdt[0, 0], model.k, 1)[...] = _trace_d1(
             s[0], spacings, 0, 1)
         rEL, rS = el_residual_batch(jet, v, a, dsdt)
-        maxima.append([np.max(np.abs(_trace_trim(r, model.k, 1)))
-                       for r in (rEL, rS)])
-    return tuple(float(x) for x in np.max(maxima, axis=0))
+        return [np.max(np.abs(_trace_trim(r, model.k, 1))) for r in (rEL, rS)]
+
+    # a and dsdt hold k^2 entries per sample, so k^2 times smaller slabs
+    return tuple(float(x) for x in np.max(
+        _map_slabs(maxima, model, trace, weight=model.k ** 2), axis=0))
 
 
 def energy_monitor(model: LagrangianModel, state: SimState,
@@ -508,12 +544,8 @@ def energy_monitor(model: LagrangianModel, state: SimState,
 def trace_lagrangian(model: LagrangianModel, trace: SimTrace) -> np.ndarray:
     """Pointwise L along the trace, shape (T, *S), evaluated slab by slab
     over every frame (L takes no time derivative, so slabs need no halo)."""
-    L = np.empty(trace.s1.shape)
-    lo = 0
-    for *_, jet in _trace_slabs(model, trace, halo=0, ends=0):
-        L[lo:lo + len(jet.L)] = jet.L
-        lo += len(jet.L)
-    return L
+    return np.concatenate(_map_slabs(lambda *slab: slab[-1].L, model, trace,
+                                     halo=0, ends=0))
 
 
 def s_accumulation_check(trace: SimTrace, model: LagrangianModel) -> float:
@@ -539,14 +571,18 @@ CSV_WRITER = Path(__file__).with_name("_trace_csv.py")
 MAX_WRITERS = 2
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
 def _writer_count() -> int:
     """One trace.csv writer per CPU this process may run on, up to
     MAX_WRITERS."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        cpus = os.cpu_count() or 1
-    return min(cpus, MAX_WRITERS)
+    return min(_cpus(), MAX_WRITERS)
 
 
 class _TraceExport:

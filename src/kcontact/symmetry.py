@@ -18,7 +18,7 @@ import numpy as np
 from .contact import _energy_gradients, hessian, reeb
 from .errors import NotRegularError
 from .jet import Jet2, LagrangianModel, PhasePoint, evaluate_jet
-from .sim import _trace_div, _trace_slabs, _trace_trim
+from .sim import _map_slabs, _trace_div, _trace_trim
 from .taylor import T2, TaylorContext, variables
 
 
@@ -240,13 +240,12 @@ def momentum_dissipation_check(model: LagrangianModel, i: int,
     valid when q^i is cyclic: `_dissipation_law` of p_i over the trace
     interior, walked slab by slab.  Raises if |dL/dq^i| exceeds 1e-9 at
     any sample the residual reads (every frame but the first and last)."""
-    maxima = []
-    for q, v, s, spacings, jet in _trace_slabs(model, trace):
+    def maximum(q, v, s, spacings, jet):
         if np.max(np.abs(jet.dLdq[i])) > 1e-9:
             raise ValueError(f"coordinate {i} not cyclic")
-        res = _dissipation_law(jet.dLdv[i], jet, spacings, 1)
-        maxima.append(np.max(np.abs(res)))
-    return float(np.max(maxima))
+        return np.max(np.abs(_dissipation_law(jet.dLdv[i], jet, spacings, 1)))
+
+    return float(np.max(_map_slabs(maximum, model, trace)))
 
 
 def _dissipation_residual(F: DissipatedQuantity, q, v, s, spacings, jet,
@@ -263,6 +262,6 @@ def dissipation_law_check(model: LagrangianModel, F: DissipatedQuantity,
                           trace) -> np.ndarray:
     """`_dissipation_residual` over the trace interior, walked slab by
     slab (in memory independent of the frame count) and joined in time."""
-    return np.concatenate([_dissipation_residual(F, *slab, halo=1)
-                           for slab in _trace_slabs(model, trace)],
-                          axis=-model.k)
+    return np.concatenate(_map_slabs(
+        lambda *slab: _dissipation_residual(F, *slab, halo=1), model, trace),
+        axis=-model.k)

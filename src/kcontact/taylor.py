@@ -188,7 +188,7 @@ class T2:
         return f"T2(val={self.val!r})"
 
 
-_UNIT_IDS = set()  # of the rows below, which live as long as the cache
+_UNITS = {}  # id -> each row below, kept alive so its id stays unique
 
 
 @lru_cache(maxsize=None)
@@ -197,7 +197,7 @@ def _unit_row(ndim):
     # common ranks are made at import, as one made in a run pins the heap
     row = np.ones((1,) * ndim)
     row.flags.writeable = False
-    _UNIT_IDS.add(id(row))
+    _UNITS[id(row)] = row
     return row
 
 
@@ -207,9 +207,9 @@ list(map(_unit_row, range(5)))
 def _times(x, y):
     # x * y, where a shared unit row multiplies as the identity (1.0 * y
     # is y, bit for bit); a private ones row is multiplied out
-    if id(x) in _UNIT_IDS:
+    if id(x) in _UNITS:
         return y
-    return x if id(y) in _UNIT_IDS else x * y
+    return x if id(y) in _UNITS else x * y
 
 
 def variables(ctx, q, v, s):

@@ -808,11 +808,13 @@ class TestVerify:
             self, capsys, monkeypatch, membrane_trace_pair):
         # one walk: each slab's jet gives the dissipation suite F and
         # R_a(E), and the hdw suite the momenta, which also start Newton
-        # (v0 is the preimage) and give the Hamiltonian derivatives
+        # (v0 is the preimage) and give the Hamiltonian derivatives; the
+        # W threads of the walk each take slabs of 3 // W frames
         trace = sim.load_trace(membrane_trace_pair[1])
         monkeypatch.setattr(sim, "TRACE_SLAB_SAMPLES",
                             3 * trace.s1[0].size)
-        slabs = -(-(trace.t.size - 4) // 3)
+        per = max(1, 3 // min(sim._cpus(), sim.MAX_WALKERS))
+        slabs = -(-(trace.t.size - 4) // per)
         calls = count_jets(monkeypatch)
         code, _ = report_of(capsys, "verify", "--suite", "dissipation",
                             "--suite", "hdw", "--trace",
@@ -1058,25 +1060,31 @@ class TestHostileText:
     @pytest.mark.parametrize("command", ["derive", "verify", "inverse"])
     @pytest.mark.parametrize("dest", ["missing-directory", "directory",
                                       "full-device"])
-    def test_unwritable_report_exits_2(self, capsys, tmp_path, command,
-                                       dest):
+    def test_unwritable_report_exits_2(self, capsys, monkeypatch, tmp_path,
+                                       membrane_trace_pair, command, dest):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"A": [[1, 0], [0, -1]], "D": [0, 0]}))
         argv = {"derive": ["derive", "--model", "membrane"],
                 "verify": ["verify", "--model", "membrane", "--suite",
-                           "reeb", "--num-points", "3"],
+                           "reeb", "--num-points", "3", "--suite", "hdw",
+                           "--trace", membrane_trace_pair[0]],
                 "inverse": ["inverse", "--spec", str(spec),
                             "--num-points", "3"]}[command]
         path = {"missing-directory": tmp_path / "missing" / "x.json",
                 "directory": tmp_path, "full-device": Path("/dev/full")}[dest]
         if dest == "full-device" and not path.exists():
             pytest.skip("no /dev/full")
+        jets = count_jets(monkeypatch)
+        slabs = count_calls(monkeypatch, sim, "trace_point_arrays")
         code = main(argv + ["--output", str(path)])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err.startswith(f"error: cannot write report to "
                                        f"{path}: ")
         assert captured.err.count("\n") == 1
+        # a path that is a directory or lies in none is refused first;
+        # a full device is found only when the report is written
+        assert (jets == slabs == []) == (dest != "full-device")
 
     @pytest.mark.parametrize("command", SPEC_COMMANDS)
     @pytest.mark.parametrize("case", HOSTILE_SPECS)

@@ -1,9 +1,13 @@
 """Source hygiene: every module-level import of the package is used, no
 function imports locally, every module-level private function is
 referenced, every public function or class is exported or referenced,
-and the package exports exactly what it imports."""
+the package exports exactly what it imports, and importing it loads
+no pool, queue or process module."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -91,3 +95,16 @@ def test_all_is_exactly_the_imported_names():
                 for alias in node.names}
     assert len(kcontact.__all__) == len(set(kcontact.__all__))
     assert set(kcontact.__all__) == imported
+
+
+def test_import_loads_no_process_or_pool_module():
+    # trace walks run on `threading`, which numpy already loads; the pool,
+    # queue and process modules would add to every command's start-up
+    code = ("import sys, kcontact; print(' '.join(name for name in "
+            "sys.modules if name.split('.')[0] in "
+            "('concurrent', 'multiprocessing', 'queue')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                             sys.path)}).stdout
+    assert out.split() == []

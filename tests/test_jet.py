@@ -1,5 +1,6 @@
 """Exact jets vs pure finite differences of the Lagrangian density."""
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -393,3 +394,25 @@ def test_energy_gradients_equal_the_dense_einsums(model):
     for got, dense in zip(_energy_gradients(jet, v), want):
         assert got.shape == dense.shape
         assert got.tobytes() == dense.tobytes()
+
+
+def test_threads_missing_the_layout_cache_share_one_layout():
+    # two threads that first meet a sparsity pattern at the same moment
+    # get the same layout object; with n=20 and k=10 building the layout
+    # takes milliseconds, so both threads miss the cache
+    model = LagrangianModel(n=20, k=10, name="fresh",
+                            lagrangian=lambda q, v, s: v[19][9] * v[17][3])
+    z = random_phase_point(model, np.random.default_rng(6), size=3)
+    barrier, layouts = threading.Barrier(2), []
+
+    def evaluate():
+        barrier.wait()
+        layouts.append(evaluate_jet(model, z).layout)
+
+    threads = [threading.Thread(target=evaluate) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(10)
+        assert not thread.is_alive()
+    assert len(layouts) == 2 and layouts[0] is layouts[1]

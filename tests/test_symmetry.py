@@ -11,7 +11,7 @@ from kcontact import (Grid, LagrangianModel, SimState, builtin_models,
                       momentum_dissipation_check, random_phase_point,
                       reeb, reeb_bracket_check, reeb_derivative_of_energy,
                       run, stack_points, string)
-from kcontact.sim import _trace_div, _trace_slabs, _trace_trim
+from kcontact.sim import _map_slabs, _trace_div, _trace_trim
 from kcontact.symmetry import SymmetryField, SymmetryJacobian
 from kcontact.taylor import cos, exp, sin
 from conftest import cubic
@@ -179,15 +179,15 @@ class TestDissipatedQuantity:
 def reeb_dissipation_law(model, F, trace):
     """div(F o sigma) + R_a(E_L) F^a o sigma over the trace interior,
     slab by slab, with R_a(E_L) from the Reeb fields `reeb` solves."""
-    parts = []
-    for q, v, s, spacings, jet in _trace_slabs(model, trace):
+    def law(q, v, s, spacings, jet):
         Fvals = F(jet, q, v, s)
         rE = reeb_derivative_of_energy(jet, v, reeb(jet))
         k = len(spacings)
-        parts.append(_trace_div(Fvals, spacings, 1)
-                     + np.einsum("a...,a...->...", _trace_trim(rE, k, 1),
-                                 _trace_trim(Fvals, k, 1)))
-    return np.concatenate(parts, axis=-model.k)
+        return (_trace_div(Fvals, spacings, 1)
+                + np.einsum("a...,a...->...", _trace_trim(rE, k, 1),
+                            _trace_trim(Fvals, k, 1)))
+
+    return np.concatenate(_map_slabs(law, model, trace), axis=-model.k)
 
 
 def string_trace(model, N=33):
