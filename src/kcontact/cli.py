@@ -25,17 +25,16 @@ from .contact import (energy, hessian, legendre, reeb,
                       reeb_derivative_of_energy, verify_reeb)
 from .dynamics import assemble_sopde, verify_sopde
 from .errors import ConfigError, KContactError, NotRegularError
-from .hamiltonian import (hamiltonian_value, hdw_residual, legendre_inverse,
+from .hamiltonian import (_hdw_slab, hamiltonian_value, legendre_inverse,
                           momentum_path_from_arrays)
 from .inverse import (PdeSpec, build_lagrangian, membrane_spec,
                       render_lagrangian, roundtrip_check)
 from .jet import PhasePoint, _from_rows, evaluate_jet, random_phase_point
 from .models import MODEL_NAMES, MODEL_PARAMS, MODELS, build_model
-from .sim import (SCHEMA_VERSION, Grid, SimState, _map_slabs, _TraceExport,
+from .sim import (SCHEMA_VERSION, Grid, SimState, _TraceExport, _walk_maxima,
                   load_trace, run, trace_el_residual)
 from .symmetry import (_dissipation_residual, builtin_symmetry_field,
-                       check_contact_symmetry, dissipated_quantity,
-                       dissipation_law_check)
+                       check_contact_symmetry, dissipated_quantity)
 
 
 def _number(tok: str) -> float:
@@ -322,10 +321,10 @@ def _initial_state(model, grid: Grid, kind: str, amplitude: float
 def _trace_residuals(model, trace) -> dict:
     """The manifest entries of a simulated trace's residuals."""
     rEL, rS = trace_el_residual(model, trace)
+    F = dissipated_quantity(builtin_symmetry_field(model, "du"))
     try:
-        du = float(np.max(np.abs(dissipation_law_check(
-            model, dissipated_quantity(builtin_symmetry_field(model, "du")),
-            trace))))
+        du, = _walk_maxima(lambda *slab: [_dissipation_residual(F, *slab)],
+                           model, trace)
     except NotRegularError:  # no Reeb fields, so no dissipation law
         du = None
     return {"max_el_residual": rEL, "max_s_residual": rS,
@@ -474,37 +473,38 @@ def _trace_verdict(residuals, tol, refinements) -> dict:
             "pass": all(lo <= p <= hi for p in orders)}
 
 
-def _dissipation_slab(args, model):
-    """The dissipation suite's maximum over one slab of a trace of
+def _dissipation_suite(args, model):
+    """The dissipation suite's residual over one slab of a trace of
     `model`, and its report entries."""
     F = dissipated_quantity(_symmetry_field(model, args))
-    return (lambda *slab: np.max(np.abs(_dissipation_residual(
-        F, *slab, halo=TRACE_HALO)))), {"field": F.Y.name}
+    return functools.partial(_dissipation_residual, F), {"field": F.Y.name}
 
 
-def _hdw_slab(args, model):
-    """The hdw suite's maximum over one slab of a trace of `model`.  v is
-    the Legendre preimage of the slab's momenta, so the jet that gives
-    them also starts the Newton solve."""
+def _hdw_suite(args, model):
+    """The hdw suite's residual over one slab of a trace of `model`, the
+    largest |r_q|, |r_p| or |r_s| at each point.  The slab's v is the
+    preimage of the momenta its jet gives, so no Newton solve runs."""
     def residual(q, v, s, spacings, jet):
-        path = momentum_path_from_arrays(jet, q, s, spacings)
-        return hdw_residual(model, path, v0=v, jet=jet,
-                            halo=TRACE_HALO).max()
+        r = _hdw_slab(momentum_path_from_arrays(jet, q, s, spacings), v,
+                      jet)
+        return np.maximum(np.maximum(np.abs(r.r_q).max(axis=(0, 1)),
+                                     np.abs(r.r_p).max(axis=0)),
+                          np.abs(r.r_s))
     return residual, {}
 
 
 def _walk_traces(args, tols, traces, refinements) -> dict:
     """The report of each trace suite in `tols` (name: tolerance) over
     the loaded `traces`, refined by `refinements` pair by pair, from one
-    slab walk per trace (`_map_slabs`, in memory independent of the
+    slab walk per trace (`_walk_maxima`, in memory independent of the
     frame count): every suite reads each slab and its one jet in turn."""
     residuals = {name: [] for name in tols}
     for trace, model in traces:
         suites = {name: TRACE_SUITES[name](args, model) for name in tols}
-        maxima = np.max(_map_slabs(
+        maxima = _walk_maxima(
             lambda *slab: [residual(*slab) for residual, _ in suites.values()],
-            model, trace, halo=TRACE_HALO), axis=0)
-        for name, worst in zip(suites, maxima.tolist()):
+            model, trace)
+        for name, worst in zip(suites, maxima):
             residuals[name].append(worst)
     return {name: {"suite": name, **entries,
                    **_trace_verdict(residuals[name], tols[name],
@@ -534,16 +534,12 @@ POINT_SUITES = {
     "inverse-roundtrip": _suite_inverse_roundtrip,
 }
 
-# per trace suite: (args, model) -> (the suite's maximum residual over
-# one slab of a trace of `model`, the suite's own report entries)
+# per trace suite: (args, model) -> (the suite's residual over one slab
+# of a trace of `model`, the suite's own report entries)
 TRACE_SUITES = {
-    "dissipation": _dissipation_slab,
-    "hdw": _hdw_slab,
+    "dissipation": _dissipation_suite,
+    "hdw": _hdw_suite,
 }
-
-# the time halo of verify's slab walk: the central time difference of
-# both trace suites reads one frame past each end of a slab
-TRACE_HALO = 1
 
 SUITE_DEFAULT_TOL = {
     "reeb": 1e-9, "legendre": 1e-10, "sopde": 1e-9,

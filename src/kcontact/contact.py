@@ -68,6 +68,12 @@ def hessian(jet: Jet2) -> HessianW:
     return hw
 
 
+def require_regular(jet: Jet2, what: str = "Lagrangian not regular"):
+    """Raise NotRegularError(what) unless `hessian` finds `jet` regular."""
+    if not np.all(hessian(jet).regular):
+        raise NotRegularError(what)
+
+
 def solve_batch(W, b, what: str) -> np.ndarray:
     """Solve W x = b at every batch point: W (r, r, *BW), b (r, c, *B)
     with BW broadcasting against B -> x (r, c, *batch).  A W with one
@@ -110,8 +116,7 @@ def reeb(jet: Jet2) -> np.ndarray:
     regular Lagrangian: vcomp (k, n, k, *B), a read-only view broadcast
     to the points, solves W vcomp_a = -d2L/dvds^a.  Raises
     NotRegularError unless `hessian` finds every point regular."""
-    if not np.all(hessian(jet).regular):
-        raise NotRegularError("Lagrangian not regular")
+    require_regular(jet)
     n, k = jet.dLdv.shape[:2]
     hb = jet.d2Ldvdv.shape[4:]
     X = solve_batch(jet.d2Ldvdv.reshape((n * k, n * k) + hb),

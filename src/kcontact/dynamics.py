@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contact import _stored_sum, hessian, solve_batch
-from .errors import NotRegularError
+from .contact import _stored_sum, require_regular, solve_batch
 from .jet import Jet2, LagrangianModel, PhasePoint, evaluate_jet
 
 
@@ -170,8 +169,7 @@ def assemble_sopde(jet: Jet2, z: PhasePoint) -> SopdeData:
     Frobenius norm (the system is underdetermined for k > 1), through
     the pseudo-inverse of the system at each point.
     """
-    if not np.all(hessian(jet).regular):
-        raise NotRegularError("Lagrangian not regular")
+    require_regular(jet)
     n, k = z.n, z.k
     batch = z.q.shape[1:]
     g = gauge_s_velocities(jet.L, k)

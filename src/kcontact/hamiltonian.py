@@ -12,27 +12,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contact import energy, hessian, solve_batch
-from .errors import NewtonError, NotRegularError
+from .contact import energy, require_regular, solve_batch
+from .errors import NewtonError
 from .jet import (Jet2, LagrangianModel, MomentumPoint, PhasePoint,
                   evaluate_jet, evaluate_jet_batch)
 from .sim import _trace_d1, _trace_div, _trace_trim
 
 NEWTON_TOL = 1e-10
 NEWTON_MAXITER = 50
+SINGULAR = "singular velocity Hessian during Legendre inversion"
 
 
-def _newton_batch(model, q, p, s, v0, jet=None):
+def _newton_batch(model, q, p, s, v0):
     """Batched Newton solve of dLdv(q, v, s) = p.  Shapes: q (n, *B),
     p/v0 (n, k, *B), s (k, *B).  A point stops once max |dLdv - p| over
     its (i, a) entries is at most NEWTON_TOL; later iterations evaluate
     jets and solve at the other points only, so every preimage is the
-    one a single-point solve gives.  `jet`, if given, is the jet at
-    (q, v0, s), which the first iteration then does not evaluate again.
-    Each jet must be regular by `hessian`'s verdict (else NotRegularError).
-    Returns v, with the same shape as p, and the jet at (q, v, s), or None
-    where its last evaluation covered only some of the points.  v is v0
-    itself where v0 is a float64 array that needs no update."""
+    one a single-point solve gives.  Each jet must be regular by
+    `hessian`'s verdict (else NotRegularError).  Returns v, with the
+    same shape as p, and the jet at (q, v, s), or None where its last
+    evaluation covered only some of the points.  v is v0 itself where
+    v0 is a float64 array that needs no update."""
     n, k = model.n, model.k
     nk = n * k
     v = np.asarray(v0, dtype=float)  # copied before its first update
@@ -40,11 +40,8 @@ def _newton_batch(model, q, p, s, v0, jet=None):
     last = np.inf
     for it in range(NEWTON_MAXITER):
         pick = (Ellipsis,) + at
-        if jet is None:
-            jet = evaluate_jet_batch(model, q[pick], v[pick], s[pick])
-        if not np.all(hessian(jet).regular):
-            raise NotRegularError(
-                "singular velocity Hessian during Legendre inversion")
+        jet = evaluate_jet_batch(model, q[pick], v[pick], s[pick])
+        require_regular(jet, SINGULAR)
         r = jet.dLdv - p[pick]
         err = np.max(np.abs(r), axis=(0, 1))
         last = float(np.max(err))
@@ -64,13 +61,10 @@ def _newton_batch(model, q, p, s, v0, jet=None):
                   else tuple(i[todo] for i in at))
             pick = (Ellipsis,) + at
         batch = r.shape[2:]
-        step = solve_batch(
-            W, r.reshape((nk, 1) + batch),
-            "singular velocity Hessian during Legendre inversion")
+        step = solve_batch(W, r.reshape((nk, 1) + batch), SINGULAR)
         if it == 0:
             v = np.array(v)
         v[pick] = v[pick] - step.reshape((n, k) + batch)
-        jet = None
     raise NewtonError(
         f"Legendre inversion did not converge in {NEWTON_MAXITER} "
         f"iterations (last residual {last:.3e})", residual=last)
@@ -132,39 +126,42 @@ class HdwResiduals:
                          np.max(np.abs(self.r_s))))
 
 
-def hdw_residual(model: LagrangianModel, path: MomentumPath,
-                 v0=None, jet=None, halo=2) -> HdwResiduals:
-    """Residuals of the canonical HDW equations along a discrete path,
-    on its interior: `halo` layers stripped at both ends of the first
-    direction (time) and two at both ends of every other.
+def _hdw_slab(path: MomentumPath, v, jet) -> HdwResiduals:
+    """The HDW residuals of `path` on the interior `sim._trace_trim`
+    keeps, where v is the Legendre preimage of path.p and `jet`, the jet
+    at (path.q, v, path.s), is regular by `hessian`'s verdict (else
+    NotRegularError).  Path derivatives are the trace stencil
+    (`sim._trace_d1`), computed on that interior only; Hamiltonian
+    derivatives come from the duality identities at the preimage."""
+    require_regular(jet, SINGULAR)
+    h, k = path.spacings, len(path.spacings)
+    # every pointwise term is taken on the interior as well
+    p, v, dLdq, dLds, dLdv, L = (_trace_trim(x, k) for x in (
+        path.p, v, jet.dLdq, jet.dLds, jet.dLdv, jet.L))
+    r_q = (np.stack([_trace_d1(path.q, h, a) for a in range(k)], axis=1)
+           - v)
+    r_p = (_trace_div(path.p, h) - dLdq
+           - np.einsum("ia...,a...->i...", p, dLds))
+    H = np.einsum("ia...,ia...->...", v, dLdv) - L
+    pv = np.einsum("ia...,ia...->...", p, v)
+    r_s = _trace_div(path.s, h) - (pv - H)
+    return HdwResiduals(r_q, r_p, r_s)
 
-    Path derivatives are the trace stencil (`sim._trace_d1`), computed
-    on that interior only; Hamiltonian derivatives come from the duality
-    identities at the batched Legendre preimage.  `jet`, the jet at
-    (path.q, v0, path.s) if already evaluated, starts the Newton solve
-    for that preimage.  `verify --suite hdw` calls it once per slab of
-    its trace walk (`sim._map_slabs` with a halo of one frame), with the
-    slab's velocities as v0 and the slab's jet.
-    """
+
+def hdw_residual(model: LagrangianModel, path: MomentumPath,
+                 v0=None) -> HdwResiduals:
+    """Residuals of the canonical HDW equations along a discrete path,
+    on its interior, two layers off both ends of every direction: Newton
+    solves for the Legendre preimage from v0 (default p) at the frames
+    1 ... T-2 only, which `_hdw_slab` reads."""
     k = model.k
-    h = path.spacings
-    if h.shape != (k,):
+    if path.spacings.shape != (k,):
         raise ValueError("path spacings must have one entry per direction")
+    inner = (Ellipsis, slice(1, -1)) + (slice(None),) * (k - 1)
+    path = MomentumPath(q=path.q[inner], p=path.p[inner], s=path.s[inner],
+                        spacings=path.spacings)
     v, jet = _newton_batch(model, path.q, path.p, path.s,
-                           path.p if v0 is None else v0, jet)
+                           path.p if v0 is None else np.asarray(v0)[inner])
     if jet is None:
         jet = evaluate_jet_batch(model, path.q, v, path.s)
-
-    def trim(x):
-        return _trace_trim(x, k, halo)
-
-    # every pointwise term is taken on the interior as well
-    p, v = trim(path.p), trim(v)
-    r_q = (np.stack([_trace_d1(path.q, h, a, halo) for a in range(k)],
-                    axis=1) - v)
-    r_p = (_trace_div(path.p, h, halo) - trim(jet.dLdq)
-           - np.einsum("ia...,a...->i...", p, trim(jet.dLds)))
-    H = np.einsum("ia...,ia...->...", v, trim(jet.dLdv)) - trim(jet.L)
-    pv = np.einsum("ia...,ia...->...", p, v)
-    r_s = _trace_div(path.s, h, halo) - (pv - H)
-    return HdwResiduals(r_q, r_p, r_s)
+    return _hdw_slab(path, v, jet)

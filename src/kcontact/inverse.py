@@ -70,6 +70,8 @@ class PdeSpec:
                         and isinstance(gspec.get("poly"), list)):
                     raise ConfigError("G must be {'poly': [c0, c1, ...]}")
                 coeffs = tuple(float(c) for c in gspec["poly"])
+                if not np.isfinite(coeffs).all():
+                    raise ValueError("G coefficients must be finite")
 
                 def G(u, _c=coeffs):
                     out = 0.0

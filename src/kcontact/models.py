@@ -7,6 +7,8 @@ differentiation kernel and the grid simulator.
 
 from __future__ import annotations
 
+import math
+
 from .errors import ConfigError
 from .inverse import PdeSpec, build_lagrangian
 from .jet import LagrangianModel
@@ -126,15 +128,19 @@ def build_model(name: str, params: dict) -> LagrangianModel:
     """Model registry used by the CLI: the MODELS entry `name` with the
     given parameters, or "inverse" built from the PDE spec dict
     params["spec"] (see `PdeSpec.from_dict`).  Raises ConfigError on bad
-    input."""
+    input, a float parameter that is not finite among it."""
     params = dict(params)
     if name == "inverse":
         model = build_lagrangian(PdeSpec.from_dict(params.pop("spec", None)))
     elif name in MODELS:
         factory, kinds = MODELS[name]
         try:
-            model = factory(**{key: kinds[key](params.pop(key))
-                               for key in list(params) if key in kinds})
+            values = {key: kinds[key](params.pop(key))
+                      for key in list(params) if key in kinds}
+            for key, val in values.items():
+                if kinds[key] is float and not math.isfinite(val):
+                    raise ValueError(f"{key} = {val!r} is not finite")
+            model = factory(**values)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad parameters for model '{name}': {exc}")
     else:

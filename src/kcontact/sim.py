@@ -358,57 +358,66 @@ def run(model: LagrangianModel, grid: Grid, dt: float, t_end: float,
 
 # -- trace-derived quantities ------------------------------------------
 # Trace suites difference along every direction of the trailing (time,
-# space) grid axes with `_d1`'s central formula, ends not wrapped, on the
-# reported interior only: `halo` frames stripped at both ends of time and
-# two layers at both ends of each spatial axis (`_trace_trim`).  No value
-# is computed at the ends.  The trace residuals walk that interior, and
-# `trace_lagrangian` every frame, in time slabs (`_map_slabs`), so their
-# memory does not grow with the frame count; `verify` walks each trace
-# once and hands every slab to each trace suite it runs.
+# space) grid axes with `_d1`'s central formula, ends not wrapped, on a
+# slab's interior only (`_trace_trim`): one frame, the halo the central
+# time difference reads, off both time ends and two layers off both ends
+# of each spatial axis.  The trace residuals walk the frames [2, T-2),
+# and `trace_lagrangian` every frame without a halo, in time slabs
+# (`_map_slabs`), so their memory does not grow with the frame count;
+# `_walk_maxima` is their one reduction.  `verify` walks each trace once
+# and hands every slab to each trace suite it runs.
 
 # space-time samples in flight in a trace walk (at least one frame per
 # slab): a residual's working memory scales with it, not with the frames
 TRACE_SLAB_SAMPLES = 1 << 17
-# The most threads a trace walk uses: two were measured against one on a
-# 2-CPU host (BENCH_29.json), a larger host is not measured.
-MAX_WALKERS = 2
+# The most threads a trace walk, or writer processes an export, uses:
+# two were measured against one on a 2-CPU host for both (BENCH_29.json,
+# BENCH_23.json); a larger host is not measured, and each writer is a
+# process of about 25 MB that formats the whole mesh.
+MAX_WORKERS = 2
 
 
-def _trace_interior(k, halo):
-    """The slices of the reported interior over the trailing k grid axes:
-    `halo` frames off both ends of time, two layers off both ends of
-    each spatial axis."""
-    return [slice(halo, -halo)] + [slice(2, -2)] * (k - 1)
+def _workers() -> int:
+    """One worker per CPU this process may run on, up to MAX_WORKERS."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, MAX_WORKERS)
 
 
-def _trace_d1(f, spacings, a, halo):
+def _trace_interior(k):
+    """The slices of a slab's interior over the trailing k grid axes."""
+    return [slice(1, -1)] + [slice(2, -2)] * (k - 1)
+
+
+def _trace_d1(f, spacings, a):
     """d_a f over the trailing len(spacings) grid axes of f, on the
-    interior `_trace_trim(..., halo)` keeps, by `_d1`'s central formula
-    (so bit for bit the interior of `_d1`)."""
-    inner = _trace_interior(len(spacings), halo)
+    interior `_trace_trim` keeps, by `_d1`'s central formula (so bit for
+    bit the interior of `_d1`)."""
+    inner = _trace_interior(len(spacings))
     lo, hi = inner.copy(), inner.copy()
     lo[a] = slice(inner[a].start - 1, inner[a].stop - 1)
     hi[a] = slice(inner[a].start + 1, inner[a].stop + 1 or None)
     return (f[(Ellipsis, *hi)] - f[(Ellipsis, *lo)]) / (2. * spacings[a])
 
 
-def _trace_div(fields, spacings, halo):
+def _trace_div(fields, spacings):
     """sum_a d_a fields[..., a, *G] over the trailing grid axes G, on the
     interior of `_trace_d1`, added in place.  Adding +0.0 last turns a
     sum of -0 terms into +0, as a sum started from 0 gives."""
     k = len(spacings)
     fields = np.moveaxis(fields, -k - 1, 0)
-    div = _trace_d1(fields[0], spacings, 0, halo)
+    div = _trace_d1(fields[0], spacings, 0)
     for a in range(1, k):
-        div += _trace_d1(fields[a], spacings, a, halo)
+        div += _trace_d1(fields[a], spacings, a)
     div += 0.0
     return div
 
 
-def _trace_trim(arr, k, halo):
-    """arr with `halo` layers stripped at both ends of the first of its
-    last k axes (time) and two at both ends of the other k - 1."""
-    return arr[(Ellipsis, *_trace_interior(k, halo))]
+def _trace_trim(arr, k):
+    """arr on the interior of `_trace_interior` over its last k axes."""
+    return arr[(Ellipsis, *_trace_interior(k))]
 
 
 def trace_point_arrays(model: LagrangianModel, trace: SimTrace,
@@ -431,20 +440,20 @@ def _map_slabs(fn, model, trace, halo=1, ends=2, weight=1) -> list:
     """fn(q, v, s, spacings, jet) of every slab of the frames [ends,
     T-ends) of `trace`, in slab order: the arrays `trace_point_arrays`
     and `evaluate_jet_batch` give over the slab's frames and `halo` more
-    at both ends, which `_trace_trim(..., halo)` strips again.  W threads,
-    the caller's among them, take the slabs in turn: one per CPU this
-    process may run on, up to MAX_WALKERS.  A slab holds max(1,
-    TRACE_SLAB_SAMPLES // (W * weight * prod(S))) frames, so the samples
-    in flight do not grow with W; no result depends on W or the slab
-    size.  After a failure or an interrupt no slab starts and every
-    thread is joined, then the first failing slab's error is raised.  A
-    trace of 2 * ends frames or fewer has no slab and raises."""
+    at both ends (1, which `_trace_trim` strips again, or 0).  W threads
+    (`_workers`), the caller's among them, take the slabs in turn.  A
+    slab holds max(1, TRACE_SLAB_SAMPLES // (W * weight * prod(S)))
+    frames, so the samples in flight do not grow with W; no result
+    depends on W or the slab size.  After a failure or an interrupt no
+    slab starts and every thread is joined, then the first failing
+    slab's error is raised.  A trace of 2 * ends frames or fewer has no
+    slab and raises."""
     T = trace.t.size
     if T < 2 * ends + 1:
         raise SimulationError(
             f"trace residuals need at least {2 * ends + 1} frames, "
             f"the trace has {T}")
-    workers = min(_cpus(), MAX_WALKERS)
+    workers = _workers()
     per = max(1, TRACE_SLAB_SAMPLES // (workers * weight * trace.s1[0].size))
     slabs = [slice(lo - halo, min(lo + per, T - ends) + halo)
              for lo in range(ends, T - ends, per)]
@@ -483,6 +492,15 @@ def _map_slabs(fn, model, trace, halo=1, ends=2, weight=1) -> list:
     return results
 
 
+def _walk_maxima(residuals, model, trace, weight=1) -> list:
+    """max |r| of every array r that residuals(q, v, s, spacings, jet)
+    returns for a slab of `_map_slabs`, in order, over all slabs: the
+    one reduction of every trace walk."""
+    return np.max(_map_slabs(
+        lambda *slab: [np.max(np.abs(r)) for r in residuals(*slab)],
+        model, trace, weight=weight), axis=0).tolist()
+
+
 def trace_el_residual(model: LagrangianModel, trace: SimTrace):
     """Max Euler-Lagrange residuals of a trace resampled to second jets.
 
@@ -490,19 +508,16 @@ def trace_el_residual(model: LagrangianModel, trace: SimTrace):
     grid; the result is reported on the interior (two layers stripped in
     every direction, including time).  The trace is walked slab by slab,
     in memory independent of the frame count."""
-    def maxima(q, v, s, spacings, jet):
+    def residuals(q, v, s, spacings, jet):
         a, dsdt = _second_jet(trace.grid, q, v, s[0], jet)
         # the time-time entries on the interior only; the ends stay 0
-        _trace_trim(a[:, 0, 0], model.k, 1)[...] = _trace_d1(
-            v[:, 0], spacings, 0, 1)
-        _trace_trim(dsdt[0, 0], model.k, 1)[...] = _trace_d1(
-            s[0], spacings, 0, 1)
-        rEL, rS = el_residual_batch(jet, v, a, dsdt)
-        return [np.max(np.abs(_trace_trim(r, model.k, 1))) for r in (rEL, rS)]
+        _trace_trim(a[:, 0, 0], model.k)[...] = _trace_d1(v[:, 0], spacings, 0)
+        _trace_trim(dsdt[0, 0], model.k)[...] = _trace_d1(s[0], spacings, 0)
+        return [_trace_trim(r, model.k)
+                for r in el_residual_batch(jet, v, a, dsdt)]
 
     # a and dsdt hold k^2 entries per sample, so k^2 times smaller slabs
-    return tuple(float(x) for x in np.max(
-        _map_slabs(maxima, model, trace, weight=model.k ** 2), axis=0))
+    return tuple(_walk_maxima(residuals, model, trace, weight=model.k ** 2))
 
 
 def energy_monitor(model: LagrangianModel, state: SimState,
@@ -564,25 +579,6 @@ def s_accumulation_check(trace: SimTrace, model: LagrangianModel) -> float:
 
 TRACE_ARRAYS = ("t", "phi", "phidot", "s1")
 CSV_WRITER = Path(__file__).with_name("_trace_csv.py")
-# The most writers an export starts.  Two writers were measured against
-# one on a 2-CPU host (BENCH_23.json); whether more gain on a larger
-# host is not measured, and each writer is a process of about 25 MB
-# that formats the whole mesh.
-MAX_WRITERS = 2
-
-
-def _cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        return os.cpu_count() or 1
-
-
-def _writer_count() -> int:
-    """One trace.csv writer per CPU this process may run on, up to
-    MAX_WRITERS."""
-    return min(_cpus(), MAX_WRITERS)
 
 
 class _TraceExport:
@@ -590,7 +586,7 @@ class _TraceExport:
 
     Entering it creates the directory, opens trace.csv under a temporary
     name, writes the header and starts the writer processes
-    (`_writer_count`), so a path that cannot be written fails
+    (`_workers`), so a path that cannot be written fails
     (ConfigError) before any step runs.  `frame` sends frame f's float64
     bytes to writer f mod W, after appending the rows of frame f - W,
     which that writer holds, so each writer has at most one frame in
@@ -628,7 +624,7 @@ class _TraceExport:
                        str(math.prod(self.grid.shape)), str(self.grid.ndim),
                        str(len(self.cols) - 1 - self.grid.ndim)]
             mesh = [m.ravel() for m in self.grid.mesh()]
-            for _ in range(_writer_count()):
+            for _ in range(_workers()):
                 self.procs.append(subprocess.Popen(
                     command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
                     stderr=subprocess.PIPE))
@@ -763,7 +759,7 @@ def save_trace(trace: SimTrace, directory):
     trace.csv has one row per frame and grid point (t, the grid
     coordinates, every phi, every phidot, s1; repr of each float),
     formatted by the writer processes every trace export uses: one per
-    CPU up to MAX_WRITERS.  trace.npz holds t (F,), phi (F, n, *S),
+    CPU up to MAX_WORKERS.  trace.npz holds t (F,), phi (F, n, *S),
     phidot (F, n, *S) and s1 (F, *S) as float64, with the members and
     bytes an uncompressed `np.savez` of them has;
     `load_trace` reads it.  A directory that cannot be written, or a

@@ -15,10 +15,9 @@ from typing import Callable
 
 import numpy as np
 
-from .contact import _energy_gradients, hessian, reeb
-from .errors import NotRegularError
+from .contact import _energy_gradients, reeb, require_regular
 from .jet import Jet2, LagrangianModel, PhasePoint, evaluate_jet
-from .sim import _map_slabs, _trace_div, _trace_trim
+from .sim import _map_slabs, _trace_div, _trace_trim, _walk_maxima
 from .taylor import T2, TaylorContext, variables
 
 
@@ -222,12 +221,12 @@ def reeb_bracket_check(model: LagrangianModel, Y: SymmetryField,
                      np.max(np.abs(dv - dYv))))
 
 
-def _dissipation_law(Fvals, jet, spacings, halo) -> np.ndarray:
+def _dissipation_law(Fvals, jet, spacings) -> np.ndarray:
     """div(F o sigma) + R_a(E_L) F^a o sigma on a trace slab's interior,
     from F's values (k, T, *S) and the slab's jet, by the identity
     R_a(E_L) = -dL/ds^a that the Reeb equations give a regular L."""
-    return _trace_div(Fvals, spacings, halo) - np.einsum(
-        "a...,a...->...", *(_trace_trim(x, len(spacings), halo)
+    return _trace_div(Fvals, spacings) - np.einsum(
+        "a...,a...->...", *(_trace_trim(x, len(spacings))
                             for x in (jet.dLds, Fvals)))
 
 
@@ -240,22 +239,21 @@ def momentum_dissipation_check(model: LagrangianModel, i: int,
     valid when q^i is cyclic: `_dissipation_law` of p_i over the trace
     interior, walked slab by slab.  Raises if |dL/dq^i| exceeds 1e-9 at
     any sample the residual reads (every frame but the first and last)."""
-    def maximum(q, v, s, spacings, jet):
+    def residual(q, v, s, spacings, jet):
         if np.max(np.abs(jet.dLdq[i])) > 1e-9:
             raise ValueError(f"coordinate {i} not cyclic")
-        return np.max(np.abs(_dissipation_law(jet.dLdv[i], jet, spacings, 1)))
+        return [_dissipation_law(jet.dLdv[i], jet, spacings)]
 
-    return float(np.max(_map_slabs(maximum, model, trace)))
+    return _walk_maxima(residual, model, trace)[0]
 
 
-def _dissipation_residual(F: DissipatedQuantity, q, v, s, spacings, jet,
-                          halo) -> np.ndarray:
+def _dissipation_residual(F: DissipatedQuantity, q, v, s, spacings,
+                          jet) -> np.ndarray:
     """`_dissipation_law` of F over one slab of a trace walk: R_a(E_L) =
     -dL/ds^a holds for a regular L only, so a slab where `hessian` finds
     L not regular is refused, by the verdict `reeb` applies."""
-    if not np.all(hessian(jet).regular):
-        raise NotRegularError("Lagrangian not regular")
-    return _dissipation_law(F(jet, q, v, s), jet, spacings, halo)
+    require_regular(jet)
+    return _dissipation_law(F(jet, q, v, s), jet, spacings)
 
 
 def dissipation_law_check(model: LagrangianModel, F: DissipatedQuantity,
@@ -263,5 +261,5 @@ def dissipation_law_check(model: LagrangianModel, F: DissipatedQuantity,
     """`_dissipation_residual` over the trace interior, walked slab by
     slab (in memory independent of the frame count) and joined in time."""
     return np.concatenate(_map_slabs(
-        lambda *slab: _dissipation_residual(F, *slab, halo=1), model, trace),
+        lambda *slab: _dissipation_residual(F, *slab), model, trace),
         axis=-model.k)

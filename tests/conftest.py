@@ -99,12 +99,13 @@ def writers(monkeypatch):
         assert_reaped(procs)
 
 
-def pin_writers(monkeypatch, count):
-    """Make trace exports see `count` CPUs and allow `count` writers
-    (`sim.MAX_WRITERS`), so each starts `count` writers."""
+def pin_workers(monkeypatch, count):
+    """Make trace exports and walks see `count` CPUs and allow `count`
+    workers (`sim.MAX_WORKERS`), so each export starts `count` writers
+    and each walk runs on `count` threads."""
     monkeypatch.setattr(sim.os, "sched_getaffinity",
                         lambda pid: set(range(count)))
-    monkeypatch.setattr(sim, "MAX_WRITERS", count)
+    monkeypatch.setattr(sim, "MAX_WORKERS", count)
 
 
 def assert_reaped(procs):

@@ -14,14 +14,14 @@ import numpy as np
 import pytest
 
 import kcontact
-from kcontact import cli, contact, jet, sim
+from kcontact import cli, contact, hamiltonian, jet, sim
 from kcontact.cli import (REFINEMENT_BAND, build_parser, main, parse_grid,
                           parse_points)
 from kcontact.errors import ConfigError
 from kcontact.models import MODEL_NAMES, MODEL_PARAMS, MODELS, build_model
 from kcontact.sim import run, step
 from kcontact.jet import LagrangianModel
-from conftest import assert_reaped, cubic, pin_writers
+from conftest import assert_reaped, cubic, pin_workers
 from test_sim import growing_speed
 
 
@@ -234,7 +234,7 @@ class TestSimulate:
                                            writers, monkeypatch):
         # two writers; the export writes the manifest once, residuals
         # included, so simulate writes no report of its own
-        pin_writers(monkeypatch, 2)
+        pin_workers(monkeypatch, 2)
         monkeypatch.setattr(cli, "_emit", None)
         out = tmp_path / "run"
         code, _ = run_cli(capsys, "simulate", "--model", "membrane",
@@ -280,7 +280,7 @@ class TestSimulate:
                                                monkeypatch, writers):
         # one step and so two frames for three writers: the third gets
         # no frame and exits at the end of its input
-        pin_writers(monkeypatch, 3)
+        pin_workers(monkeypatch, 3)
         code = main(["simulate", "--model", "membrane",
                      "--grid", "0,pi,17;0,pi,17", "--dt", "0.05",
                      "--t-end", "0.05", "--output", str(tmp_path / "x")])
@@ -297,7 +297,7 @@ class TestSimulate:
                                             monkeypatch, writers, flags):
         # refused by run, once the export has started its writers; the
         # last step count overflows
-        pin_writers(monkeypatch, 2)
+        pin_workers(monkeypatch, 2)
         out = tmp_path / "x"
         code = main(["simulate", "--model", "membrane",
                      "--grid", "0,pi,9;0,pi,9", "--dt", "0.05",
@@ -400,7 +400,7 @@ class TestSimulate:
                                                    monkeypatch, writers):
         # the growing wave speed passes the CFL limit at step 18, after
         # four frames went to the two writers
-        pin_writers(monkeypatch, 2)
+        pin_workers(monkeypatch, 2)
         model, grid, init = growing_speed()
         monkeypatch.setattr(cli, "_model_and_spec",
                             lambda args: (model, None))
@@ -516,6 +516,9 @@ HOSTILE_TRACES = {
                        "trace.npz: phidot holds non-finite values"),
     "npz-nan-s1": (set_sample("s1", np.nan),
                    "trace.npz: s1 holds non-finite values"),
+    "manifest-nan-param": (
+        rewrite_manifest(lambda m: m["params"].update(mu=math.nan)),
+        "mu = nan is not finite"),
 }
 
 
@@ -807,19 +810,37 @@ class TestVerify:
     def test_trace_suites_evaluate_one_jet_per_slab(
             self, capsys, monkeypatch, membrane_trace_pair):
         # one walk: each slab's jet gives the dissipation suite F and
-        # R_a(E), and the hdw suite the momenta, which also start Newton
-        # (v0 is the preimage) and give the Hamiltonian derivatives; the
-        # W threads of the walk each take slabs of 3 // W frames
+        # R_a(E), and the hdw suite the momenta, whose preimage is the
+        # slab's v, and the Hamiltonian derivatives; the W threads of the
+        # walk each take slabs of 3 // W frames
         trace = sim.load_trace(membrane_trace_pair[1])
         monkeypatch.setattr(sim, "TRACE_SLAB_SAMPLES",
                             3 * trace.s1[0].size)
-        per = max(1, 3 // min(sim._cpus(), sim.MAX_WALKERS))
+        per = max(1, 3 // sim._workers())
         slabs = -(-(trace.t.size - 4) // per)
         calls = count_jets(monkeypatch)
         code, _ = report_of(capsys, "verify", "--suite", "dissipation",
                             "--suite", "hdw", "--trace",
                             membrane_trace_pair[1])
         assert code == 0
+        assert slabs > 1 and len(calls) == slabs
+
+    def test_hdw_suite_solves_no_legendre_inverse(
+            self, capsys, monkeypatch, membrane_trace_pair):
+        # a slab's v is the preimage of the momenta its jet gives, so the
+        # hdw suite runs no Newton solve and evaluates one jet per slab
+        def newton(*args):
+            raise AssertionError("the hdw suite ran a Newton solve")
+
+        monkeypatch.setattr(hamiltonian, "_newton_batch", newton)
+        trace = sim.load_trace(membrane_trace_pair[1])
+        monkeypatch.setattr(sim, "TRACE_SLAB_SAMPLES",
+                            3 * trace.s1[0].size)
+        slabs = -(-(trace.t.size - 4) // max(1, 3 // sim._workers()))
+        calls = count_jets(monkeypatch)
+        code, rep = report_of(capsys, "verify", "--suite", "hdw",
+                              "--trace", membrane_trace_pair[1])
+        assert code == 0 and rep["suites"][0]["pass"] is True
         assert slabs > 1 and len(calls) == slabs
 
     def test_inverse_roundtrip_suite(self, capsys):
@@ -1002,6 +1023,8 @@ HOSTILE_SPECS = {
     "scalar-D": {"A": SPEC_A, "D": 0.4},
     "poly-5": {"A": SPEC_A, "D": [0.0, 0.4], "G": {"poly": 5}},
     "text-in-poly": {"A": SPEC_A, "D": [0.0, 0.4], "G": {"poly": ["x"]}},
+    "nan-in-poly": {"A": SPEC_A, "D": [0.0, 0.4],
+                    "G": {"poly": [0.0, math.nan]}},
 }
 SPEC_COMMANDS = {
     "inverse": ("inverse",),
@@ -1026,6 +1049,30 @@ class TestHostileText:
         assert_refused(capsys, ["simulate", "--model", "membrane",
                                 "--grid", grid, "--dt", "0.01",
                                 "--output", str(tmp_path / "x")])
+        assert not (tmp_path / "x").exists()
+
+    # a float model parameter that is not finite, from a flag or from a
+    # --config file (JSON's NaN), is refused before any work
+    @pytest.mark.parametrize("command", ["derive", "simulate"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_non_finite_parameter_exits_2(self, capsys, tmp_path, command,
+                                          source):
+        argv = [command, "--model", "membrane"]
+        if source == "flag":
+            argv += ["--mu", "nan"]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text('{"gamma": NaN}')
+            argv += ["--config", str(config)]
+        if command == "simulate":
+            argv += ["--grid", "0,pi,9;0,pi,9", "--dt", "0.05",
+                     "--output", str(tmp_path / "x")]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            "error: bad parameters for model 'membrane': "
+            f"{'mu' if source == 'flag' else 'gamma'} = nan is not finite\n")
         assert not (tmp_path / "x").exists()
 
     def test_bad_point_number_exits_2(self, capsys):

@@ -161,6 +161,31 @@ class TestHdw:
         res = hdw_residual(model, path)
         assert res.max() == 0.0
 
+    @pytest.mark.parametrize("start", ["default", "preimage"])
+    def test_no_jet_at_the_first_or_last_frame(self, monkeypatch, start):
+        # the residuals read the frames 1 ... T-2 only, so Newton solves
+        # for the preimage there, and its jets cover those frames alone:
+        # two jets from v0 = p (one step of a quadratic density), one
+        # from the preimage itself
+        model = membrane(mu=1.0, gamma=0.2)
+        rng = np.random.default_rng(4)
+        shape = (9, 8, 7)
+        q, v, s = (rng.standard_normal(lead + shape)
+                   for lead in ((1,), (1, 3), (3,)))
+        path = momentum_path_from_arrays(evaluate_jet_batch(model, q, v, s),
+                                         q, s, [0.1, 0.2, 0.3])
+        original, points = hamiltonian.evaluate_jet_batch, []
+
+        def counting(model, q, v, s):
+            points.append(q.shape[1:])
+            return original(model, q, v, s)
+
+        monkeypatch.setattr(hamiltonian, "evaluate_jet_batch", counting)
+        res = hdw_residual(model, path,
+                           v0=None if start == "default" else v)
+        assert points == [(7, 8, 7)] * {"default": 2, "preimage": 1}[start]
+        assert res.r_s.shape == (5, 4, 3)
+
     def test_spacings_validated(self):
         model = damped_oscillator()
         t, q, v, s = oscillator_path(0.1, 1.0, 1.0, 101)

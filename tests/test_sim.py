@@ -21,7 +21,7 @@ from kcontact.sim import (CFL_FACTOR, _d1, _d2, _eigvals, _point_arrays,
                           _state_rhs, _trace_d1, _trace_div, _trace_trim,
                           char_speeds, check_cfl)
 from kcontact.taylor import cos, exp, sqrt
-from conftest import assert_reaped, pin_writers
+from conftest import assert_reaped, pin_workers
 from test_jet import born_infeld
 
 
@@ -96,13 +96,12 @@ def test_d1_equals_numpy_gradient_bitwise(shape, h, layout):
 
 
 @pytest.mark.parametrize("k", [2, 3])
-@pytest.mark.parametrize("halo", [1, 2])
-def test_trace_stencils_equal_the_interior_of_d1(k, halo):
+def test_trace_stencils_equal_the_interior_of_d1(k):
     # the trace stencils compute the reported interior only; there they
     # equal `_d1` and the divergence summed from 0, bit for bit.  f[1, a]
     # runs +0, +0, -0, -0, ... along axis a, so where every term of a
     # divergence is -0 the sum must still read +0
-    rng = np.random.default_rng(k + halo)
+    rng = np.random.default_rng(k + 1)
     G = (9, 10, 11)[:k]
     spacings = np.array([0.1, 0.3, 0.7])[:k]
     f = rng.standard_normal((2, k) + G)
@@ -111,14 +110,14 @@ def test_trace_stencils_equal_the_interior_of_d1(k, halo):
         f[1, a] = zeros.reshape([-1 if b == a else 1 for b in range(k)])
     terms = []
     for a in range(k):
-        terms.append(_trace_d1(f[:, a], spacings, a, halo))
-        want = _trace_trim(_d1(f[:, a], spacings[a], a - k, False), k, halo)
+        terms.append(_trace_d1(f[:, a], spacings, a))
+        want = _trace_trim(_d1(f[:, a], spacings[a], a - k, False), k)
         assert terms[-1].tobytes() == want.tobytes(), a
     plain = sum(terms[1:], terms[0])
     assert np.any(np.signbit(plain) & (plain == 0))
     want = _trace_trim(sum(_d1(f[:, a], spacings[a], a - k, False)
-                           for a in range(k)), k, halo)
-    assert _trace_div(f, spacings, halo).tobytes() == want.tobytes()
+                           for a in range(k)), k)
+    assert _trace_div(f, spacings).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("shape", [(16,), (9, 12), (2, 5, 9, 12)],
@@ -652,7 +651,7 @@ class TestExport:
         # two writer processes format what the in-process formatter did,
         # whether save_trace sends the frames or run hands them over as
         # it records them
-        pin_writers(monkeypatch, 2)
+        pin_workers(monkeypatch, 2)
         for label, model, grid, init in self.export_cases():
             live = tmp_path / label / "live"
             with sim._TraceExport(live, grid, model.n) as export:
@@ -685,7 +684,7 @@ class TestExport:
         # than writers and frame counts the writer count does not divide;
         # every export starts a writer per CPU, and a writer that gets no
         # frame exits at the end of its input
-        pin_writers(monkeypatch, cpus)
+        pin_workers(monkeypatch, cpus)
         started = 0
         for frames in (1, 2, 4, 7):
             trace = self.random_trace(frames)
@@ -702,21 +701,21 @@ class TestExport:
         assert [p.returncode for p in writers] == [0] * started
 
     def test_writer_count(self, monkeypatch):
-        # one writer per CPU this process may run on, or per CPU of the
-        # machine where there is no affinity call, and no more than
-        # MAX_WRITERS
+        # one writer (and one walk thread) per CPU this process may run
+        # on, or per CPU of the machine where there is no affinity call,
+        # and no more than MAX_WORKERS
         monkeypatch.setattr(sim.os, "sched_getaffinity",
                             lambda pid: set(range(64)))
-        assert sim.MAX_WRITERS == 2
-        assert sim._writer_count() == 2
-        pin_writers(monkeypatch, 3)
-        assert sim._writer_count() == 3
-        monkeypatch.setattr(sim, "MAX_WRITERS", 8)
+        assert sim.MAX_WORKERS == 2
+        assert sim._workers() == 2
+        pin_workers(monkeypatch, 3)
+        assert sim._workers() == 3
+        monkeypatch.setattr(sim, "MAX_WORKERS", 8)
         monkeypatch.delattr(sim.os, "sched_getaffinity")
         monkeypatch.setattr(sim.os, "cpu_count", lambda: 5)
-        assert sim._writer_count() == 5
+        assert sim._workers() == 5
         monkeypatch.setattr(sim.os, "cpu_count", lambda: None)
-        assert sim._writer_count() == 1
+        assert sim._workers() == 1
 
     def test_export_covers_every_repr_form(self, tmp_path):
         # signed zeros, the smallest subnormal, exponent forms on both
@@ -753,7 +752,7 @@ class TestExport:
         # the writer of the second frame, one of two, is killed before
         # that frame is sent; its record is missing when the fourth
         # frame is sent
-        pin_writers(monkeypatch, 2)
+        pin_workers(monkeypatch, 2)
         frame = sim._TraceExport.frame
 
         def kill_at_second_frame(export, state):
@@ -793,7 +792,7 @@ sys.stderr.write("cut short\\n")
 sys.exit(3)
 """)
         monkeypatch.setattr(sim, "CSV_WRITER", fake)
-        pin_writers(monkeypatch, 2)
+        pin_workers(monkeypatch, 2)
         with pytest.raises(ConfigError, match=(
                 r"trace.csv writer for .* failed \(exit 3\): cut short")
                            ) as info:
@@ -813,7 +812,7 @@ sys.exit(3)
         # exporting process's write, one frame of zeros on 8x9 points,
         # which its buffer holds, at its close; manifest.json on
         # /dev/full fails once trace.csv is complete
-        pin_writers(monkeypatch, 2)
+        pin_workers(monkeypatch, 2)
         out = tmp_path / "out"
         out.mkdir()
         (out / link).symlink_to("/dev/full")

@@ -183,9 +183,9 @@ def reeb_dissipation_law(model, F, trace):
         Fvals = F(jet, q, v, s)
         rE = reeb_derivative_of_energy(jet, v, reeb(jet))
         k = len(spacings)
-        return (_trace_div(Fvals, spacings, 1)
-                + np.einsum("a...,a...->...", _trace_trim(rE, k, 1),
-                            _trace_trim(Fvals, k, 1)))
+        return (_trace_div(Fvals, spacings)
+                + np.einsum("a...,a...->...", _trace_trim(rE, k),
+                            _trace_trim(Fvals, k)))
 
     return np.concatenate(_map_slabs(law, model, trace), axis=-model.k)
 

@@ -22,6 +22,7 @@ from kcontact import (Grid, SimState, SimTrace, builtin_symmetry_field,
 from kcontact import sim
 from kcontact.cli import _walk_traces
 from kcontact.hamiltonian import hdw_residual, momentum_path_from_arrays
+from conftest import pin_workers
 from test_jet import born_infeld
 from test_sim import coupled_wave
 
@@ -80,13 +81,6 @@ def whole_trace_hdw(model, trace):
     return hdw_residual(model, momentum_path_from_arrays(jet, q, s, spacings))
 
 
-def pin_walkers(monkeypatch, count):
-    """Make trace walks see `count` CPUs and allow `count` threads."""
-    monkeypatch.setattr(sim.os, "sched_getaffinity",
-                        lambda pid: set(range(count)))
-    monkeypatch.setattr(sim, "MAX_WALKERS", count)
-
-
 @pytest.mark.parametrize("case", CASES)
 def test_residuals_do_not_depend_on_the_slab_size(case, monkeypatch):
     model, trace = CASES[case]()
@@ -95,7 +89,7 @@ def test_residuals_do_not_depend_on_the_slab_size(case, monkeypatch):
     per_frame = math.prod(trace.grid.shape)
     got = []
     for workers in (1, 2, 3):
-        pin_walkers(monkeypatch, workers)
+        pin_workers(monkeypatch, workers)
         # slabs of 1, 3 // W, 7 // W frames and all frames
         for samples in (1, 3 * per_frame, 7 * per_frame, 10 ** 12):
             monkeypatch.setattr(sim, "TRACE_SLAB_SAMPLES", samples)
@@ -166,7 +160,7 @@ def indexed_trace(frames=12, N=9):
 
 
 def one_frame_slabs(monkeypatch, trace, workers):
-    pin_walkers(monkeypatch, workers)
+    pin_workers(monkeypatch, workers)
     monkeypatch.setattr(sim, "TRACE_SLAB_SAMPLES",
                         workers * math.prod(trace.grid.shape))
 
