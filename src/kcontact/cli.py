@@ -214,7 +214,7 @@ def _check_config_value(key, val, action):
 def _merge_config(args, parser):
     """Flags override config-file values override hard defaults.  Each
     config value is checked against the option of `args.cmd` that it
-    sets."""
+    sets; a tolerance or amplitude must be finite."""
     cfg = {}
     if getattr(args, "config", None):
         cfg = _load_config(args.config)
@@ -236,6 +236,10 @@ def _merge_config(args, parser):
                 setattr(args, key, HARD_DEFAULTS[key])
     if args.num_points < 1:
         raise ConfigError("--num-points must be at least 1")
+    for key in ("tol", "amplitude"):
+        val = getattr(args, key, None)
+        if val is not None and not math.isfinite(val):
+            raise ConfigError(f"--{key} {val!r} is not finite")
     return args
 
 

@@ -68,7 +68,8 @@ def _el_operator(jet, v, a, dsdt, evolution=False):
     or term does not turn an inf operand into NaN.)
 
     With `evolution`, a[:, 0, 0] reads as 0 and dsdt[0, 0] as L, whatever
-    the arrays hold; nothing is written into them.
+    the arrays hold; nothing is written into them.  a and dsdt may be
+    dicts of the entries read, keyed as the arrays are indexed.
     """
     n = jet.dLdv.shape[0]
     layout = jet.layout
@@ -132,8 +133,8 @@ def evolution_rhs_batch(jet: Jet2, v, a, dsdt):
     divergence condition into dsdt[0, 0] = L.  Both entries of the
     given arrays are ignored, and the arrays are not written.  Only the
     entries of a and dsdt that a stored entry of the jet multiplies are
-    read (see `_el_operator`).  accel has shape (n, *B); L is returned
-    because the simulator needs the density for the s^1 equation.
+    read, so they may be dicts of those (see `_el_operator`).  accel has
+    shape (n, *B); L is returned for the simulator's s^1 equation.
     """
     rEL = _el_operator(jet, v, a, dsdt, evolution=True)
     np.negative(rEL, out=rEL)

@@ -133,7 +133,7 @@ def _hdw_slab(path: MomentumPath, v, jet) -> HdwResiduals:
     NotRegularError).  Path derivatives are the trace stencil
     (`sim._trace_d1`), computed on that interior only; Hamiltonian
     derivatives come from the duality identities at the preimage."""
-    require_regular(jet, SINGULAR)
+    require_regular(jet)
     h, k = path.spacings, len(path.spacings)
     # every pointwise term is taken on the interior as well
     p, v, dLdq, dLds, dLdv, L = (_trace_trim(x, k) for x in (

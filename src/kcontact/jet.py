@@ -99,9 +99,7 @@ class JetLayout:
     its stored rows.  The masks mark the stored entries of the three
     second-derivative blocks over their lead axes (see `Jet2`); the
     entry tuples list them in C order, as `_el_operator` multiplies
-    them, `vv_evolution` without W[:, 0, :, 0].  `need_a[b, c]` and
-    `need_s[b, c]` tell whether a stored entry multiplies a[:, b, c] and
-    dsdt[b, c].  Every array is read-only.
+    them, `vv_evolution` without W[:, 0, :, 0].  Every array is read-only.
     """
 
     rows: tuple
@@ -112,8 +110,6 @@ class JetLayout:
     vv_evolution: tuple
     vq: tuple
     vs: tuple
-    need_a: np.ndarray
-    need_s: np.ndarray
 
 
 # held over `_layout` calls, so threads never build two layouts of a pattern
@@ -151,9 +147,7 @@ def _layout(n, k, grad_keys, hess_keys):
               hess(s_cols)),
         mask_vv=mask_vv, mask_vq=mask_vq, mask_vs=mask_vs,
         vv=vv, vv_evolution=tuple(e for e in vv if e[1] or e[3]),
-        vq=_entries(mask_vq), vs=_entries(mask_vs),
-        need_a=_read_only(mask_vv.any(axis=(0, 2)).T),
-        need_s=_read_only(mask_vs.any(axis=0)))
+        vq=_entries(mask_vq), vs=_entries(mask_vs))
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .contact import solve_batch
-from .dynamics import el_residual_batch, evolution_rhs_batch
+from .dynamics import _el_operator, evolution_rhs_batch
 from .errors import ConfigError, SimulationError
 from .jet import LagrangianModel, evaluate_jet_batch
 
@@ -197,38 +197,32 @@ def _point_arrays(model, grid, phi, phidot, s1, wrapped=None):
     return v, s
 
 
-def _second_jet(grid, phi, v, s1, jet, wrapped=None):
-    """Stencil entries of the second jet (a, dsdt) for the arrays of
-    `_point_arrays` and their `jet`: the spatial and mixed entries of a
-    and dsdt[x, 0] = d_x s^1, each computed only where a stored entry of
-    the jet multiplies it in the Euler-Lagrange operator (a[:, b, c]
-    meets d2Ldvdv[:, c, :, b] and dsdt[b, c] meets d2Ldvds[:, b, c]).
-    Every other entry, a[:, 0, 0] and dsdt[0, 0] among them, stays in the
-    untouched pages of np.zeros, for the caller to fill in or solve for.
-    `wrapped` is as in `_point_arrays`."""
-    n, k = v.shape[:2]
-    d = grid.ndim
-    periodic = grid.bc == "periodic"
-    need_a, need_s = jet.layout.need_a.tolist(), jet.layout.need_s.tolist()
-    a = np.zeros((n, k, k) + phi.shape[1:])
-    dsdt = np.zeros((k, k) + phi.shape[1:])
+def _second_jet(spacings, periodic, phi, v, s1, jet, wrapped=None):
+    """The entries of the second jet (a, dsdt) that a stored entry of
+    `jet` multiplies in `_el_operator`, as dicts keyed (j, b, c) and
+    (b, c), for the arrays of `_point_arrays` and their `jet`.  The grid
+    axes are the last len(spacings) axes of each field, one per direction
+    of the last len(spacings); axis x wraps if periodic[x] (`wrapped` as
+    in `_point_arrays`).  a[:, b, b] of a spatial b is `_d2` of phi, every
+    other a[:, b, c] `_d1` of v[:, min(b, c)] along max(b, c), once per
+    pair; dsdt[b, 0] is `_d1` of s1 along b and dsdt[b, c >= 1] is 0 (the
+    evolution gauge).  An entry that no grid axis gives, a[:, 0, 0] and
+    dsdt[0, 0] on a spatial grid, is left out for the caller to solve."""
+    first = v.shape[1] - len(spacings)  # the direction of grid axis 0
 
-    def fill(positions, stencil, f, h, axis, pad=None):
-        positions = [(b, c) for b, c in positions if need_a[b][c]]
-        if positions:
-            val = stencil(f, h, axis, periodic, pad)
-            for b, c in positions:
-                a[:, b, c] = val
+    def stencil(f, diff, b, pad=None):
+        x = b - first
+        return diff(f, spacings[x], x - len(spacings), periodic[x], pad)
 
-    for x in range(d):
-        h, ax = grid.spacing[x], x - d
-        fill(((0, 1 + x), (1 + x, 0)), _d1, v[:, 0], h, ax)
-        fill(((1 + x, 1 + x),), _d2, phi, h, ax, wrapped and wrapped[x])
-        for y in range(x + 1, d):
-            fill(((1 + x, 1 + y), (1 + y, 1 + x)), _d1, v[:, 1 + x],
-                 grid.spacing[y], y - d)
-        if need_s[1 + x][0]:
-            dsdt[1 + x, 0] = _d1(s1, h, ax, periodic)
+    pairs = {(min(b, c), max(b, c)) for _, c, _, b in jet.layout.vv}
+    diffs = {(lo, hi): stencil(phi, _d2, hi, wrapped and wrapped[hi - first])
+             if lo == hi > 0 else stencil(v[:, lo], _d1, hi)
+             for lo, hi in pairs if hi >= first}
+    a = {(j, b, c): diffs[min(b, c), max(b, c)][j]
+         for _, c, j, b in jet.layout.vv if max(b, c) >= first}
+    dsdt = {(c, b): 0.0 if b else stencil(s1, _d1, c)
+            for c, b in {(c, b) for _, c, b in jet.layout.vs}
+            if b or c >= first}
     return a, dsdt
 
 
@@ -241,7 +235,8 @@ def _state_rhs(model, grid, phi, phidot, s1):
     wrapped = [_wrap(phi, x - d) for x in range(d)] if periodic else None
     v, s = _point_arrays(model, grid, phi, phidot, s1, wrapped)
     jet = evaluate_jet_batch(model, phi, v, s)
-    a, dsdt = _second_jet(grid, phi, v, s1, jet, wrapped)
+    a, dsdt = _second_jet(grid.spacing, (periodic,) * d, phi, v, s1, jet,
+                          wrapped)
     accel, L = evolution_rhs_batch(jet, v, a, dsdt)
     if periodic:
         return phidot, accel, L, jet
@@ -504,20 +499,23 @@ def _walk_maxima(residuals, model, trace, weight=1) -> list:
 def trace_el_residual(model: LagrangianModel, trace: SimTrace):
     """Max Euler-Lagrange residuals of a trace resampled to second jets.
 
-    Time derivatives come from the recorded frames, spatial ones from the
-    grid; the result is reported on the interior (two layers stripped in
-    every direction, including time).  The trace is walked slab by slab,
-    in memory independent of the frame count."""
-    def residuals(q, v, s, spacings, jet):
-        a, dsdt = _second_jet(trace.grid, q, v, s[0], jet)
-        # the time-time entries on the interior only; the ends stay 0
-        _trace_trim(a[:, 0, 0], model.k)[...] = _trace_d1(v[:, 0], spacings, 0)
-        _trace_trim(dsdt[0, 0], model.k)[...] = _trace_d1(s[0], spacings, 0)
-        return [_trace_trim(r, model.k)
-                for r in el_residual_batch(jet, v, a, dsdt)]
+    Time derivatives come from the recorded frames (time is one more grid
+    axis of `_second_jet`, never wrapped), spatial ones from the grid; the
+    result is reported on the interior (two layers stripped in every
+    direction, including time).  The trace is walked slab by slab, in
+    memory independent of the frame count."""
+    k = model.k
+    spacings = (trace.dt_out, *trace.grid.spacing)
+    periodic = (False,) + (trace.grid.bc == "periodic",) * (k - 1)
 
-    # a and dsdt hold k^2 entries per sample, so k^2 times smaller slabs
-    return tuple(_walk_maxima(residuals, model, trace, weight=model.k ** 2))
+    def residuals(q, v, s, steps, jet):
+        a, dsdt = _second_jet(spacings, periodic, q, v, s[0], jet)
+        return [_trace_trim(_el_operator(jet, v, a, dsdt), k),
+                _trace_d1(s[0], steps, 0) - _trace_trim(jet.L, k)]
+
+    # the second jet holds up to k^2 entries per field and sample, so the
+    # slabs are k^2 times smaller
+    return tuple(_walk_maxima(residuals, model, trace, weight=k ** 2))
 
 
 def energy_monitor(model: LagrangianModel, state: SimState,

@@ -742,22 +742,23 @@ class TestVerify:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["dissipated_quantity_residuals"] == {"du": None}
         capsys.readouterr()
+        # the hdw suite runs no Newton solve, so it names the regularity
+        # verdict as the dissipation suite does
         for argv in (("--model", "string", "--tau", "1e-12", "--suite",
                       "reeb"),
-                     ("--trace", str(out), "--suite", "dissipation")):
+                     ("--trace", str(out), "--suite", "dissipation"),
+                     ("--trace", str(out), "--suite", "hdw")):
             code = main(["verify", *argv])
             captured = capsys.readouterr()
             assert code == 3 and captured.out == ""
             assert captured.err == "error: Lagrangian not regular\n"
         # the Legendre Newton solve applies the same RANK_TOL verdict
-        for argv in (("--model", "string", "--tau", "1e-12", "--suite",
-                      "legendre", "--num-points", "50"),
-                     ("--trace", str(out), "--suite", "hdw")):
-            code = main(["verify", *argv])
-            captured = capsys.readouterr()
-            assert code == 3 and captured.out == ""
-            assert captured.err == ("error: singular velocity Hessian "
-                                    "during Legendre inversion\n")
+        code = main(["verify", "--model", "string", "--tau", "1e-12",
+                     "--suite", "legendre", "--num-points", "50"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == ("error: singular velocity Hessian "
+                                "during Legendre inversion\n")
 
     @pytest.mark.parametrize("case", ["other-model", "other-gamma",
                                       "fine-first", "other-ratios"])
@@ -1074,6 +1075,33 @@ class TestHostileText:
             "error: bad parameters for model 'membrane': "
             f"{'mu' if source == 'flag' else 'gamma'} = nan is not finite\n")
         assert not (tmp_path / "x").exists()
+
+    # a tolerance or an amplitude that is not finite, from a flag or from
+    # a --config file (JSON's NaN and Infinity), is refused before any
+    # work or any writer starts
+    @pytest.mark.parametrize("command,key,val", [
+        ("verify", "tol", "nan"), ("verify", "tol", "inf"),
+        ("inverse", "tol", "-inf"), ("simulate", "amplitude", "inf")])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_non_finite_tolerance_or_amplitude_exits_2(
+            self, capsys, tmp_path, writers, command, key, val, source):
+        if source == "flag":
+            argv = [command, f"--{key}={val}"]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text('{"%s": %s}' % (key, {
+                "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}[val]))
+            argv = [command, "--config", str(config)]
+        argv += {"verify": ["--model", "membrane", "--suite", "reeb"],
+                 "inverse": [],
+                 "simulate": ["--model", "membrane", "--grid",
+                              "0,pi,9;0,pi,9", "--dt", "0.05",
+                              "--output", str(tmp_path / "x")]}[command]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: --{key} {float(val)!r} is not finite\n"
+        assert not (tmp_path / "x").exists() and writers == []
 
     def test_bad_point_number_exits_2(self, capsys):
         assert_refused(capsys, ["derive", "--model", "membrane",

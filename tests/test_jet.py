@@ -147,16 +147,15 @@ def test_layout_keyed_on_stored_entries():
 
 
 def test_shared_arrays_are_read_only():
-    # masks, stencil needs, seed rows and zero blocks are shared between
-    # jets: a write raises instead of changing every later jet
+    # masks, seed rows and zero blocks are shared between jets: a write
+    # raises instead of changing every later jet
     model = membrane()
     jet = evaluate_jet(model, random_phase_point(model,
                                                  np.random.default_rng(1)))
     seeds = variables(TaylorContext(1, 3), np.zeros((1, 4)),
                       np.zeros((1, 3, 4)), np.zeros((3, 4)))
     shared = [jet.layout.mask_vv, jet.layout.mask_vq, jet.layout.mask_vs,
-              jet.layout.need_a, jet.layout.need_s, jet.dLdq,
-              seeds[0][0].grad[0], seeds[1][0][2].grad[3]]
+              jet.dLdq, seeds[0][0].grad[0], seeds[1][0][2].grad[3]]
     assert seeds[0][0].grad[0] is seeds[2][1].grad[5]  # one row per rank
     for arr in shared:
         with pytest.raises(ValueError, match="read-only"):

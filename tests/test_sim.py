@@ -907,51 +907,65 @@ def test_membrane_rhs_stencils_only_what_the_jet_multiplies(monkeypatch):
     assert calls == {"_d1": 2, "_d2": 2}
 
 
+def dense_d1(f, h, axis, periodic):
+    """First difference along `axis` by np.roll, or by np.gradient."""
+    if periodic:
+        return (np.roll(f, -1, axis) - np.roll(f, 1, axis)) / (2 * h)
+    return np.gradient(f, h, axis=axis, edge_order=2)
+
+
+def dense_d2(f, h, axis, periodic):
+    """Second difference along `axis` by np.roll; off a periodic grid the
+    edges copy their neighbours."""
+    out = (np.roll(f, -1, axis) - 2 * f + np.roll(f, 1, axis)) / h ** 2
+    if not periodic:
+        idx = np.arange(f.shape[axis])
+        idx[0], idx[-1] = 1, idx[-2]
+        out = np.take(out, idx, axis=axis)
+    return out
+
+
+def dense_el_operator(jet, v, a, dsdt):
+    """rEL by einsum contractions of every jet block broadcast to the
+    points, with L and W broadcast too."""
+    n, k = v.shape[:2]
+    L, dLdq, dLdv, dLds, W, Q, Sv = (
+        np.array(np.broadcast_to(getattr(jet, name), lead + jet.L.shape))
+        for name, lead in (("L", ()), ("dLdq", (n,)), ("dLdv", (n, k)),
+                           ("dLds", (k,)), ("d2Ldvdv", (n, k, n, k)),
+                           ("d2Ldvdq", (n, k, n)), ("d2Ldvds", (n, k, k))))
+    rEL = (np.einsum("iajb...,jba...->i...", W, a)
+           + np.einsum("iaj...,ja...->i...", Q, v)
+           + np.einsum("iab...,ab...->i...", Sv, dsdt) - dLdq
+           - np.einsum("a...,ia...->i...", dLds, dLdv))
+    return rEL, L, W
+
+
 def reference_rhs(model, grid, phi, phidot, s1):
     """`_state_rhs` with dense arrays throughout: np.roll and np.gradient
     stencils, every jet block broadcast to the points, every second-jet
     entry, einsum contractions and one np.linalg.solve per point."""
     n, k, d = model.n, model.k, grid.ndim
     periodic = grid.bc == "periodic"
-    S, hs, axes = phi.shape[1:], grid.spacing, range(-d, 0)
+    S = phi.shape[1:]
 
     def d1(f, x):
-        if periodic:
-            return ((np.roll(f, -1, axes[x]) - np.roll(f, 1, axes[x]))
-                    / (2 * hs[x]))
-        return np.gradient(f, hs[x], axis=axes[x], edge_order=2)
-
-    def d2(f, x):
-        out = (np.roll(f, -1, axes[x]) - 2 * f
-               + np.roll(f, 1, axes[x])) / hs[x] ** 2
-        if not periodic:  # the edges copy their neighbours
-            idx = np.arange(f.shape[axes[x]])
-            idx[0], idx[-1] = 1, idx[-2]
-            out = np.take(out, idx, axis=axes[x])
-        return out
+        return dense_d1(f, grid.spacing[x], x - d, periodic)
 
     v = np.stack([phidot] + [d1(phi, x) for x in range(d)], axis=1)
     s = np.zeros((k,) + S)
     s[0] = s1
     jet = evaluate_jet_batch(model, phi, v, s)
-    L, dLdq, dLdv, dLds, W, Q, Sv = (
-        np.array(np.broadcast_to(getattr(jet, name), lead + S))
-        for name, lead in (("L", ()), ("dLdq", (n,)), ("dLdv", (n, k)),
-                           ("dLds", (k,)), ("d2Ldvdv", (n, k, n, k)),
-                           ("d2Ldvdq", (n, k, n)), ("d2Ldvds", (n, k, k))))
     a = np.zeros((n, k, k) + S)  # a[:, 0, 0] = 0: solved for below
     dsdt = np.zeros((k, k) + S)
-    dsdt[0, 0] = L  # the evolution gauge
+    dsdt[0, 0] = np.broadcast_to(jet.L, S)  # the evolution gauge
     for x in range(d):
         a[:, 0, 1 + x] = a[:, 1 + x, 0] = d1(phidot, x)
-        a[:, 1 + x, 1 + x] = d2(phi, x)
+        a[:, 1 + x, 1 + x] = dense_d2(phi, grid.spacing[x], x - d, periodic)
         for y in range(x + 1, d):
             a[:, 1 + x, 1 + y] = a[:, 1 + y, 1 + x] = d1(v[:, 1 + x], y)
         dsdt[1 + x, 0] = d1(s1, x)
-    rEL = (np.einsum("iajb...,jba...->i...", W, a)
-           + np.einsum("iaj...,ja...->i...", Q, v)
-           + np.einsum("iab...,ab...->i...", Sv, dsdt) - dLdq
-           - np.einsum("a...,ia...->i...", dLds, dLdv))
+    rEL, L, W = dense_el_operator(jet, v, a, dsdt)
     accel = np.linalg.solve(np.moveaxis(W[:, 0, :, 0], (0, 1), (-2, -1)),
                             np.moveaxis(-rEL, 0, -1)[..., None])
     accel = np.moveaxis(accel[..., 0], -1, 0)
@@ -963,14 +977,27 @@ def reference_rhs(model, grid, phi, phidot, s1):
     return dphi, accel, L
 
 
+def s_coupled():
+    """L = u_t^2/2 - u_x^2/2 + (s^1 + s^2) u_x / 10 stores d2L/du_x ds^1
+    and d2L/du_x ds^2, so its Euler-Lagrange operator reads dsdt[x, 0] =
+    d_x s^1 and the gauge's zero dsdt[x, 1]."""
+    return LagrangianModel(
+        n=1, k=2, name="s_coupled",
+        lagrangian=lambda q, v, s: (0.5 * v[0][0] * v[0][0]
+                                    - 0.5 * v[0][1] * v[0][1]
+                                    + 0.1 * (s[0] + s[1]) * v[0][1]))
+
+
 def rhs_cases():
     """Born-Infeld and the charged string (n = 2) on a periodic grid,
-    and the membrane on a 21x21 Dirichlet grid: (id, model, grid, phi,
-    phidot, s1)."""
+    the membrane on a 21x21 Dirichlet grid and `s_coupled` on a 41-point
+    Dirichlet grid: (id, model, grid, phi, phidot, s1)."""
     x = np.linspace(0, 2 * np.pi, 64, endpoint=False)
     ring = Grid(bounds=((0.0, 2 * np.pi),), counts=(64,), bc="periodic")
     square = Grid(bounds=((0, np.pi), (0, np.pi)), counts=(21, 21))
     X, Y = square.mesh()
+    line = Grid(bounds=((0, np.pi),), counts=(41,))
+    z, = line.mesh()
     return [
         ("born-infeld", born_infeld(), ring, 0.5 * np.sin(x)[None],
          -0.5 * np.cos(x)[None], 0.1 * np.sin(2 * x)),
@@ -980,7 +1007,9 @@ def rhs_cases():
         ("membrane", membrane(mu=1.0, gamma=0.2), square,
          (np.sin(X) * np.sin(Y))[None],
          (0.3 * np.sin(2 * X) * np.sin(Y))[None],
-         0.1 * np.sin(X) * np.cos(Y))]
+         0.1 * np.sin(X) * np.cos(Y)),
+        ("s-coupled", s_coupled(), line, 0.4 * np.sin(z)[None],
+         (0.2 * np.sin(2 * z))[None], 0.3 * np.cos(z))]
 
 
 @pytest.mark.parametrize("case", rhs_cases(), ids=lambda c: c[0])
@@ -990,6 +1019,49 @@ def test_rhs_equals_dense_reference_bitwise(case):
     for x, want in zip(got, reference_rhs(model, grid, phi, phidot, s1)):
         x = np.broadcast_to(x, want.shape)
         assert x.tobytes() == want.tobytes()
+
+
+def reference_trace_el_residual(model, trace):
+    """`trace_el_residual` with dense arrays throughout over the whole
+    trace: `reference_rhs`'s stencils in space, np.gradient in time,
+    every second-jet entry and einsum contractions, reduced on the
+    interior two layers off every end."""
+    n, k = model.n, model.k
+    periodic = (False,) + (trace.grid.bc == "periodic",) * (k - 1)
+    hs = (trace.dt_out, *trace.grid.spacing)
+    q, phidot = (np.moveaxis(f, 0, 1) for f in (trace.phi, trace.phidot))
+    s1, G = trace.s1, trace.s1.shape
+
+    def d1(f, b):
+        return dense_d1(f, hs[b], b - k, periodic[b])
+
+    v = np.stack([phidot] + [d1(q, b) for b in range(1, k)], axis=1)
+    s = np.zeros((k,) + G)
+    s[0] = s1
+    jet = evaluate_jet_batch(model, q, v, s)
+    a = np.zeros((n, k, k) + G)
+    dsdt = np.zeros((k, k) + G)
+    for b in range(k):
+        a[:, 0, b] = a[:, b, 0] = d1(phidot, b)
+        dsdt[b, 0] = d1(s1, b)
+        for c in range(1, b):
+            a[:, b, c] = a[:, c, b] = d1(v[:, c], b)
+        if b:
+            a[:, b, b] = dense_d2(q, hs[b], b - k, periodic[b])
+    rEL, L, _ = dense_el_operator(jet, v, a, dsdt)
+    rS = np.einsum("aa...->...", dsdt) - L
+    inner = (Ellipsis,) + (slice(2, -2),) * k
+    return float(np.max(np.abs(rEL[inner]))), float(np.max(np.abs(rS[inner])))
+
+
+@pytest.mark.parametrize("case", rhs_cases(), ids=lambda c: c[0])
+def test_trace_el_residual_equals_dense_reference(case):
+    # the time-time entries a[:, 0, 0] and dsdt[0, 0] come from the
+    # recorded frames, so the trace reads every second-jet entry
+    _, model, grid, phi, phidot, s1 = case
+    trace = run(model, grid, 0.02, 0.16, SimState(phi, phidot, s1))
+    assert trace_el_residual(model, trace) == reference_trace_el_residual(
+        model, trace)
 
 
 @pytest.mark.parametrize("case", rhs_cases()[:2], ids=lambda c: c[0])
